@@ -9,143 +9,4 @@ evaluation layer scores trace files. Everything is seeded and reproducible
 on a CPU.
 """
 
-from .corpus import (
-    Corpus,
-    CorpusFormatError,
-    Fact,
-    MultiHopQuery,
-    Passage,
-    QueryRecord,
-    load_corpus,
-    load_queryset,
-)
-from .encoder import (
-    EncodedQuery,
-    Encoder,
-    EncoderConfig,
-    LexicalEncoder,
-    PassageEncoding,
-    PrecomputedEncoder,
-    TokenWeightedEncoder,
-    tokenize,
-)
-from .scoring import (
-    FocusParams,
-    ScoredPassage,
-    colbert_score,
-    flipr_score,
-    maxsim_rows,
-    rank_scored,
-    score_passages,
-)
-from .index import (
-    IndexConfig,
-    IndexFormatError,
-    TokenIndex,
-    build_index,
-    candidates_for,
-    exact_topk_oracle,
-    load_index,
-    save_index,
-)
-from .retriever import RetrievalConfig, Retriever, retrieve
-from .condenser import (
-    CondenserConfig,
-    IdfTable,
-    LexicalOverlapScorer,
-    condense,
-    stage1_extract,
-    stage2_filter,
-)
-from .pipeline import (
-    HopTrace,
-    HybridTrace,
-    PipelineConfig,
-    PipelineRunner,
-    merge_hybrid,
-    read_traces,
-    run_queries,
-    union_topk,
-    write_traces,
-)
-from .supervision import (
-    LhoConfig,
-    LhoResult,
-    SupervisionSet,
-    build_triples,
-    heuristic_order,
-    latent_hop_ordering,
-    order_recovery,
-)
-from .evaluation import EvalConfig, MetricsReport, evaluate_run, set_em_f1
-from .synth import PlantSpec, SynthResult, generate
-from .util import derive_seed
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "CorpusFormatError",
-    "Fact",
-    "MultiHopQuery",
-    "Passage",
-    "QueryRecord",
-    "load_corpus",
-    "load_queryset",
-    "EncodedQuery",
-    "Encoder",
-    "EncoderConfig",
-    "LexicalEncoder",
-    "PassageEncoding",
-    "PrecomputedEncoder",
-    "TokenWeightedEncoder",
-    "tokenize",
-    "FocusParams",
-    "ScoredPassage",
-    "colbert_score",
-    "flipr_score",
-    "maxsim_rows",
-    "rank_scored",
-    "score_passages",
-    "IndexConfig",
-    "IndexFormatError",
-    "TokenIndex",
-    "build_index",
-    "candidates_for",
-    "exact_topk_oracle",
-    "load_index",
-    "save_index",
-    "RetrievalConfig",
-    "Retriever",
-    "retrieve",
-    "CondenserConfig",
-    "IdfTable",
-    "LexicalOverlapScorer",
-    "condense",
-    "stage1_extract",
-    "stage2_filter",
-    "HopTrace",
-    "HybridTrace",
-    "PipelineConfig",
-    "PipelineRunner",
-    "merge_hybrid",
-    "read_traces",
-    "run_queries",
-    "union_topk",
-    "write_traces",
-    "LhoConfig",
-    "LhoResult",
-    "SupervisionSet",
-    "build_triples",
-    "heuristic_order",
-    "latent_hop_ordering",
-    "order_recovery",
-    "EvalConfig",
-    "MetricsReport",
-    "evaluate_run",
-    "set_em_f1",
-    "PlantSpec",
-    "SynthResult",
-    "generate",
-    "derive_seed",
-]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .config import ConfigError
-from .corpus import Corpus, Fact, MultiHopQuery, load_corpus, load_queryset
+from .corpus import Fact, MultiHopQuery, load_corpus, load_queryset
 from .encoder import LexicalEncoder
 from .index import VARIANT_FLAT, VARIANT_IVF, IndexConfig, build_index, load_index, save_index
 from .pipeline import (
@@ -42,7 +42,7 @@ from .supervision import (
 )
 from .evaluation import evaluate_run, report_json
 from .synth import PlantSpec, generate, write_synth, read_truth
-from .util import derive_seed
+from .util import derive_seed, write_jsonl
 
 log = logging.getLogger("hoplite")
 
@@ -238,10 +238,7 @@ def cmd_heuristic_order(args, parser) -> int:
         for q in queries
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False))
-                fh.write("\n")
+        write_jsonl(args.out, records)
         print(f"heuristic-order queries={len(records)} out={args.out}")
     else:
         for rec in records:

@@ -3,8 +3,8 @@
 Stage 1 scores every sentence of every retrieved passage against the
 query state and pools the strongest few across passages. Stage 2 jointly
 rescores the pooled facts and keeps those with positive scores, so the
-context grows by sentences rather than whole passages. Scorers are
-pluggable; the reference implementation is purely lexical.
+context grows by sentences rather than whole passages. Both stages
+score with the same lexical overlap; stage 2 subtracts a margin tau.
 
 Sentence text is copied verbatim from the corpus - (pid, sentence_index)
 provenance must survive serialization exactly.
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, Fact, MultiHopQuery, Passage
 from .encoder import tokenize
 
 STAGE1_FACTS_INFERENCE = 9
-STAGE1_FACTS_TRAINING_RANGE = (7, 9)  # sampled per training step at full scale
 DEFAULT_TAU = 0.1
 
 
@@ -48,34 +47,24 @@ class IdfTable:
         return math.log((1 + self.n_passages) / (1 + df)) + 1.0
 
 
-class SentenceScorer(Protocol):
-    def score_sentence(
-        self, query_text: str, facts: Sequence[Fact], sentence: str
-    ) -> float: ...
-
-    def score_pooled(
-        self, query_text: str, facts: Sequence[Fact], sentences: Sequence[str]
-    ) -> list[float]: ...
-
-
 class LexicalOverlapScorer:
     """Weighted token overlap with the query state, per sentence token.
 
-    Stage 1 returns sum(idf(t) for overlapping tokens) / len(sentence
-    tokens); stage 2 subtracts tau from the same quantity, so only facts
-    with real overlap stay positive. With idf=None all weights are 1.0
-    and the score is the plain overlapping-token fraction.
+    A sentence scores sum(idf(t) for overlapping tokens) / len(sentence
+    tokens). With idf=None all weights are 1.0 and the score is the plain
+    overlapping-token fraction.
     """
 
-    def __init__(self, idf: IdfTable | None = None, tau: float = DEFAULT_TAU):
+    def __init__(self, idf: IdfTable | None = None):
         self.idf = idf
-        self.tau = tau
 
-    def _context(self, query_text: str, facts: Sequence[Fact]) -> set[str]:
+    def score(
+        self, query_text: str, facts: Sequence[Fact], sentences: Sequence[str]
+    ) -> list[float]:
         context = set(tokenize(query_text))
         for fact in facts:
             context.update(tokenize(fact.text))
-        return context
+        return [self._overlap(context, s) for s in sentences]
 
     def _overlap(self, context: set[str], sentence: str) -> float:
         tokens = tokenize(sentence)
@@ -87,35 +76,10 @@ class LexicalOverlapScorer:
             hit = sum(self.idf(t) for t in tokens if t in context)
         return hit / len(tokens)
 
-    def score_sentence(
-        self, query_text: str, facts: Sequence[Fact], sentence: str
-    ) -> float:
-        return self._overlap(self._context(query_text, facts), sentence)
-
-    def score_pooled(
-        self, query_text: str, facts: Sequence[Fact], sentences: Sequence[str]
-    ) -> list[float]:
-        context = self._context(query_text, facts)
-        return [self._overlap(context, s) - self.tau for s in sentences]
-
-
-SENTENCE_SCORERS = {"lexical": LexicalOverlapScorer}
-
-
-def make_sentence_scorer(name: str, idf: IdfTable | None = None, tau: float = DEFAULT_TAU):
-    try:
-        factory = SENTENCE_SCORERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sentence scorer {name!r}; known: {sorted(SENTENCE_SCORERS)}"
-        ) from None
-    return factory(idf=idf, tau=tau)
-
 
 @dataclass(frozen=True)
 class CondenserConfig:
     stage1_top_k_facts: int = STAGE1_FACTS_INFERENCE
-    scorer: str = "lexical"
     tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
@@ -129,19 +93,18 @@ def stage1_extract(
     query: MultiHopQuery,
     passages: Sequence[Passage],
     cfg: CondenserConfig,
-    scorer: SentenceScorer,
+    scorer: LexicalOverlapScorer,
 ) -> list[Fact]:
     """Score every sentence of every passage; pool the top few across passages.
 
     Ties break by (pid ascending, sentence_index ascending).
     """
-    pool: list[Fact] = []
-    for passage in passages:
-        for i, sentence in enumerate(passage.sentences):
-            score = scorer.score_sentence(query.q0_text, query.facts, sentence)
-            pool.append(
-                Fact(pid=passage.pid, sentence_index=i, text=sentence, stage1_score=score)
-            )
+    located = [(p.pid, i, s) for p in passages for i, s in enumerate(p.sentences)]
+    scores = scorer.score(query.q0_text, query.facts, [s for _, _, s in located])
+    pool = [
+        Fact(pid=pid, sentence_index=i, text=s, stage1_score=score)
+        for (pid, i, s), score in zip(located, scores)
+    ]
     pool.sort(key=lambda f: (-f.stage1_score, f.pid, f.sentence_index))
     return pool[: cfg.stage1_top_k_facts]
 
@@ -150,12 +113,13 @@ def stage2_filter(
     query: MultiHopQuery,
     pooled: Sequence[Fact],
     cfg: CondenserConfig,
-    scorer: SentenceScorer,
+    scorer: LexicalOverlapScorer,
 ) -> list[Fact]:
-    """Jointly rescore the pooled facts; keep strictly positive, best first."""
+    """Jointly rescore the pooled facts less tau; keep strictly positive, best first."""
     if not pooled:
         return []
-    scores = scorer.score_pooled(query.q0_text, query.facts, [f.text for f in pooled])
+    overlaps = scorer.score(query.q0_text, query.facts, [f.text for f in pooled])
+    scores = [s - cfg.tau for s in overlaps]
     kept = [
         replace(f, stage2_score=s)
         for f, s in zip(pooled, scores)
@@ -169,7 +133,7 @@ def condense(
     query: MultiHopQuery,
     passages: Sequence[Passage],
     cfg: CondenserConfig,
-    scorer: SentenceScorer,
+    scorer: LexicalOverlapScorer,
 ) -> list[Fact]:
     """Both stages back to back; may legitimately return an empty list."""
     return stage2_filter(query, stage1_extract(query, passages, cfg, scorer), cfg, scorer)

@@ -58,14 +58,12 @@ DEFAULTS: dict = {
         "results_per_vector": 512,
         "query_focus": 32,
         "fact_focus": 8,
-        "candidate_source": "query_and_facts",
     },
-    "condenser": {"stage1_top_k_facts": 9, "scorer": "lexical", "tau": 0.1},
+    "condenser": {"stage1_top_k_facts": 9, "tau": 0.1},
     "pipeline": {
         "hops": 4,
         "per_hop_k": [25, 25, 25, 25],
         "variant": "condensed",
-        "context_scorer": "top_ranked",
         "accumulate_facts": True,
         "hybrid_total": 100,
         "verifier": None,
@@ -210,7 +208,6 @@ def retrieval_config(cfg: dict) -> RetrievalConfig:
         k=sub["k"],
         results_per_vector=sub["results_per_vector"],
         focus=FocusParams(n_hat=sub["query_focus"], l_hat=sub["fact_focus"]),
-        candidate_source=sub["candidate_source"],
     )
 
 
@@ -218,7 +215,6 @@ def condenser_config(cfg: dict) -> CondenserConfig:
     sub = cfg["condenser"]
     return CondenserConfig(
         stage1_top_k_facts=sub["stage1_top_k_facts"],
-        scorer=sub["scorer"],
         tau=sub["tau"],
     )
 
@@ -231,7 +227,6 @@ def pipeline_config(cfg: dict, variant: str | None = None) -> PipelineConfig:
         variant=variant or sub["variant"],
         retrieval=retrieval_config(cfg),
         condenser=condenser_config(cfg),
-        context_scorer=sub["context_scorer"],
         accumulate_facts=sub["accumulate_facts"],
         hybrid_total=sub["hybrid_total"],
         verifier=sub["verifier"],
@@ -256,7 +251,6 @@ def lho_retrieval_config(cfg: dict) -> RetrievalConfig:
         k=cfg["supervision"]["k_retrieve"],
         results_per_vector=cfg["supervision"]["results_per_vector"],
         focus=FocusParams(n_hat=sub["query_focus"], l_hat=sub["fact_focus"]),
-        candidate_source=sub["candidate_source"],
     )
 
 

@@ -10,22 +10,14 @@ the encoder's business.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
-from .util import read_jsonl
+from .util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
-
-# Published split sizes for the real-data path. Desk-scale fixtures never
-# approach these; they document the intended full-scale regime.
-HOVER_SPLIT_SIZES = {"train": 18_171, "dev": 4_000, "test": 4_000}
-HOTPOTQA_SPLIT_SIZES = {"train": 90_447, "dev": 7_405, "test": 7_405}
-FULL_SCALE_CORPUS_PASSAGES = 5_000_000  # first-paragraph Wikipedia corpus, approximate
-
 
 class CorpusFormatError(ValueError):
     """Malformed corpus/query file or a violated record invariant."""
@@ -267,14 +259,8 @@ def query_record(q: QueryRecord) -> dict:
 
 
 def dump_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in corpus:
-            fh.write(json.dumps(passage_record(p), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (passage_record(p) for p in corpus))
 
 
 def dump_queryset(queries: list[QueryRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(json.dumps(query_record(q), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (query_record(q) for q in queries))

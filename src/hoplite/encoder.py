@@ -13,15 +13,13 @@ processes and machines regardless of PYTHONHASHSEED.
 from __future__ import annotations
 
 import re
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .corpus import MultiHopQuery, Passage
-from .util import hash64, read_jsonl
+from .util import hash64
 
 # \w minus underscore: Unicode alphanumerics only.
 _TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
@@ -143,7 +141,8 @@ class LexicalEncoder:
             title_rows=title_rows,
         )
 
-    def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
+    def kept_tokens(self, query: MultiHopQuery) -> tuple[list[str], list[str]]:
+        """The query tokens and fact tokens that fit the token caps, in row order."""
         q_tokens = tokenize(query.q0_text)[: self.cfg.max_query_tokens]
         budget = self.cfg.max_overall_tokens - len(q_tokens)
         fact_tokens: list[str] = []
@@ -152,180 +151,39 @@ class LexicalEncoder:
                 break
             fact_tokens.extend(tokenize(fact.text))
         # Overflow drops the newest facts' tokens; earliest hops survive.
+        return q_tokens, fact_tokens[:budget]
+
+    def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
+        q_tokens, fact_tokens = self.kept_tokens(query)
         return EncodedQuery(
-            query_part=self._matrix(q_tokens),
-            fact_part=self._matrix(fact_tokens[:budget]),
+            query_part=self._matrix(q_tokens), fact_part=self._matrix(fact_tokens)
         )
 
 
 class TokenWeightedEncoder:
-    """Wraps an encoder, scaling query-side rows by per-token weights.
+    """Wraps a lexical encoder, scaling query-side rows by per-token weights.
 
     Passage encoding passes through untouched, so indexes stay unit-norm;
     only the query contribution to each max-similarity term is re-weighted.
     """
 
-    def __init__(self, base: Encoder, weights: dict[str, float], base_cfg: EncoderConfig):
+    def __init__(self, base: LexicalEncoder, weights: dict[str, float]):
         self.base = base
         self.weights = dict(weights)
-        self.cfg = base_cfg
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def _scale(self, matrix: np.ndarray, tokens: list[str]) -> np.ndarray:
-        if matrix.shape[0] == 0:
-            return matrix
-        scales = np.array(
-            [self.weights.get(t, 1.0) for t in tokens[: matrix.shape[0]]],
-            dtype=np.float32,
-        )
-        return matrix * scales[:, None]
+    def _scaled(self, tokens: list[str]) -> np.ndarray:
+        scales = np.array([self.weights.get(t, 1.0) for t in tokens], dtype=np.float32)
+        return self.base._matrix(tokens) * scales[:, None]
 
     def encode_passage(self, passage: Passage) -> PassageEncoding:
         return self.base.encode_passage(passage)
 
     def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
-        eq = self.base.encode_query(query)
-        q_tokens = tokenize(query.q0_text)[: self.cfg.max_query_tokens]
-        budget = self.cfg.max_overall_tokens - len(q_tokens)
-        fact_tokens: list[str] = []
-        for fact in query.facts:
-            if len(fact_tokens) >= budget:
-                break
-            fact_tokens.extend(tokenize(fact.text))
+        q_tokens, fact_tokens = self.base.kept_tokens(query)
         return EncodedQuery(
-            query_part=self._scale(eq.query_part, q_tokens),
-            fact_part=self._scale(eq.fact_part, fact_tokens[:budget]),
+            query_part=self._scaled(q_tokens), fact_part=self._scaled(fact_tokens)
         )
-
-
-# ---------------------------------------------------------------------------
-# Precomputed-embedding plumbing.
-#
-# Matrix file layout (little-endian):
-#   magic "HLTM" | u8 version | u32 dim | u64 rows | rows*dim float32 row-major
-
-_MATRIX_MAGIC = b"HLTM"
-_MATRIX_VERSION = 1
-
-
-class MatrixFormatError(ValueError):
-    """Bad magic, version, or truncated matrix file."""
-
-
-def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<BIQ", _MATRIX_VERSION, arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
-
-
-def read_matrix(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = struct.calcsize("<4sBIQ")
-    if len(blob) < head:
-        raise MatrixFormatError(f"{path}: truncated header")
-    magic, version, dim, rows = struct.unpack_from("<4sBIQ", blob)
-    if magic != _MATRIX_MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r}")
-    if version != _MATRIX_VERSION:
-        raise MatrixFormatError(f"{path}: unsupported version {version}")
-    expected = head + rows * dim * 4
-    if len(blob) != expected:
-        raise MatrixFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    body = np.frombuffer(blob, dtype="<f4", offset=head)
-    return body.reshape(rows, dim).copy()
-
-
-class PrecomputedEncoder:
-    """File-backed encoder serving precomputed rows out of one matrix file.
-
-    The manifest (JSON Lines) maps a key to a row range:
-      {"key": ..., "start": ..., "rows": ...,
-       "sentence_spans": [[s, e], ...]?, "title_rows": int?}
-    Passages are looked up by pid, query text and fact text by exact string.
-    """
-
-    def __init__(
-        self,
-        matrix_path: str | Path,
-        manifest_path: str | Path,
-        cfg: EncoderConfig | None = None,
-        validate: bool = True,
-    ):
-        self._matrix = read_matrix(matrix_path)
-        self.cfg = cfg or EncoderConfig(dim=self._matrix.shape[1])
-        if self.cfg.dim != self._matrix.shape[1]:
-            raise MatrixFormatError(
-                f"{matrix_path}: dim {self._matrix.shape[1]} != configured {self.cfg.dim}"
-            )
-        if validate and self._matrix.shape[0]:
-            norms = np.linalg.norm(self._matrix.astype(np.float64), axis=1)
-            bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-5)
-            if bad.size:
-                raise MatrixFormatError(
-                    f"{matrix_path}: row {int(bad[0])} is not unit-norm ({norms[bad[0]]:.6f})"
-                )
-        self._entries: dict[str, dict] = {}
-        for lineno, obj in read_jsonl(manifest_path):
-            key = obj.get("key")
-            if not isinstance(key, str):
-                raise MatrixFormatError(f"{manifest_path}: line {lineno}: missing key")
-            start, rows = obj.get("start"), obj.get("rows")
-            if not isinstance(start, int) or not isinstance(rows, int):
-                raise MatrixFormatError(f"{manifest_path}: line {lineno}: bad row range")
-            if start < 0 or start + rows > self._matrix.shape[0]:
-                raise MatrixFormatError(
-                    f"{manifest_path}: line {lineno}: range out of bounds"
-                )
-            self._entries[key] = obj
-
-    @property
-    def dim(self) -> int:
-        return self.cfg.dim
-
-    def _rows(self, key: str, kind: str) -> tuple[np.ndarray, dict]:
-        entry = self._entries.get(key)
-        if entry is None:
-            raise KeyError(f"no precomputed rows for {kind} {key!r}")
-        start, rows = entry["start"], entry["rows"]
-        return self._matrix[start : start + rows], entry
-
-    def encode_passage(self, passage: Passage) -> PassageEncoding:
-        matrix, entry = self._rows(passage.pid, "passage")
-        matrix = matrix[: self.cfg.max_passage_tokens]
-        spans = entry.get("sentence_spans")
-        if spans is None:
-            spans = [[entry.get("title_rows", 0), matrix.shape[0]]]
-        cap = matrix.shape[0]
-        return PassageEncoding(
-            matrix=matrix,
-            sentence_spans=tuple((min(s, cap), min(e, cap)) for s, e in spans),
-            title_rows=min(entry.get("title_rows", 0), cap),
-        )
-
-    def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
-        q_rows, _ = self._rows(query.q0_text, "query text")
-        q_rows = q_rows[: self.cfg.max_query_tokens]
-        budget = self.cfg.max_overall_tokens - q_rows.shape[0]
-        parts = []
-        taken = 0
-        for fact in query.facts:
-            if taken >= budget:
-                break
-            f_rows, _ = self._rows(fact.text, "fact text")
-            f_rows = f_rows[: budget - taken]
-            taken += f_rows.shape[0]
-            parts.append(f_rows)
-        fact_part = (
-            np.concatenate(parts, axis=0)
-            if parts
-            else np.zeros((0, self.dim), dtype=np.float32)
-        )
-        return EncodedQuery(query_part=q_rows, fact_part=fact_part)

@@ -14,7 +14,7 @@ value equals the count-weighted mean of its strata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Corpus, QueryRecord

@@ -37,11 +37,6 @@ logger = logging.getLogger(__name__)
 VARIANT_FLAT = "flat"
 VARIANT_IVF = "ivf"
 
-# IVF operating point for full Wikipedia-sized corpora. Desk-scale builds
-# derive the centroid count from the vector count instead.
-FULL_SCALE_CENTROIDS = 8192
-FULL_SCALE_NPROBE = 16
-
 # Candidate depth per source vector: shallower while mining supervision,
 # deeper at inference time.
 TRAINING_RESULTS_PER_VECTOR = 256
@@ -49,9 +44,6 @@ INFERENCE_RESULTS_PER_VECTOR = 512
 
 _INDEX_MAGIC = b"HLTI"
 _INDEX_VERSION = 1
-
-QUERY_ONLY = "query_only"
-QUERY_AND_FACTS = "query_and_facts"
 
 
 class IndexFormatError(ValueError):
@@ -285,33 +277,20 @@ class CandidateSet:
         return len(self.hits)
 
 
-def _source_rows(eq: EncodedQuery, source: str) -> np.ndarray:
-    if source == QUERY_ONLY:
-        return eq.query_part
-    if source == QUERY_AND_FACTS:
-        if eq.fact_part.shape[0] == 0:
-            return eq.query_part
-        if eq.query_part.shape[0] == 0:
-            return eq.fact_part
-        return np.concatenate([eq.query_part, eq.fact_part], axis=0)
-    raise ValueError(f"unknown candidate source {source!r}")
-
-
 def candidates_for(
     eq: EncodedQuery,
     index: TokenIndex,
     results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR,
-    source: str = QUERY_AND_FACTS,
 ) -> CandidateSet:
     """Union of per-source-row nearest vectors, as pid hit counts.
 
-    Each source row contributes its top results_per_vector storage vectors
-    by dot product; for IVF only the row's nprobe nearest centroid lists
-    are scanned.
+    Every query row and fact row is a source row. Each contributes its top
+    results_per_vector storage vectors by dot product; for IVF only the
+    row's nprobe nearest centroid lists are scanned.
     """
     if results_per_vector < 1:
         raise ValueError("results_per_vector must be positive")
-    rows = _source_rows(eq, source)
+    rows = np.concatenate([eq.query_part, eq.fact_part], axis=0)
     if rows.shape[0] == 0:
         return CandidateSet(hits={})
     if rows.shape[1] != index.dim:
@@ -418,19 +397,24 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
         if self.pos + n > len(self.blob):
             raise IndexFormatError(f"{self.path}: truncated file")
-        out = self.blob[self.pos : self.pos + n]
+        start = self.pos
         self.pos += n
-        return out
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.blob[start : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype: str, count: int) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * itemsize), dtype=dtype).copy()
+        """Read-only view into the blob; the loaded index holds no second copy."""
+        start = self._advance(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
 def load_index(path: str | Path) -> TokenIndex:

@@ -17,15 +17,17 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
-from .condenser import CondenserConfig, IdfTable, SentenceScorer, condense, make_sentence_scorer
+from .condenser import CondenserConfig, IdfTable, LexicalOverlapScorer, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import Encoder
 from .index import TokenIndex
 from .retriever import RetrievalConfig, retrieve
 from .scoring import ScoredPassage
+from .util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -36,27 +38,6 @@ VARIANT_HYBRID = "hybrid"
 HYBRID_MERGE_TOTAL = 100
 
 
-class PassageScorer(Protocol):
-    """Picks the context passage a rerank hop should append."""
-
-    def pick_context(
-        self, query: MultiHopQuery, ranked: Sequence[ScoredPassage], corpus: Corpus
-    ) -> str: ...
-
-
-class TopRankedContext:
-    """Reference picker: the retriever's own score already ranks passages,
-    so the context passage is simply rank 1."""
-
-    def pick_context(
-        self, query: MultiHopQuery, ranked: Sequence[ScoredPassage], corpus: Corpus
-    ) -> str:
-        return ranked[0].pid
-
-
-PASSAGE_SCORERS = {"top_ranked": TopRankedContext}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     hops: int = 4
@@ -64,7 +45,6 @@ class PipelineConfig:
     variant: str = VARIANT_CONDENSED
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     condenser: CondenserConfig = field(default_factory=CondenserConfig)
-    context_scorer: str = "top_ranked"
     accumulate_facts: bool = True  # False: ablation, query never grows
     hybrid_total: int = HYBRID_MERGE_TOTAL
     verifier: str | None = None  # "trivial" or None
@@ -80,8 +60,6 @@ class PipelineConfig:
             raise ValueError("per-hop k values must be positive")
         if self.variant not in (VARIANT_CONDENSED, VARIANT_RERANK, VARIANT_HYBRID):
             raise ValueError(f"unknown pipeline variant {self.variant!r}")
-        if self.context_scorer not in PASSAGE_SCORERS:
-            raise ValueError(f"unknown context scorer {self.context_scorer!r}")
         if self.verifier not in (None, "trivial"):
             raise ValueError(f"unknown verifier {self.verifier!r}")
 
@@ -130,20 +108,12 @@ class PipelineRunner:
         index: TokenIndex,
         encoder: Encoder,
         cfg: PipelineConfig | None = None,
-        sentence_scorer: SentenceScorer | None = None,
     ):
         self.corpus = corpus
         self.index = index
         self.encoder = encoder
         self.cfg = cfg or PipelineConfig()
-        if sentence_scorer is None:
-            sentence_scorer = make_sentence_scorer(
-                self.cfg.condenser.scorer,
-                idf=IdfTable.from_corpus(corpus),
-                tau=self.cfg.condenser.tau,
-            )
-        self.sentence_scorer = sentence_scorer
-        self.context_picker: PassageScorer = PASSAGE_SCORERS[self.cfg.context_scorer]()
+        self.sentence_scorer = LexicalOverlapScorer(idf=IdfTable.from_corpus(corpus))
 
     def _hop_loop(self, query: QueryRecord, rerank: bool) -> HopTrace:
         cfg = self.cfg
@@ -164,7 +134,8 @@ class PipelineRunner:
             new_facts: list[Fact] = []
             if rerank:
                 if ranked:
-                    context_pid = self.context_picker.pick_context(state, ranked, self.corpus)
+                    # The retriever's score already ranks passages, so rank 1 is the context.
+                    context_pid = ranked[0].pid
                     passage = self.corpus.get(context_pid)
                     new_facts = [
                         Fact(pid=context_pid, sentence_index=i, text=s)
@@ -356,30 +327,23 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
 def write_traces(
     path: str | Path, traces: Iterable[HopTrace | HybridTrace | dict], meta: dict | None = None
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-        for trace in traces:
-            rec = trace if isinstance(trace, dict) else trace_record(trace)
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    records: Iterable[dict] = (
+        trace if isinstance(trace, dict) else trace_record(trace) for trace in traces
+    )
+    if meta is not None:
+        # The dumps/loads round trip orders the meta keys at every depth.
+        sorted_meta = json.loads(json.dumps(meta, sort_keys=True))
+        records = chain([{"meta": sorted_meta}], records)
+    write_jsonl(path, records)
 
 
 def read_traces(path: str | Path) -> tuple[dict | None, list[dict]]:
     """Returns (meta, records); meta is None when the file has no meta line."""
     meta = None
     records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if "meta" in obj and lineno == 1:
-                meta = obj["meta"]
-            else:
-                records.append(obj)
+    for lineno, obj in read_jsonl(path):
+        if "meta" in obj and lineno == 1:
+            meta = obj["meta"]
+        else:
+            records.append(obj)
     return meta, records

@@ -5,13 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, MultiHopQuery
-from .encoder import EncodedQuery, Encoder, EncoderConfig, TokenWeightedEncoder
-from .index import (
-    INFERENCE_RESULTS_PER_VECTOR,
-    QUERY_AND_FACTS,
-    TokenIndex,
-    candidates_for,
-)
+from .encoder import EncodedQuery, Encoder, TokenWeightedEncoder
+from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for
 from .scoring import FocusParams, ScoredPassage, flipr_score
 
 
@@ -20,7 +15,6 @@ class RetrievalConfig:
     k: int = 25
     results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR
     focus: FocusParams = field(default_factory=FocusParams)
-    candidate_source: str = QUERY_AND_FACTS
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -43,7 +37,7 @@ def retrieve(
     break by ascending pid. Excluded pids are dropped before scoring.
     """
     cfg = cfg or RetrievalConfig()
-    cands = candidates_for(eq, index, cfg.results_per_vector, cfg.candidate_source)
+    cands = candidates_for(eq, index, cfg.results_per_vector)
     scored: list[ScoredPassage] = []
     for pid in cands.hits:
         if pid in exclude:
@@ -98,6 +92,5 @@ class Retriever:
             for token, w in weights.items():
                 merged[token] = merged.get(token, 1.0) * w
             base = base.base
-        base_cfg = getattr(base, "cfg", None) or EncoderConfig(dim=self.encoder.dim)
-        wrapped = TokenWeightedEncoder(base, merged, base_cfg)
+        wrapped = TokenWeightedEncoder(base, merged)
         return Retriever(self.corpus, self.index, wrapped, self.cfg)

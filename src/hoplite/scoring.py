@@ -15,7 +15,7 @@ reproducible bit-for-bit across call patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -16,10 +16,9 @@ whether their title appears in the growing claim text.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import tokenize
 from .retriever import Retriever
-from .util import derive_seed, normalize_answer_text
+from .util import derive_seed, normalize_answer_text, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +36,6 @@ FACTS_PER_EXPANSION = 5  # oracle facts appended per newly-assigned positive
 
 # Published per-hop positive depths (None probes the whole ranking).
 HOVER_POSITIVE_DEPTHS_ROUND1 = (20, None, None, None)
-HOVER_POSITIVE_DEPTHS_ROUND2 = (10, 10, 10, None)
-HOTPOTQA_POSITIVE_DEPTHS_ROUND1 = (20, None)
-HOTPOTQA_POSITIVE_DEPTHS_ROUND2 = (10, None)
 
 EXPANSION_ORACLE = "oracle"
 EXPANSION_SHUFFLED = "shuffled"  # ablation: random sentences instead of facts
@@ -526,14 +522,8 @@ def triple_records(triples: Sequence[TrainingTriple]) -> list[dict]:
 
 
 def write_supervision(path: str | Path, result: LhoResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in supervision_records(result):
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, supervision_records(result))
 
 
 def write_triples(path: str | Path, triples: Sequence[TrainingTriple]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in triple_records(triples):
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, triple_records(triples))

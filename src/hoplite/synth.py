@@ -15,15 +15,13 @@ accidental. Generation is byte-deterministic per seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .corpus import Corpus, Passage, QueryRecord, dump_corpus, dump_queryset
-from .util import read_jsonl
+from .util import read_jsonl, write_jsonl
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
@@ -197,10 +195,10 @@ def write_synth(result: SynthResult, out_dir: str | Path) -> dict[str, Path]:
     }
     dump_corpus(result.corpus, paths["corpus"])
     dump_queryset(result.queries, paths["queries"])
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        for qid in sorted(result.truth):
-            fh.write(json.dumps({"qid": qid, "hops": result.truth[qid]}))
-            fh.write("\n")
+    write_jsonl(
+        paths["truth"],
+        ({"qid": qid, "hops": result.truth[qid]} for qid in sorted(result.truth)),
+    )
     return paths
 
 

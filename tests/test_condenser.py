@@ -8,7 +8,6 @@ from hoplite.condenser import (
     IdfTable,
     LexicalOverlapScorer,
     condense,
-    make_sentence_scorer,
     stage1_extract,
     stage2_filter,
 )
@@ -17,6 +16,11 @@ from hoplite.corpus import Corpus, Fact, MultiHopQuery, Passage
 
 def _q(text, facts=()):
     return MultiHopQuery(qid="q", q0_text=text, facts=tuple(facts), hop_index=len(facts))
+
+
+def _score(scorer, query_text, facts, sentence):
+    [score] = scorer.score(query_text, facts, [sentence])
+    return score
 
 
 def test_idf_table_formula(tiny_corpus):
@@ -41,19 +45,19 @@ def test_idf_counts_each_passage_once():
 def test_stage1_overlap_fraction_without_idf():
     scorer = LexicalOverlapScorer(idf=None)
     # 1 of 4 sentence tokens overlaps the query -> 0.25
-    s = scorer.score_sentence("rome conquered gaul", (), "rome had four legions")
+    s = _score(scorer, "rome conquered gaul", (), "rome had four legions")
     assert abs(s - 0.25) < 1e-12
     # no overlap -> 0.0
-    assert scorer.score_sentence("rome", (), "looms weave cloth") == 0.0
+    assert _score(scorer, "rome", (), "looms weave cloth") == 0.0
     # empty sentence -> 0.0, no division error
-    assert scorer.score_sentence("rome", (), "!!!") == 0.0
+    assert _score(scorer, "rome", (), "!!!") == 0.0
 
 
 def test_stage1_context_includes_facts():
     scorer = LexicalOverlapScorer(idf=None)
     fact = Fact(pid="p", sentence_index=0, text="tiber river")
-    bare = scorer.score_sentence("rome", (), "the tiber floods")
-    with_fact = scorer.score_sentence("rome", (fact,), "the tiber floods")
+    bare = _score(scorer, "rome", (), "the tiber floods")
+    with_fact = _score(scorer, "rome", (fact,), "the tiber floods")
     assert with_fact > bare
 
 
@@ -82,12 +86,12 @@ def test_stage1_tie_break_is_pid_then_index():
 
 
 def test_stage2_subtracts_tau_and_keeps_positive():
-    scorer = LexicalOverlapScorer(idf=None, tau=0.1)
+    scorer = LexicalOverlapScorer(idf=None)
     pooled = [
         Fact(pid="a", sentence_index=0, text="rome one two three", stage1_score=0.25),
         Fact(pid="b", sentence_index=0, text="x y z unrelated words here gone", stage1_score=0.0),
     ]
-    kept = stage2_filter(_q("rome"), pooled, CondenserConfig(), scorer)
+    kept = stage2_filter(_q("rome"), pooled, CondenserConfig(tau=0.1), scorer)
     # 0.25 - 0.1 = 0.15 survives; 0.0 - 0.1 drops
     assert [(f.pid, f.stage2_score) for f in kept] == [("a", pytest.approx(0.15))]
     assert kept[0].stage1_score == 0.25  # stage-1 provenance preserved
@@ -96,10 +100,7 @@ def test_stage2_subtracts_tau_and_keeps_positive():
 def test_stage2_fixture_scores():
     # pooled stage-2 scores [0.4, -0.1, 0.2] -> kept [0.4, 0.2]
     class Fixed:
-        def score_sentence(self, q, facts, s):
-            return 0.0
-
-        def score_pooled(self, q, facts, sentences):
+        def score(self, q, facts, sentences):
             return [0.4, -0.1, 0.2]
 
     pooled = [
@@ -107,21 +108,18 @@ def test_stage2_fixture_scores():
         Fact(pid="b", sentence_index=0, text="s2"),
         Fact(pid="c", sentence_index=0, text="s3"),
     ]
-    kept = stage2_filter(_q("any"), pooled, CondenserConfig(), Fixed())
+    kept = stage2_filter(_q("any"), pooled, CondenserConfig(tau=0.0), Fixed())
     assert [f.pid for f in kept] == ["a", "c"]
     assert [f.stage2_score for f in kept] == [0.4, 0.2]
 
 
 def test_stage2_zero_is_dropped():
     class Zero:
-        def score_sentence(self, q, facts, s):
-            return 0.0
-
-        def score_pooled(self, q, facts, sentences):
+        def score(self, q, facts, sentences):
             return [0.0 for _ in sentences]
 
     pooled = [Fact(pid="a", sentence_index=0, text="s")]
-    assert stage2_filter(_q("any"), pooled, CondenserConfig(), Zero()) == []
+    assert stage2_filter(_q("any"), pooled, CondenserConfig(tau=0.0), Zero()) == []
 
 
 def test_condense_returns_subset_of_stage1(tiny_corpus):
@@ -165,17 +163,9 @@ def test_stage1_with_idf_prefers_rare_tokens():
     idf = IdfTable.from_corpus(corpus)
     scorer = LexicalOverlapScorer(idf=idf)
     # both sentences have 1-of-2 overlap; the rare token must outscore
-    rare = scorer.score_sentence("zyzzyva topic", (), "zyzzyva appears")
-    common = scorer.score_sentence("common topic", (), "common appears")
+    rare = _score(scorer, "zyzzyva topic", (), "zyzzyva appears")
+    common = _score(scorer, "common topic", (), "common appears")
     assert rare > common
-
-
-def test_make_sentence_scorer():
-    s = make_sentence_scorer("lexical", idf=None, tau=0.2)
-    assert isinstance(s, LexicalOverlapScorer)
-    assert s.tau == 0.2
-    with pytest.raises(ValueError, match="unknown sentence scorer"):
-        make_sentence_scorer("neural")
 
 
 def test_condenser_config_validation():

@@ -90,6 +90,14 @@ def test_unknown_keys_rejected_recursively(tmp_path):
     path.write_text(json.dumps({"retrievall": {}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="retrievall"):
         resolve_config(config_path=path, environ={})
+    for section, key in (
+        ("retrieval", "candidate_source"),
+        ("condenser", "scorer"),
+        ("pipeline", "context_scorer"),
+    ):
+        path.write_text(json.dumps({section: {key: "x"}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(config_path=path, environ={})
 
 
 def test_env_overrides():

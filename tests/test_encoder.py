@@ -1,18 +1,14 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hoplite.corpus import Fact, MultiHopQuery, Passage
 from hoplite.encoder import (
     EncoderConfig,
     LexicalEncoder,
-    MatrixFormatError,
-    PrecomputedEncoder,
     TokenWeightedEncoder,
-    read_matrix,
     tokenize,
-    write_matrix,
 )
 
 
@@ -128,7 +124,7 @@ def test_empty_query_encodes_to_empty_matrices(enc):
 
 
 def test_token_weighted_encoder_scales_query_rows(enc):
-    weighted = TokenWeightedEncoder(enc, {"rome": 2.0}, enc.cfg)
+    weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
     q = MultiHopQuery(qid="q", q0_text="rome tiber", facts=(), hop_index=0)
     base = enc.encode_query(q)
     got = weighted.encode_query(q)
@@ -137,90 +133,52 @@ def test_token_weighted_encoder_scales_query_rows(enc):
 
 
 def test_token_weighted_encoder_passage_passthrough(enc, tiny_corpus):
-    weighted = TokenWeightedEncoder(enc, {"rome": 2.0}, enc.cfg)
+    weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
     p = tiny_corpus.get("p2")
     assert np.array_equal(weighted.encode_passage(p).matrix, enc.encode_passage(p).matrix)
 
 
-def test_matrix_file_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((7, 16)).astype(np.float32)
-    path = tmp_path / "m.hltm"
-    write_matrix(path, m)
-    assert np.array_equal(read_matrix(path), m)
+_WORDS = st.sampled_from(["rome", "tiber", "carthage", "harbor", "ships", "war", "gaul"])
+_TEXT = st.lists(_WORDS, min_size=1, max_size=6).map(" ".join)
 
 
-def test_matrix_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.hltm"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(MatrixFormatError):
-        read_matrix(path)
-
-
-def test_matrix_file_rejects_truncation(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 8)).astype(np.float32)
-    path = tmp_path / "m.hltm"
-    write_matrix(path, m)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(MatrixFormatError):
-        read_matrix(path)
-
-
-def _write_precomputed(tmp_path, enc, corpus, queries):
-    rows, manifest = [], []
-    cursor = 0
-    for pid in corpus.pids:
-        pe = enc.encode_passage(corpus.get(pid))
-        manifest.append(
-            {
-                "key": pid,
-                "start": cursor,
-                "rows": int(pe.matrix.shape[0]),
-                "sentence_spans": [list(s) for s in pe.sentence_spans],
-                "title_rows": pe.title_rows,
-            }
+@settings(max_examples=60, deadline=None)
+@given(
+    q0=st.lists(_WORDS, max_size=6).map(" ".join),
+    fact_texts=st.lists(_TEXT, min_size=1, max_size=6),
+    max_query=st.integers(1, 4),
+    spare=st.integers(0, 6),
+    weights=st.dictionaries(_WORDS, st.floats(0.25, 4.0, width=32), max_size=4),
+)
+def test_weighting_is_a_row_scale_under_the_token_budget(
+    q0, fact_texts, max_query, spare, weights
+):
+    enc = LexicalEncoder(
+        EncoderConfig(
+            dim=16, seed=1, max_query_tokens=max_query, max_overall_tokens=max_query + spare
         )
-        rows.append(pe.matrix)
-        cursor += pe.matrix.shape[0]
-    for text in queries:
-        m = np.stack([enc.token_vector(t) for t in tokenize(text)])
-        manifest.append({"key": text, "start": cursor, "rows": int(m.shape[0])})
-        rows.append(m)
-        cursor += m.shape[0]
-    mpath, jpath = tmp_path / "m.hltm", tmp_path / "m.jsonl"
-    write_matrix(mpath, np.concatenate(rows, axis=0))
-    with open(jpath, "w", encoding="utf-8") as fh:
-        for obj in manifest:
-            fh.write(json.dumps(obj) + "\n")
-    return mpath, jpath
+    )
+    all_fact_tokens = [t for text in fact_texts for t in tokenize(text)]
+    budget = max_query + spare - min(len(tokenize(q0)), max_query)
+    assume(len(all_fact_tokens) > budget)
+    facts = tuple(Fact(pid="p", sentence_index=i, text=t) for i, t in enumerate(fact_texts))
+    q = MultiHopQuery(qid="q", q0_text=q0, facts=facts, hop_index=len(facts))
+    base = enc.encode_query(q)
+    q_tokens, fact_tokens = enc.kept_tokens(q)
+    assert q_tokens == tokenize(q0)[:max_query]
+    assert fact_tokens == all_fact_tokens[:budget]
+    assert base.query_part.shape[0] == len(q_tokens)
+    assert base.fact_part.shape[0] == budget
 
+    unit = TokenWeightedEncoder(enc, {t: 1.0 for t in q_tokens + fact_tokens}).encode_query(q)
+    assert np.array_equal(unit.query_part, base.query_part)
+    assert np.array_equal(unit.fact_part, base.fact_part)
 
-def test_precomputed_encoder_matches_source(tmp_path, enc, tiny_corpus):
-    q_text = "carthage fought rome"
-    mpath, jpath = _write_precomputed(tmp_path, enc, tiny_corpus, [q_text])
-    pre = PrecomputedEncoder(mpath, jpath, cfg=enc.cfg)
-    for pid in tiny_corpus.pids:
-        want = enc.encode_passage(tiny_corpus.get(pid))
-        got = pre.encode_passage(tiny_corpus.get(pid))
-        assert np.array_equal(got.matrix, want.matrix)
-        assert got.sentence_spans == want.sentence_spans
-        assert got.title_rows == want.title_rows
-    q = MultiHopQuery(qid="q", q0_text=q_text, facts=(), hop_index=0)
-    assert np.array_equal(pre.encode_query(q).query_part, enc.encode_query(q).query_part)
-
-
-def test_precomputed_encoder_unknown_key(tmp_path, enc, tiny_corpus):
-    mpath, jpath = _write_precomputed(tmp_path, enc, tiny_corpus, [])
-    pre = PrecomputedEncoder(mpath, jpath, cfg=enc.cfg)
-    with pytest.raises(KeyError):
-        pre.encode_query(MultiHopQuery(qid="q", q0_text="unseen text", facts=(), hop_index=0))
-
-
-def test_precomputed_encoder_rejects_out_of_range_manifest(tmp_path, enc, tiny_corpus):
-    mpath, jpath = _write_precomputed(tmp_path, enc, tiny_corpus, [])
-    with open(jpath, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"key": "ghost", "start": 10**6, "rows": 5}) + "\n")
-    with pytest.raises(MatrixFormatError):
-        PrecomputedEncoder(mpath, jpath, cfg=enc.cfg)
+    got = TokenWeightedEncoder(enc, weights).encode_query(q)
+    for rows, want_rows, tokens in (
+        (got.query_part, base.query_part, q_tokens),
+        (got.fact_part, base.fact_part, fact_tokens),
+    ):
+        assert rows.shape == want_rows.shape
+        for row, want, token in zip(rows, want_rows, tokens):
+            assert np.array_equal(row, want * np.float32(weights.get(token, 1.0)))

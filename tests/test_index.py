@@ -4,8 +4,6 @@ import pytest
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
 from hoplite.encoder import EncoderConfig, LexicalEncoder
 from hoplite.index import (
-    QUERY_AND_FACTS,
-    QUERY_ONLY,
     IndexConfig,
     IndexFormatError,
     build_index,
@@ -99,12 +97,8 @@ def test_candidates_source_modes(enc, tiny_corpus):
     eq = enc.encode_query(
         MultiHopQuery(qid="q", q0_text="carthage", facts=facts, hop_index=1)
     )
-    q_only = candidates_for(eq, idx, results_per_vector=2, source=QUERY_ONLY)
-    both = candidates_for(eq, idx, results_per_vector=2, source=QUERY_AND_FACTS)
-    assert sum(q_only.hits.values()) == 2  # one query row
+    both = candidates_for(eq, idx, results_per_vector=2)
     assert sum(both.hits.values()) == 4  # query row + fact row
-    with pytest.raises(ValueError):
-        candidates_for(eq, idx, results_per_vector=2, source="nope")
 
 
 def test_candidates_empty_query(enc, tiny_corpus):
@@ -203,6 +197,9 @@ def test_save_load_round_trip_flat(tmp_path, enc, tiny_corpus):
     assert np.array_equal(loaded.vec_to_pid, idx.vec_to_pid)
     assert loaded.storage.tobytes() == idx.storage.tobytes()
     assert loaded.ivf is None
+    # Arrays are read-only views of the file blob, not second copies.
+    assert not loaded.storage.flags.writeable
+    assert not loaded.vec_to_pid.flags.writeable
     eq = enc.encode_query(_query("rome tiber"))
     assert candidates_for(eq, loaded, 4).hits == candidates_for(eq, idx, 4).hits
 
@@ -218,6 +215,9 @@ def test_save_load_round_trip_ivf(tmp_path):
     assert loaded.ivf.nprobe == idx.ivf.nprobe
     assert loaded.ivf.centroids.tobytes() == idx.ivf.centroids.tobytes()
     assert np.array_equal(loaded.ivf.assignments, idx.ivf.assignments)
+    assert not loaded.storage.flags.writeable
+    assert not loaded.ivf.centroids.flags.writeable
+    assert not loaded.ivf.assignments.flags.writeable
 
 
 def test_save_twice_is_byte_identical(tmp_path, enc, tiny_corpus):

@@ -1,0 +1,177 @@
+"""Every JSONL file the package writes goes through util.write_jsonl.
+
+The expected bytes are spelled out with json.dumps, one line per record, so
+a change to the shared writer shows up as a byte difference in every format.
+"""
+
+import json
+
+from hoplite.corpus import (
+    Corpus,
+    Fact,
+    Passage,
+    QueryRecord,
+    dump_corpus,
+    dump_queryset,
+    passage_record,
+    query_record,
+)
+from hoplite.pipeline import HopRecord, HopTrace, read_traces, trace_record, write_traces
+from hoplite.scoring import ScoredPassage
+from hoplite.supervision import (
+    HopSupervision,
+    LhoResult,
+    SupervisionSet,
+    TrainingTriple,
+    supervision_records,
+    triple_records,
+    write_supervision,
+    write_triples,
+)
+from hoplite.synth import SynthResult, read_truth, write_synth
+
+TEXT = "Zürich naïve 東京 café"
+
+
+def _lines(records):
+    return "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records).encode("utf-8")
+
+
+def _assert_raw_utf8(raw: bytes) -> None:
+    assert TEXT.encode("utf-8") in raw
+    assert b"\\u" not in raw
+
+
+def _corpus():
+    return Corpus(
+        [
+            Passage(pid="p-é", title=TEXT, sentences=(TEXT, "plain words")),
+            Passage(pid="p2", title="", sentences=("other",)),
+        ]
+    )
+
+
+def _query():
+    return QueryRecord(
+        qid="q-é",
+        text=TEXT,
+        gold_pids=frozenset({"p-é", "p2"}),
+        gold_facts=frozenset({("p-é", 0)}),
+        answer=TEXT,
+        label=True,
+        num_hops=2,
+    )
+
+
+def _trace():
+    fact = Fact(pid="p-é", sentence_index=0, text=TEXT, stage1_score=0.5, stage2_score=0.25)
+    hop = HopRecord(
+        t=1,
+        ranked=(ScoredPassage(pid="p-é", score=1.5, s_query=1.0, s_fact=0.5),),
+        kept_facts=(fact,),
+        context_pid=None,
+        excluded=frozenset(),
+    )
+    return HopTrace(
+        qid="q-é",
+        q0_text=TEXT,
+        variant="condensed",
+        per_hop_k=(1,),
+        hops=(hop,),
+        union_pids=("p-é",),
+        final_facts=(fact,),
+        final_query_text=f"{TEXT} {TEXT}",
+    )
+
+
+def _lho_result():
+    hop = HopSupervision(
+        t=1, positives=("p-é",), negatives=("p2",), fallback=False, query_text=TEXT
+    )
+    sets = SupervisionSet({"q-é": (hop,)})
+    return LhoResult(sets=sets, weak_qids=frozenset(), warnings=(), retriever=None)
+
+
+def test_dump_corpus_bytes(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    corpus = _corpus()
+    dump_corpus(corpus, path)
+    raw = path.read_bytes()
+    assert raw == _lines(passage_record(p) for p in corpus)
+    _assert_raw_utf8(raw)
+
+
+def test_dump_queryset_bytes(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    queries = [_query()]
+    dump_queryset(queries, path)
+    raw = path.read_bytes()
+    assert raw == _lines(query_record(q) for q in queries)
+    _assert_raw_utf8(raw)
+
+
+def test_write_traces_bytes_and_sorted_meta(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    meta = {
+        "queries": 2,
+        "config": {"z": {"b": 1, "a": [{"y": 2, "x": TEXT}]}, "a": None},
+    }
+    extra = {"qid": "q2", "variant": "condensed", "note": TEXT}
+    write_traces(path, [_trace(), extra], meta=meta)
+    raw = path.read_bytes()
+    head = json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True) + "\n"
+    assert raw == head.encode("utf-8") + _lines([trace_record(_trace()), extra])
+    assert raw.startswith(
+        '{"meta": {"config": {"a": null, "z": {"a": [{"x": "'.encode("utf-8")
+    )
+    _assert_raw_utf8(raw)
+
+
+def test_write_traces_without_meta(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    write_traces(path, [_trace()])
+    assert path.read_bytes() == _lines([trace_record(_trace())])
+    assert read_traces(path) == (None, [trace_record(_trace())])
+
+
+def test_read_traces_meta_only_from_line_one(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(
+        '{"meta": {"queries": 1}}\n\n{"meta": "late", "qid": "a"}\n   \n{"qid": "b"}\n',
+        encoding="utf-8",
+    )
+    meta, records = read_traces(path)
+    assert meta == {"queries": 1}
+    assert records == [{"meta": "late", "qid": "a"}, {"qid": "b"}]
+
+    path.write_text('\n{"meta": {"queries": 1}}\n', encoding="utf-8")
+    assert read_traces(path) == (None, [{"meta": {"queries": 1}}])
+
+
+def test_write_supervision_bytes(tmp_path):
+    path = tmp_path / "sup.jsonl"
+    result = _lho_result()
+    write_supervision(path, result)
+    raw = path.read_bytes()
+    assert raw == _lines(supervision_records(result))
+    _assert_raw_utf8(raw)
+
+
+def test_write_triples_bytes(tmp_path):
+    path = tmp_path / "triples.jsonl"
+    triples = [TrainingTriple(qid="q-é", hop=1, query_text=TEXT, positive="p-é", negative="p2")]
+    write_triples(path, triples)
+    raw = path.read_bytes()
+    assert raw == _lines(triple_records(triples))
+    assert json.loads(raw)["query"] == TEXT
+    _assert_raw_utf8(raw)
+
+
+def test_synth_truth_bytes(tmp_path):
+    truth = {"q2": [["p2"]], "q-é": [[TEXT], ["p2"]]}
+    result = SynthResult(corpus=_corpus(), queries=[_query()], truth=truth)
+    paths = write_synth(result, tmp_path)
+    raw = paths["truth"].read_bytes()
+    assert raw == _lines({"qid": qid, "hops": truth[qid]} for qid in sorted(truth))
+    _assert_raw_utf8(raw)
+    assert read_truth(paths["truth"]) == {"q2": [{"p2"}], "q-é": [{TEXT}, {"p2"}]}

@@ -74,8 +74,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(variant="mystery")
     with pytest.raises(ValueError):
-        PipelineConfig(context_scorer="mystery")
-    with pytest.raises(ValueError):
         PipelineConfig(verifier="strict")
 
 
