@@ -1,11 +1,12 @@
 """Token-vector index over a passage corpus.
 
 Every passage contributes one row per token to a single float32 storage
-matrix; vec_to_pid maps storage rows back to passages. The flat variant
-scans all vectors for candidate generation; the IVF variant buckets
-vectors under k-means centroids and probes only the nearest few lists
-per source vector. Candidate generation is approximate by design - final
-ranking always rescores whole candidate passages with the full kernel.
+matrix; vec_to_pid maps storage rows back to passages. Search on the flat
+variant is exact: retrieval scores every passage. The IVF variant buckets
+vectors under k-means centroids; `candidates_for` probes the nearest few
+lists per source vector and keeps each vector's top results_per_vector
+hits, and retrieval scores only those candidate passages, whole.
+results_per_vector therefore applies to IVF indexes only.
 
 On-disk layout (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -22,15 +23,15 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .encoder import EncodedQuery, Encoder, PassageEncoding
-from .scoring import FocusParams, ScoredPassage, flipr_score
+from .scoring import ScoredPassage, rank_scored, score_segments
 
 logger = logging.getLogger(__name__)
 
@@ -76,17 +77,15 @@ class IvfData:
     def __init__(self, centroids: np.ndarray, assignments: np.ndarray, nprobe: int):
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
         self.assignments = np.ascontiguousarray(assignments, dtype=np.int32)
-        if nprobe < 1 or nprobe > self.centroids.shape[0]:
-            raise ValueError(
-                f"nprobe {nprobe} out of range for {self.centroids.shape[0]} centroids"
-            )
+        n = self.centroids.shape[0]
+        if nprobe < 1 or nprobe > n:
+            raise ValueError(f"nprobe {nprobe} out of range for {n} centroids")
+        if self.assignments.size and not 0 <= self.assignments.min() <= self.assignments.max() < n:
+            raise ValueError(f"IVF assignment outside [0, {n})")
         self.nprobe = int(nprobe)
         order = np.argsort(self.assignments, kind="stable")
-        counts = np.bincount(self.assignments, minlength=self.centroids.shape[0])
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        self.lists = [
-            order[bounds[c] : bounds[c + 1]] for c in range(self.centroids.shape[0])
-        ]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(self.assignments, minlength=n))))
+        self.lists = [order[bounds[c] : bounds[c + 1]] for c in range(n)]
 
     @property
     def n_centroids(self) -> int:
@@ -137,22 +136,28 @@ class TokenIndex:
     def variant(self) -> str:
         return VARIANT_FLAT if self.ivf is None else VARIANT_IVF
 
-    def pid_index(self, pid: str) -> int:
-        try:
-            return self._pid_to_idx[pid]
-        except KeyError:
-            raise KeyError(f"pid {pid!r} not in index") from None
+    def positions_of(self, pids: Iterable[str]) -> list[int]:
+        """Positions in the pid table of those of `pids` the index holds."""
+        return [self._pid_to_idx[pid] for pid in pids if pid in self._pid_to_idx]
 
     def rows_for(self, pid: str) -> tuple[int, int]:
-        i = self.pid_index(pid)
+        i = self._pid_to_idx[pid]
         return int(self._offsets[i]), int(self._offsets[i + 1])
-
-    def matrix_for(self, pid: str) -> np.ndarray:
-        start, end = self.rows_for(pid)
-        return self.storage[start:end]
 
     def row_counts(self) -> np.ndarray:
         return np.diff(self._offsets)
+
+    def stacked_rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 rows of the passages at `positions` (distinct, ascending, none
+        empty) and each one's first row: the input of `score_segments`. Converts
+        storage once per call; the index keeps no float64 copy."""
+        counts = self.row_counts()[positions]
+        starts = np.cumsum(counts) - counts
+        n = int(counts.sum())
+        if n == self.n_vectors:  # every passage: storage as it is
+            return self.storage.astype(np.float64), starts
+        gather = np.repeat(self._offsets[positions] - starts, counts) + np.arange(n)
+        return self.storage[gather].astype(np.float64), starts
 
 
 def _kmeans(
@@ -269,12 +274,14 @@ def build_index(corpus: Corpus, encoder: Encoder, cfg: IndexConfig | None = None
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Candidate pids with per-vector hit counts for one encoded query."""
+    """Candidate passages for one encoded query: their positions in the
+    index's pid table (ascending) and their per-vector hit counts."""
 
-    hits: dict[str, int]
+    positions: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.hits)
+        return int(self.positions.size)
 
 
 def candidates_for(
@@ -282,80 +289,55 @@ def candidates_for(
     index: TokenIndex,
     results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR,
 ) -> CandidateSet:
-    """Union of per-source-row nearest vectors, as pid hit counts.
+    """Union of per-source-row nearest vectors on an IVF index, as passage hit counts.
 
-    Every query row and fact row is a source row. Each contributes its top
-    results_per_vector storage vectors by dot product; for IVF only the
-    row's nprobe nearest centroid lists are scanned.
+    Every query row and fact row is a source row. Each scans its nprobe
+    nearest centroid lists and contributes its top results_per_vector
+    vectors there by dot product. A flat index has no candidate stage.
     """
+    if index.ivf is None:
+        raise ValueError("candidates_for needs an IVF index; flat search scores every passage")
     if results_per_vector < 1:
         raise ValueError("results_per_vector must be positive")
-    rows = np.concatenate([eq.query_part, eq.fact_part], axis=0)
-    if rows.shape[0] == 0:
-        return CandidateSet(hits={})
-    if rows.shape[1] != index.dim:
-        raise ValueError(f"dim mismatch: query {rows.shape[1]} vs index {index.dim}")
     n_pids = len(index.pids)
     counts = np.zeros(n_pids, dtype=np.int64)
-    rows64 = rows.astype(np.float64)
-
-    if index.ivf is None:
-        n = index.n_vectors
-        if results_per_vector >= n:
-            counts = rows.shape[0] * index.row_counts()
-        else:
-            sims = rows64 @ index.storage.astype(np.float64).T
-            for i in range(rows.shape[0]):
-                top = np.argpartition(-sims[i], results_per_vector - 1)[:results_per_vector]
-                counts += np.bincount(index.vec_to_pid[top], minlength=n_pids)
-    else:
-        ivf = index.ivf
-        cent64 = ivf.centroids.astype(np.float64)
-        for i in range(rows.shape[0]):
-            row = rows64[i]
-            cd = cent64 @ row
-            probe = np.argsort(-cd, kind="stable")[: ivf.nprobe]
-            cand = np.concatenate([ivf.lists[c] for c in probe])
-            if cand.size == 0:
-                continue
-            if results_per_vector < cand.size:
-                ds = index.storage[cand].astype(np.float64) @ row
-                keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
-                cand = cand[keep]
-            counts += np.bincount(index.vec_to_pid[cand], minlength=n_pids)
-
-    nz = np.flatnonzero(counts)
-    return CandidateSet(hits={index.pids[int(j)]: int(counts[j]) for j in nz})
-
-
-ScoreFn = Callable[[EncodedQuery, np.ndarray], ScoredPassage]
+    ivf = index.ivf
+    cent64 = ivf.centroids.astype(np.float64)
+    # matmul raises ValueError on a dim mismatch
+    for row in np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64):
+        probe = np.argsort(-(cent64 @ row), kind="stable")[: ivf.nprobe]
+        cand = np.concatenate([ivf.lists[c] for c in probe])
+        if results_per_vector < cand.size:
+            ds = index.storage[cand].astype(np.float64) @ row
+            keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
+            cand = cand[keep]
+        counts += np.bincount(index.vec_to_pid[cand], minlength=n_pids)
+    positions = np.flatnonzero(counts)
+    return CandidateSet(positions, counts[positions])
 
 
 def exact_topk_oracle(
     eq: EncodedQuery,
     corpus: Corpus,
     encoder: Encoder,
-    scorer: ScoreFn | None = None,
     k: int = 20,
     encodings: dict[str, PassageEncoding] | None = None,
 ) -> list[ScoredPassage]:
-    """Brute-force reference: score every passage, rank, truncate.
+    """Brute-force reference: score every passage in one kernel call, rank, truncate.
 
-    No index, no candidate generation; ties break by ascending pid. Pass
-    precomputed encodings to amortize repeated corpus scans. Passages
-    that encode to zero rows are unscorable and skipped.
+    No index, no candidate generation; default focus; ties break by
+    ascending pid. Pass precomputed encodings to amortize repeated corpus
+    scans. Passages that encode to zero rows are unscorable and skipped.
     """
-    if scorer is None:
-        scorer = lambda q, d: flipr_score(q, d, FocusParams())
-    ranking: list[ScoredPassage] = []
-    for passage in corpus:
-        enc = encodings[passage.pid] if encodings else encoder.encode_passage(passage)
-        if enc.matrix.shape[0] == 0:
-            continue
-        sp = scorer(eq, enc.matrix)
-        ranking.append(replace(sp, pid=passage.pid))
-    ranking.sort(key=lambda sp: (-sp.score, sp.pid))
-    return ranking[:k]
+    encs = ((p.pid, encodings[p.pid] if encodings else encoder.encode_passage(p)) for p in corpus)
+    kept = [(pid, enc.matrix) for pid, enc in encs if enc.matrix.shape[0]]
+    if not kept:
+        return []
+    pids, mats = zip(*kept)
+    counts = np.array([m.shape[0] for m in mats])
+    rows = np.concatenate(mats, dtype=np.float64)
+    s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts)
+    return rank_scored(pids, s_query, s_fact, k)
 
 
 def encode_corpus(corpus: Corpus, encoder: Encoder) -> dict[str, PassageEncoding]:
@@ -434,12 +416,15 @@ def load_index(path: str | Path) -> TokenIndex:
         pids.append(r.take(length).decode("utf-8"))
     vec_to_pid = r.array("<i4", n_vectors)
     storage = r.array("<f4", n_vectors * dim).reshape(n_vectors, dim)
-    ivf = None
+    ivf_arrays = None
     if variant == 1:
         n_centroids, nprobe = r.unpack("<II")
         centroids = r.array("<f4", n_centroids * dim).reshape(n_centroids, dim)
-        assignments = r.array("<i4", n_vectors)
-        ivf = IvfData(centroids, assignments, nprobe)
+        ivf_arrays = (centroids, r.array("<i4", n_vectors), nprobe)
     if r.pos != len(blob):
         raise IndexFormatError(f"{path}: {len(blob) - r.pos} trailing bytes")
-    return TokenIndex(pids, vec_to_pid, storage, ivf)
+    try:  # a structural error in the arrays is a format error of this file
+        ivf = IvfData(*ivf_arrays) if ivf_arrays else None
+        return TokenIndex(pids, vec_to_pid, storage, ivf)
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from None

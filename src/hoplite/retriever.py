@@ -1,19 +1,25 @@
-"""Single-hop retrieval: candidate generation plus full rescoring."""
+"""Single-hop retrieval: exact on a flat index, candidates then full scoring on IVF."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .corpus import Corpus, MultiHopQuery
 from .encoder import EncodedQuery, Encoder, TokenWeightedEncoder
 from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for
-from .scoring import FocusParams, ScoredPassage, flipr_score
+from .scoring import FocusParams, ScoredPassage, rank_scored, score_segments
+
+# perfbench/spans.py patches `candidates_for` and `flipr_score` on this module
+# by name, so both stay imported here although `retrieve` calls only the first.
+from .scoring import flipr_score  # noqa: F401
 
 
 @dataclass(frozen=True)
 class RetrievalConfig:
     k: int = 25
-    results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR
+    results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR  # IVF candidate depth
     focus: FocusParams = field(default_factory=FocusParams)
 
     def __post_init__(self) -> None:
@@ -30,26 +36,29 @@ def retrieve(
     cfg: RetrievalConfig | None = None,
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[ScoredPassage]:
-    """Top-k passages for an encoded query.
+    """Top-k passages for an encoded query, ties broken by ascending pid.
 
-    Candidates come from the index; every surviving candidate is rescored
-    whole (the candidate pool is never truncated before scoring). Ties
-    break by ascending pid. Excluded pids are dropped before scoring.
+    A flat index scores every passage; an IVF index scores the candidates
+    from `candidates_for`, each whole. Excluded pids are dropped first, and
+    one `score_segments` call scores the rest. A query with no rows
+    retrieves nothing.
     """
     cfg = cfg or RetrievalConfig()
-    cands = candidates_for(eq, index, cfg.results_per_vector)
-    scored: list[ScoredPassage] = []
-    for pid in cands.hits:
-        if pid in exclude:
-            continue
+    if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
+        return []
+    if index.ivf is None:
+        pool = np.flatnonzero(index.row_counts())
+    else:
+        pool = candidates_for(eq, index, cfg.results_per_vector).positions
+    if exclude:
+        pool = pool[~np.isin(pool, index.positions_of(exclude))]
+    pids = [index.pids[i] for i in pool.tolist()]
+    for pid in pids:
         if pid not in corpus:
             raise KeyError(f"index candidate {pid!r} is not in the corpus")
-        rows = index.matrix_for(pid)
-        if rows.shape[0] == 0:
-            continue
-        scored.append(flipr_score(eq, rows, cfg.focus, pid=pid))
-    scored.sort(key=lambda sp: (-sp.score, sp.pid))
-    return scored[: cfg.k]
+    rows, starts = index.stacked_rows(pool)
+    s_query, s_fact = score_segments(eq, rows, starts, cfg.focus)
+    return rank_scored(pids, s_query, s_fact, cfg.k)
 
 
 class Retriever:

@@ -8,9 +8,12 @@ n_hat of the query-row maxima) and the fact part (top l_hat of the
 fact-row maxima), which stops a passage that weakly matches everything
 from beating one that strongly matches a subset.
 
-All kernels compute in float64 regardless of input dtype, and top-k
-partial sums always accumulate in descending-value order, so results are
-reproducible bit-for-bit across call patterns.
+One segmented kernel, `score_segments`, computes every focused score:
+one float64 GEMM of the query and fact rows against the stacked passage
+rows, `np.maximum.reduceat` per passage, then top-k sums in descending
+order. Scores are deterministic for the same rows and BLAS thread count,
+but not across batch shapes: BLAS may round a passage scored alone and in
+a batch differently in the last bits.
 """
 
 from __future__ import annotations
@@ -48,45 +51,45 @@ class ScoredPassage:
     s_fact: float
 
 
+def _segment_maxima(src: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Float64 (n_segments, n_src): each source row's best dot product per segment."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if starts.size and (starts[0] != 0 or (np.diff(starts, append=len(rows)) < 1).any()):
+        raise ValueError("segments must start at row 0 and each hold at least one row")
+    # matmul raises ValueError on a dim mismatch
+    sims = src.astype(np.float64, copy=False) @ rows.astype(np.float64, copy=False).T
+    return np.maximum.reduceat(sims, starts, axis=1).T
+
+
+def _top_sums(maxima: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the sum of its k largest values, added in descending order."""
+    # C-contiguous rows so np.sum adds each row pairwise in descending order.
+    return np.ascontiguousarray(np.sort(maxima, axis=1)[:, ::-1][:, :k]).sum(axis=1)
+
+
+def score_segments(
+    eq: EncodedQuery, rows: np.ndarray, starts: np.ndarray, focus: FocusParams | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Focused scores (s_query, s_fact) of passages stacked into one row matrix.
+
+    Passage i owns rows[starts[i]:starts[i + 1]] (the last one runs to the
+    end) and must own at least one row.
+    """
+    fp = focus or FocusParams()
+    nq = eq.query_part.shape[0]
+    parts = [part for part in (eq.query_part, eq.fact_part) if part.shape[0]]
+    src = np.concatenate(parts) if parts else np.zeros((0, rows.shape[1]))
+    maxima = _segment_maxima(src, rows, starts)
+    return _top_sums(maxima[:, :nq], fp.n_hat), _top_sums(maxima[:, nq:], fp.l_hat)
+
+
 def maxsim_rows(query_rows: np.ndarray, passage_rows: np.ndarray) -> np.ndarray:
     """Per-query-row best dot product against the passage rows.
 
     Returns a float64 vector of length len(query_rows). Negative maxima
     are kept as-is; nothing is clamped.
     """
-    if passage_rows.shape[0] < 1:
-        raise ValueError("passage matrix must have at least one row")
-    q = query_rows.astype(np.float64, copy=False)
-    d = passage_rows.astype(np.float64, copy=False)
-    if q.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    if q.shape[1] != d.shape[1]:
-        raise ValueError(f"dim mismatch: query {q.shape[1]} vs passage {d.shape[1]}")
-    return (q @ d.T).max(axis=1)
-
-
-def _topk_sum(values: np.ndarray, k: int) -> float:
-    """Sum of the k largest values, accumulated in descending order."""
-    if k <= 0 or values.size == 0:
-        return 0.0
-    if k < values.size:
-        values = np.sort(values)[::-1][:k]
-    else:
-        values = np.sort(values)[::-1]
-    return float(np.sum(values))
-
-
-def colbert_score(eq: EncodedQuery, passage_rows: np.ndarray) -> float:
-    """Vanilla late interaction: sum of all per-row maxima, both parts."""
-    total = 0.0
-    if eq.query_part.shape[0]:
-        total += float(np.sum(maxsim_rows(eq.query_part, passage_rows)))
-    if eq.fact_part.shape[0]:
-        total += float(np.sum(maxsim_rows(eq.fact_part, passage_rows)))
-    elif eq.query_part.shape[0] == 0:
-        # Still validate the passage side for the all-empty query.
-        maxsim_rows(np.zeros((0, passage_rows.shape[1])), passage_rows)
-    return total
+    return _segment_maxima(query_rows, passage_rows, [0])[0]
 
 
 def flipr_score(
@@ -96,33 +99,32 @@ def flipr_score(
     pid: str = "",
 ) -> ScoredPassage:
     """Focused late interaction: top-n_hat query maxima plus top-l_hat fact maxima."""
-    fp = focus or FocusParams()
-    if eq.query_part.shape[0]:
-        s_query = _topk_sum(maxsim_rows(eq.query_part, passage_rows), fp.n_hat)
-    else:
-        if passage_rows.shape[0] < 1:
-            raise ValueError("passage matrix must have at least one row")
-        s_query = 0.0
-    if eq.fact_part.shape[0]:
-        s_fact = _topk_sum(maxsim_rows(eq.fact_part, passage_rows), fp.l_hat)
-    else:
-        s_fact = 0.0
-    return ScoredPassage(pid=pid, score=s_query + s_fact, s_query=s_query, s_fact=s_fact)
+    (s_query,), (s_fact,) = score_segments(eq, passage_rows, [0], focus)
+    return ScoredPassage(pid, float(s_query + s_fact), float(s_query), float(s_fact))
 
 
-def score_passages(
-    eq: EncodedQuery,
-    passages: Sequence[tuple[str, np.ndarray]],
-    focus: FocusParams | None = None,
-) -> list[ScoredPassage]:
-    """Score a batch of (pid, rows) pairs.
+def colbert_score(eq: EncodedQuery, passage_rows: np.ndarray) -> float:
+    """Vanilla late interaction: sum of all per-row maxima, both parts.
 
-    Guaranteed identical to len(passages) independent flipr_score calls;
-    blocked implementations must preserve that equivalence.
+    Computed directly, not through `score_segments`, so it can check it.
     """
-    return [flipr_score(eq, rows, focus, pid=pid) for pid, rows in passages]
+    if passage_rows.shape[0] < 1:
+        raise ValueError("passage matrix must have at least one row")
+    d = passage_rows.astype(np.float64)
+    parts = [p.astype(np.float64) for p in (eq.query_part, eq.fact_part) if p.shape[0]]
+    return sum((float(np.sum((p @ d.T).max(axis=1))) for p in parts), 0.0)
 
 
-def rank_scored(scored: Sequence[ScoredPassage]) -> list[ScoredPassage]:
-    """Stable ranking: score descending, then pid ascending."""
-    return sorted(scored, key=lambda sp: (-sp.score, sp.pid))
+def rank_scored(
+    pids: Sequence[str], s_query: np.ndarray, s_fact: np.ndarray, k: int
+) -> list[ScoredPassage]:
+    """The k best of the scored passages: score descending, then pid ascending."""
+    score = s_query + s_fact
+    pick = range(score.size)
+    if 0 < k < score.size:  # only scores tied with or above the k-th best can rank
+        pick = np.flatnonzero(score >= np.partition(score, -k)[-k]).tolist()
+    ranked = sorted(pick, key=lambda i: (-score[i], pids[i]))[:k]
+    return [
+        ScoredPassage(pids[i], float(score[i]), float(s_query[i]), float(s_fact[i]))
+        for i in ranked
+    ]

@@ -209,5 +209,7 @@ def read_truth(path: str | Path) -> dict[str, list[set[str]]]:
         hops = obj.get("hops")
         if not isinstance(qid, str) or not isinstance(hops, list):
             raise ValueError(f"{path}: line {lineno}: expected {{qid, hops}}")
+        if not all(isinstance(g, list) and all(isinstance(p, str) for p in g) for g in hops):
+            raise ValueError(f"{path}: line {lineno}: each hop must be a list of pids")
         truth[qid] = [set(group) for group in hops]
     return truth

@@ -2,12 +2,12 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hoplite.condenser import CondenserConfig, IdfTable, LexicalOverlapScorer, condense
 from hoplite.corpus import MultiHopQuery, QueryRecord
-from hoplite.index import build_index
+from hoplite.index import IndexConfig, build_index
 from hoplite.pipeline import (
     HopRecord,
     HopTrace,
@@ -102,12 +102,27 @@ def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
         assert f.text in trace.final_query_text
 
 
-def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=3, per_hop_k=(2, 2, 2))
-    trace = runner.run_condensed(_qrec("q", "carthage fought rome"))
+_WORDS = ["carthage", "fought", "rome", "tiber", "river", "ships", "silver", "sicily",
+          "looms", "cloth", "sea", "legions", "unrelated"]
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    words=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6),
+    per_hop_k=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    variant=st.sampled_from(["condensed", "rerank"]),
+    ivf=st.booleans(),
+)
+def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_k, variant, ivf):
+    idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf" if ivf else "flat"))
+    cfg = PipelineConfig(hops=len(per_hop_k), per_hop_k=tuple(per_hop_k), variant=variant)
+    trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", " ".join(words)))
     seen = set()
-    for hop in trace.hops:
+    for hop, k in zip(trace.hops, per_hop_k):
         pids = {sp.pid for sp in hop.ranked}
+        assert len(pids) == len(hop.ranked) <= k
         assert not pids & seen
         assert hop.excluded == frozenset(seen)
         seen |= pids

@@ -3,9 +3,8 @@ import pytest
 
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
 from hoplite.encoder import TokenWeightedEncoder
-from hoplite.index import build_index, exact_topk_oracle
+from hoplite.index import IndexConfig, build_index, exact_topk_oracle
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
-from hoplite.scoring import FocusParams, flipr_score
 
 
 def _query(text: str) -> MultiHopQuery:
@@ -13,15 +12,13 @@ def _query(text: str) -> MultiHopQuery:
 
 
 def test_retrieve_matches_exact_oracle_at_full_rpv(enc, tiny_corpus):
-    # exhaustive candidate generation must reproduce the brute-force ranking
+    # flat retrieval scores every passage, so it must reproduce the brute-force ranking
     idx = build_index(tiny_corpus, enc)
     cfg = RetrievalConfig(k=6, results_per_vector=idx.n_vectors)
     for text in ("carthage fought rome", "tiber river", "silver dye looms"):
         eq = enc.encode_query(_query(text))
         got = retrieve(eq, idx, tiny_corpus, cfg)
-        want = exact_topk_oracle(
-            eq, tiny_corpus, enc, scorer=lambda q, d: flipr_score(q, d, cfg.focus), k=6
-        )
+        want = exact_topk_oracle(eq, tiny_corpus, enc, k=6)
         assert [(sp.pid, sp.score) for sp in got] == [(sp.pid, sp.score) for sp in want]
 
 
@@ -111,10 +108,12 @@ def test_retrieval_config_validation():
 def test_candidate_pool_never_truncated_before_scoring(enc, tiny_corpus):
     # A pid reachable only via a low-similarity row must still be scored
     # whole; k truncation happens after ranking, not on the pool.
-    idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage rome tiber looms silver sicily"))
-    cfg = RetrievalConfig(k=len(tiny_corpus.pids), results_per_vector=idx.n_vectors)
-    got = retrieve(eq, idx, tiny_corpus, cfg)
-    assert {sp.pid for sp in got} == set(tiny_corpus.pids)
-    scores = [sp.score for sp in got]
-    assert scores == sorted(scores, reverse=True)
+    for variant in ("flat", "ivf"):
+        cfg = IndexConfig(variant=variant, centroid_count=3, nprobe=3)
+        idx = build_index(tiny_corpus, enc, cfg)
+        rcfg = RetrievalConfig(k=len(tiny_corpus.pids), results_per_vector=idx.n_vectors)
+        got = retrieve(eq, idx, tiny_corpus, rcfg)
+        assert {sp.pid for sp in got} == set(tiny_corpus.pids)
+        scores = [sp.score for sp in got]
+        assert scores == sorted(scores, reverse=True)

@@ -11,7 +11,7 @@ from hoplite.scoring import (
     flipr_score,
     maxsim_rows,
     rank_scored,
-    score_passages,
+    score_segments,
 )
 
 
@@ -135,33 +135,31 @@ def test_empty_query_rows_score_zero():
     assert sp.score == 0.0
 
 
-def test_score_passages_matches_individual_calls():
-    rng = np.random.default_rng(5)
-    eq = EncodedQuery(
-        rng.standard_normal((4, 8)).astype(np.float32),
-        rng.standard_normal((3, 8)).astype(np.float32),
-    )
-    mats = {f"p{i}": rng.standard_normal((5 + i, 8)).astype(np.float32) for i in range(6)}
-    focus = FocusParams(n_hat=2, l_hat=2)
-    batch = score_passages(eq, list(mats.items()), focus)
-    assert [sp.pid for sp in batch] == list(mats)
-    for sp in batch:
-        solo = flipr_score(eq, mats[sp.pid], focus, pid=sp.pid)
-        assert sp.score == solo.score
-        assert sp.s_query == solo.s_query
-        assert sp.s_fact == solo.s_fact
-
-
 def test_rank_scored_orders_by_score_then_pid():
-    from hoplite.scoring import ScoredPassage
-
-    rows = [
-        ScoredPassage(pid="b", score=1.0, s_query=1.0, s_fact=0.0),
-        ScoredPassage(pid="a", score=1.0, s_query=1.0, s_fact=0.0),
-        ScoredPassage(pid="c", score=2.0, s_query=2.0, s_fact=0.0),
-    ]
-    ranked = rank_scored(rows)
+    pids = ["b", "a", "c", "d"]
+    s_query = np.array([1.0, 1.0, 2.0, 0.5])
+    s_fact = np.array([0.0, 0.0, 0.0, 0.25])
+    ranked = rank_scored(pids, s_query, s_fact, 3)
     assert [r.pid for r in ranked] == ["c", "a", "b"]
+    assert [(r.score, r.s_query, r.s_fact) for r in ranked] == [
+        (2.0, 2.0, 0.0),
+        (1.0, 1.0, 0.0),
+        (1.0, 1.0, 0.0),
+    ]
+    # a tie at the k-th score is settled by pid, not by input position
+    assert [r.pid for r in rank_scored(pids, s_query, s_fact, 2)] == ["c", "a"]
+
+
+def test_score_segments_of_nothing_is_empty():
+    eq = EncodedQuery(np.ones((2, 4), np.float32), np.ones((1, 4), np.float32))
+    s_query, s_fact = score_segments(eq, np.zeros((0, 4)), np.zeros(0, dtype=np.intp))
+    assert s_query.shape == s_fact.shape == (0,)
+
+
+def test_score_segments_rejects_empty_segment():
+    eq = EncodedQuery(np.ones((2, 4), np.float32), np.zeros((0, 4), np.float32))
+    with pytest.raises(ValueError):
+        score_segments(eq, np.ones((3, 4)), np.array([0, 2, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +219,42 @@ def test_flipr_never_exceeds_colbert_on_nonnegative_maxima(q, f, d):
         return  # focused subset of mixed-sign maxima may exceed the full sum
     focused = flipr_score(eq, d, FocusParams(n_hat=2, l_hat=2)).score
     assert focused <= colbert_score(eq, d) + 1e-9
+
+
+# Small multiples of 1/4 make every dot product and partial sum exact, so
+# the batched kernel and the per-passage calls must agree to the bit and
+# ties (common here) are settled by pid alone.
+quarter = st.integers(-4, 4).map(lambda v: v / 4)
+
+
+def quarter_rows(n_rows, dim=3):
+    return st.lists(
+        st.lists(quarter, min_size=dim, max_size=dim), min_size=n_rows, max_size=n_rows
+    ).map(lambda r: np.asarray(r, dtype=np.float32).reshape(n_rows, dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.integers(1, 5).flatmap(quarter_rows),
+    f=st.integers(0, 3).flatmap(quarter_rows),
+    segments=st.lists(st.integers(1, 4).flatmap(quarter_rows), min_size=1, max_size=7),
+    n_hat=st.integers(1, 8),
+    l_hat=st.integers(0, 4),
+)
+def test_score_segments_matches_per_segment_flipr(q, f, segments, n_hat, l_hat):
+    eq = EncodedQuery(q, f)
+    focus = FocusParams(n_hat=n_hat, l_hat=l_hat)
+    pids = [f"p{i}" for i in range(len(segments))]
+    counts = np.array([m.shape[0] for m in segments])
+    rows = np.concatenate(segments, dtype=np.float64)
+    s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts, focus)
+    solo = [flipr_score(eq, m, focus, pid=pid) for pid, m in zip(pids, segments)]
+    for i, sp in enumerate(solo):
+        assert abs(s_query[i] - sp.s_query) <= 1e-12
+        assert abs(s_fact[i] - sp.s_fact) <= 1e-12
+    batch = rank_scored(pids, s_query, s_fact, len(pids))
+    assert [sp.pid for sp in batch] == [
+        sp.pid for sp in sorted(solo, key=lambda sp: (-sp.score, sp.pid))
+    ]
+    if l_hat == 0 or f.shape[0] == 0:
+        assert not s_fact.any()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -175,3 +176,11 @@ def test_write_synth_byte_identical(tmp_path):
     pb = write_synth(generate(_spec(seed=9)), b_dir)
     for key in pa:
         assert pa[key].read_bytes() == pb[key].read_bytes()
+
+
+@pytest.mark.parametrize("hops", [["q0000-g1"], [[1]]])
+def test_read_truth_rejects_hop_that_is_not_a_pid_list(tmp_path, hops):
+    path = tmp_path / "truth.jsonl"
+    path.write_text(json.dumps({"qid": "q", "hops": hops}) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1")):
+        read_truth(path)
