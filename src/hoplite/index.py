@@ -77,15 +77,21 @@ class IvfData:
     def __init__(self, centroids: np.ndarray, assignments: np.ndarray, nprobe: int):
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
         self.assignments = np.ascontiguousarray(assignments, dtype=np.int32)
-        n = self.centroids.shape[0]
-        if nprobe < 1 or nprobe > n:
-            raise ValueError(f"nprobe {nprobe} out of range for {n} centroids")
-        if self.assignments.size and not 0 <= self.assignments.min() <= self.assignments.max() < n:
-            raise ValueError(f"IVF assignment outside [0, {n})")
+        if nprobe < 1 or nprobe > self.centroids.shape[0]:
+            raise ValueError(
+                f"nprobe {nprobe} out of range for {self.centroids.shape[0]} centroids"
+            )
+        if self.assignments.size and (
+            self.assignments.min() < 0 or self.assignments.max() >= self.centroids.shape[0]
+        ):
+            raise ValueError(f"IVF assignment outside [0, {self.centroids.shape[0]})")
         self.nprobe = int(nprobe)
         order = np.argsort(self.assignments, kind="stable")
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(self.assignments, minlength=n))))
-        self.lists = [order[bounds[c] : bounds[c + 1]] for c in range(n)]
+        counts = np.bincount(self.assignments, minlength=self.centroids.shape[0])
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        self.lists = [
+            order[bounds[c] : bounds[c + 1]] for c in range(self.centroids.shape[0])
+        ]
 
     @property
     def n_centroids(self) -> int:
@@ -154,8 +160,6 @@ class TokenIndex:
         counts = self.row_counts()[positions]
         starts = np.cumsum(counts) - counts
         n = int(counts.sum())
-        if n == self.n_vectors:  # every passage: storage as it is
-            return self.storage.astype(np.float64), starts
         gather = np.repeat(self._offsets[positions] - starts, counts) + np.arange(n)
         return self.storage[gather].astype(np.float64), starts
 
@@ -329,11 +333,15 @@ def exact_topk_oracle(
     ascending pid. Pass precomputed encodings to amortize repeated corpus
     scans. Passages that encode to zero rows are unscorable and skipped.
     """
-    encs = ((p.pid, encodings[p.pid] if encodings else encoder.encode_passage(p)) for p in corpus)
-    kept = [(pid, enc.matrix) for pid, enc in encs if enc.matrix.shape[0]]
-    if not kept:
+    pids: list[str] = []
+    mats: list[np.ndarray] = []
+    for passage in corpus:
+        enc = encodings[passage.pid] if encodings else encoder.encode_passage(passage)
+        if enc.matrix.shape[0]:
+            pids.append(passage.pid)
+            mats.append(enc.matrix)
+    if not mats:
         return []
-    pids, mats = zip(*kept)
     counts = np.array([m.shape[0] for m in mats])
     rows = np.concatenate(mats, dtype=np.float64)
     s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts)

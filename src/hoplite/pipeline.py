@@ -94,11 +94,6 @@ class HybridTrace:
     rerank: HopTrace
 
 
-def _final_query_text(q0: str, facts: Sequence[Fact]) -> str:
-    parts = [q0] + [f.text for f in facts]
-    return " ".join(parts)
-
-
 class PipelineRunner:
     """Runs queries through the configured variant over one corpus/index."""
 
@@ -175,7 +170,7 @@ class PipelineRunner:
             hops=tuple(hops),
             union_pids=tuple(union),
             final_facts=state.facts,
-            final_query_text=_final_query_text(query.text, state.facts),
+            final_query_text=" ".join([query.text] + [f.text for f in state.facts]),
             verdict=verdict,
         )
 

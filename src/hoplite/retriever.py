@@ -80,9 +80,6 @@ class Retriever:
         self.encoder = encoder
         self.cfg = cfg or RetrievalConfig()
 
-    def encode(self, query: MultiHopQuery) -> EncodedQuery:
-        return self.encoder.encode_query(query)
-
     def retrieve(
         self,
         query: MultiHopQuery,
@@ -90,7 +87,8 @@ class Retriever:
         exclude: frozenset[str] | set[str] = frozenset(),
     ) -> list[ScoredPassage]:
         cfg = self.cfg if k is None else replace(self.cfg, k=k)
-        return retrieve(self.encode(query), self.index, self.corpus, cfg, exclude)
+        eq = self.encoder.encode_query(query)
+        return retrieve(eq, self.index, self.corpus, cfg, exclude)
 
     def with_query_weights(self, weights: dict[str, float]) -> "Retriever":
         """New retriever whose query-side token rows are scaled by weight."""

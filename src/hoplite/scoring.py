@@ -111,8 +111,11 @@ def colbert_score(eq: EncodedQuery, passage_rows: np.ndarray) -> float:
     if passage_rows.shape[0] < 1:
         raise ValueError("passage matrix must have at least one row")
     d = passage_rows.astype(np.float64)
-    parts = [p.astype(np.float64) for p in (eq.query_part, eq.fact_part) if p.shape[0]]
-    return sum((float(np.sum((p @ d.T).max(axis=1))) for p in parts), 0.0)
+    total = 0.0
+    for part in (eq.query_part, eq.fact_part):
+        if part.shape[0]:
+            total += float(np.sum((part.astype(np.float64) @ d.T).max(axis=1)))
+    return total
 
 
 def rank_scored(

@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class LhoResult:
     weak_qids: frozenset[str]
     warnings: tuple[str, ...]
     retriever: Retriever
-
-
-class Trainer(Protocol):
-    def train(self, retriever: Retriever, batch: "TrainingBatch") -> Retriever: ...
 
 
 @dataclass(frozen=True)

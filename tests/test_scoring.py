@@ -250,8 +250,8 @@ def test_score_segments_matches_per_segment_flipr(q, f, segments, n_hat, l_hat):
     s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts, focus)
     solo = [flipr_score(eq, m, focus, pid=pid) for pid, m in zip(pids, segments)]
     for i, sp in enumerate(solo):
-        assert abs(s_query[i] - sp.s_query) <= 1e-12
-        assert abs(s_fact[i] - sp.s_fact) <= 1e-12
+        assert s_query[i] == sp.s_query
+        assert s_fact[i] == sp.s_fact
     batch = rank_scored(pids, s_query, s_fact, len(pids))
     assert [sp.pid for sp in batch] == [
         sp.pid for sp in sorted(solo, key=lambda sp: (-sp.score, sp.pid))
