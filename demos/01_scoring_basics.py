@@ -34,7 +34,7 @@ passage = Passage(
     sentences=("carthage fought three wars", "rome won the last one"),
 )
 eq = enc.encode_query(query)
-rows = enc.encode_passage(passage).matrix
+rows = enc.encode_passage(passage)
 maxima = maxsim_rows(eq.query_part, rows)
 for token, m in zip(query.q0_text.split(), maxima):
     print(f"  {token:10s} best match {m:+.3f}")

@@ -38,7 +38,7 @@ print(f"\nindex: {idx.n_vectors} vectors, dim {idx.dim}, variant {idx.variant}")
 
 # the hover preset is 4-hop; trim it to match the planted 3-hop chains
 cfg = pipeline_config(resolve_config(preset="hover", environ={}))
-cfg = dataclasses.replace(cfg, hops=3, per_hop_k=(25, 25, 25))
+cfg = dataclasses.replace(cfg, per_hop_k=(25, 25, 25))
 runner = PipelineRunner(result.corpus, idx, enc, cfg)
 
 trace = runner.run(q)

@@ -37,7 +37,7 @@ enc = LexicalEncoder(EncoderConfig(dim=64, seed=11))
 idx = build_index(corpus, enc, IndexConfig(variant="flat"))
 
 base = pipeline_config(resolve_config(preset="hover", environ={}))
-base = dataclasses.replace(base, hops=3, per_hop_k=(25, 25, 25),
+base = dataclasses.replace(base, per_hop_k=(25, 25, 25),
                            verifier="trivial", hybrid_total=30)
 
 q = result.queries[0]

@@ -147,9 +147,7 @@ def cmd_retrieve(args, parser) -> int:
         Fact(pid="cli", sentence_index=i, text=text)
         for i, text in enumerate(args.fact)
     )
-    query = MultiHopQuery(
-        qid="cli", q0_text=args.query, facts=facts, hop_index=1 if facts else 0
-    )
+    query = MultiHopQuery(qid="cli", q0_text=args.query, facts=facts)
     eq = _encoder(cfg).encode_query(query)
     ranked = retrieve(eq, index, corpus, cfgmod.retrieval_config(cfg))
     for rank, sp in enumerate(ranked, start=1):
@@ -173,7 +171,7 @@ def cmd_run(args, parser) -> int:
     write_traces(args.out, traces, meta=meta)
     print(
         f"run queries={len(queries)} variant={cfg['pipeline']['variant']} "
-        f"hops={cfg['pipeline']['hops']} out={args.out}"
+        f"hops={len(cfg['pipeline']['per_hop_k'])} out={args.out}"
     )
     return 0
 

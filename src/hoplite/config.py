@@ -50,8 +50,6 @@ DEFAULTS: dict = {
         "variant": "ivf",
         "centroid_count": None,
         "nprobe": None,
-        "kmeans_iters": 25,
-        "sample_factor": 64,
     },
     "retrieval": {
         "k": 25,
@@ -61,7 +59,6 @@ DEFAULTS: dict = {
     },
     "condenser": {"stage1_top_k_facts": 9, "tau": 0.1},
     "pipeline": {
-        "hops": 4,
         "per_hop_k": [25, 25, 25, 25],
         "variant": "condensed",
         "accumulate_facts": True,
@@ -81,12 +78,12 @@ DEFAULTS: dict = {
 # Dataset presets: hop counts and per-hop retrieval widths.
 BUILTIN_PRESETS: dict[str, dict] = {
     "hover": {
-        "pipeline": {"hops": 4, "per_hop_k": [25, 25, 25, 25]},
+        "pipeline": {"per_hop_k": [25, 25, 25, 25]},
         "supervision": {"k_hat": [20, None, None, None]},
         "eval": {"retrieval_k": 100},
     },
     "hotpotqa": {
-        "pipeline": {"hops": 2, "per_hop_k": [10, 40]},
+        "pipeline": {"per_hop_k": [10, 40]},
         "supervision": {"k_hat": [20, None]},
         "eval": {"retrieval_k": 20},
     },
@@ -176,30 +173,16 @@ def resolve_config(
 
 # Materializers from the resolved document to typed configs. Sub-seeds are
 # derived per component so e.g. changing kmeans seeding cannot perturb the
-# encoder basis.
+# encoder basis. A section whose keys are exactly its dataclass's fields is
+# passed whole: merge_overlay admits no key the defaults lack.
 
 
 def encoder_config(cfg: dict) -> EncoderConfig:
-    sub = cfg["encoder"]
-    return EncoderConfig(
-        dim=sub["dim"],
-        seed=derive_seed(cfg["seed"], "encoder"),
-        max_passage_tokens=sub["max_passage_tokens"],
-        max_query_tokens=sub["max_query_tokens"],
-        max_overall_tokens=sub["max_overall_tokens"],
-    )
+    return EncoderConfig(**cfg["encoder"], seed=derive_seed(cfg["seed"], "encoder"))
 
 
 def index_config(cfg: dict) -> IndexConfig:
-    sub = cfg["index"]
-    return IndexConfig(
-        variant=sub["variant"],
-        centroid_count=sub["centroid_count"],
-        nprobe=sub["nprobe"],
-        seed=derive_seed(cfg["seed"], "kmeans"),
-        kmeans_iters=sub["kmeans_iters"],
-        sample_factor=sub["sample_factor"],
-    )
+    return IndexConfig(**cfg["index"], seed=derive_seed(cfg["seed"], "kmeans"))
 
 
 def retrieval_config(cfg: dict) -> RetrievalConfig:
@@ -212,19 +195,14 @@ def retrieval_config(cfg: dict) -> RetrievalConfig:
 
 
 def condenser_config(cfg: dict) -> CondenserConfig:
-    sub = cfg["condenser"]
-    return CondenserConfig(
-        stage1_top_k_facts=sub["stage1_top_k_facts"],
-        tau=sub["tau"],
-    )
+    return CondenserConfig(**cfg["condenser"])
 
 
-def pipeline_config(cfg: dict, variant: str | None = None) -> PipelineConfig:
+def pipeline_config(cfg: dict) -> PipelineConfig:
     sub = cfg["pipeline"]
     return PipelineConfig(
-        hops=sub["hops"],
         per_hop_k=tuple(sub["per_hop_k"]),
-        variant=variant or sub["variant"],
+        variant=sub["variant"],
         retrieval=retrieval_config(cfg),
         condenser=condenser_config(cfg),
         accumulate_facts=sub["accumulate_facts"],
@@ -255,9 +233,4 @@ def lho_retrieval_config(cfg: dict) -> RetrievalConfig:
 
 
 def eval_config(cfg: dict) -> EvalConfig:
-    sub = cfg["eval"]
-    return EvalConfig(
-        retrieval_k=sub["retrieval_k"],
-        answer_k=sub["answer_k"],
-        supported_only=sub["supported_only"],
-    )
+    return EvalConfig(**cfg["eval"])

@@ -69,15 +69,10 @@ class MultiHopQuery:
     qid: str
     q0_text: str
     facts: tuple[Fact, ...] = ()
-    hop_index: int = 0
 
     def extended(self, new_facts: tuple[Fact, ...] | list[Fact]) -> "MultiHopQuery":
-        """Next-hop state: same q0, facts appended, hop counter bumped."""
-        return replace(
-            self,
-            facts=self.facts + tuple(new_facts),
-            hop_index=self.hop_index + 1,
-        )
+        """Next-hop state: same q0, facts appended."""
+        return replace(self, facts=self.facts + tuple(new_facts))
 
 
 class Corpus:

@@ -50,19 +50,6 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class PassageEncoding:
-    """Row matrix for one passage plus sentence-level row spans.
-
-    Rows 0..title_rows are the title tokens; sentence_spans[i] is the
-    half-open row range of sentence i after truncation (possibly empty).
-    """
-
-    matrix: np.ndarray
-    sentence_spans: tuple[tuple[int, int], ...]
-    title_rows: int
-
-
-@dataclass(frozen=True)
 class EncodedQuery:
     """Query-part and fact-part row matrices, kept separate for scoring."""
 
@@ -78,7 +65,7 @@ class Encoder(Protocol):
     @property
     def dim(self) -> int: ...
 
-    def encode_passage(self, passage: Passage) -> PassageEncoding: ...
+    def encode_passage(self, passage: Passage) -> np.ndarray: ...
 
     def encode_query(self, query: MultiHopQuery) -> EncodedQuery: ...
 
@@ -125,21 +112,12 @@ class LexicalEncoder:
             return np.zeros((0, self.cfg.dim), dtype=np.float32)
         return np.stack([self.token_vector(t) for t in tokens])
 
-    def encode_passage(self, passage: Passage) -> PassageEncoding:
-        cap = self.cfg.max_passage_tokens
+    def encode_passage(self, passage: Passage) -> np.ndarray:
+        """Title tokens, then each sentence's tokens, capped at max_passage_tokens."""
         tokens = tokenize(passage.title)
-        title_rows = min(len(tokens), cap)
-        spans = []
         for sentence in passage.sentences:
-            stoks = tokenize(sentence)
-            start = len(tokens)
-            tokens.extend(stoks)
-            spans.append((min(start, cap), min(start + len(stoks), cap)))
-        return PassageEncoding(
-            matrix=self._matrix(tokens[:cap]),
-            sentence_spans=tuple(spans),
-            title_rows=title_rows,
-        )
+            tokens.extend(tokenize(sentence))
+        return self._matrix(tokens[: self.cfg.max_passage_tokens])
 
     def kept_tokens(self, query: MultiHopQuery) -> tuple[list[str], list[str]]:
         """The query tokens and fact tokens that fit the token caps, in row order."""
@@ -179,7 +157,7 @@ class TokenWeightedEncoder:
         scales = np.array([self.weights.get(t, 1.0) for t in tokens], dtype=np.float32)
         return self.base._matrix(tokens) * scales[:, None]
 
-    def encode_passage(self, passage: Passage) -> PassageEncoding:
+    def encode_passage(self, passage: Passage) -> np.ndarray:
         return self.base.encode_passage(passage)
 
     def encode_query(self, query: MultiHopQuery) -> EncodedQuery:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import EncodedQuery, Encoder, PassageEncoding
+from .encoder import EncodedQuery, Encoder
 from .scoring import ScoredPassage, rank_scored, score_segments
 
 logger = logging.getLogger(__name__)
@@ -42,6 +42,12 @@ VARIANT_IVF = "ivf"
 # deeper at inference time.
 TRAINING_RESULTS_PER_VECTOR = 256
 INFERENCE_RESULTS_PER_VECTOR = 512
+
+# Spherical k-means for IVF: Lloyd iterations at most, training vectors per
+# centroid (a larger corpus is sampled down), and vectors per assignment block.
+KMEANS_ITERS = 25
+KMEANS_SAMPLE_FACTOR = 64
+ASSIGN_BLOCK = 8192
 
 _INDEX_MAGIC = b"HLTI"
 _INDEX_VERSION = 1
@@ -57,8 +63,6 @@ class IndexConfig:
     centroid_count: int | None = None  # None: ceil(sqrt(n_vectors))
     nprobe: int | None = None  # None: max(1, centroids // 64)
     seed: int = 0
-    kmeans_iters: int = 25
-    sample_factor: int = 64
 
     def __post_init__(self) -> None:
         if self.variant not in (VARIANT_FLAT, VARIANT_IVF):
@@ -67,8 +71,6 @@ class IndexConfig:
             raise ValueError("centroid_count must be positive")
         if self.nprobe is not None and self.nprobe < 1:
             raise ValueError("nprobe must be positive")
-        if self.kmeans_iters < 1:
-            raise ValueError("kmeans_iters must be positive")
 
 
 class IvfData:
@@ -164,13 +166,7 @@ class TokenIndex:
         return self.storage[gather].astype(np.float64), starts
 
 
-def _kmeans(
-    vectors: np.ndarray,
-    n_centroids: int,
-    seed: int,
-    max_iters: int = 25,
-    sample_factor: int = 64,
-) -> np.ndarray:
+def _kmeans(vectors: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
     """Spherical k-means under dot-product similarity.
 
     Fixed-seed sampling and initialization from distinct vectors; empty
@@ -181,7 +177,7 @@ def _kmeans(
     n = vectors.shape[0]
     if n_centroids > n:
         raise ValueError(f"centroid_count {n_centroids} exceeds vector count {n}")
-    target = sample_factor * n_centroids
+    target = KMEANS_SAMPLE_FACTOR * n_centroids
     if n > target:
         pick = rng.choice(n, size=target, replace=False)
         pick.sort()
@@ -199,7 +195,7 @@ def _kmeans(
     centroids /= np.maximum(norms, 1e-12)
 
     prev = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         sims = train @ centroids.T
         assign = np.argmax(sims, axis=1)
         counts = np.bincount(assign, minlength=n_centroids)
@@ -222,12 +218,12 @@ def _kmeans(
     return centroids.astype(np.float32)
 
 
-def _assign_all(storage: np.ndarray, centroids: np.ndarray, block: int = 8192) -> np.ndarray:
+def _assign_all(storage: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per vector by dot product, float64 math, blocked."""
     cent = centroids.astype(np.float64)
     out = np.empty(storage.shape[0], dtype=np.int32)
-    for start in range(0, storage.shape[0], block):
-        chunk = storage[start : start + block].astype(np.float64)
+    for start in range(0, storage.shape[0], ASSIGN_BLOCK):
+        chunk = storage[start : start + ASSIGN_BLOCK].astype(np.float64)
         out[start : start + chunk.shape[0]] = np.argmax(chunk @ cent.T, axis=1)
     return out
 
@@ -240,11 +236,11 @@ def build_index(corpus: Corpus, encoder: Encoder, cfg: IndexConfig | None = None
     blocks = []
     vec_to_pid = []
     for i, passage in enumerate(corpus):
-        enc = encoder.encode_passage(passage)
+        rows = encoder.encode_passage(passage)
         pids.append(passage.pid)
-        if enc.matrix.shape[0]:
-            blocks.append(np.ascontiguousarray(enc.matrix, dtype=np.float32))
-            vec_to_pid.append(np.full(enc.matrix.shape[0], i, dtype=np.int32))
+        if rows.shape[0]:
+            blocks.append(np.ascontiguousarray(rows, dtype=np.float32))
+            vec_to_pid.append(np.full(rows.shape[0], i, dtype=np.int32))
     if not blocks:
         raise ValueError("corpus produced no token vectors")
     storage = np.concatenate(blocks, axis=0)
@@ -256,13 +252,7 @@ def build_index(corpus: Corpus, encoder: Encoder, cfg: IndexConfig | None = None
         n_centroids = cfg.centroid_count or math.ceil(math.sqrt(n))
         if n_centroids > n:
             raise ValueError(f"centroid_count {n_centroids} exceeds vector count {n}")
-        centroids = _kmeans(
-            storage,
-            n_centroids,
-            seed=cfg.seed,
-            max_iters=cfg.kmeans_iters,
-            sample_factor=cfg.sample_factor,
-        )
+        centroids = _kmeans(storage, n_centroids, seed=cfg.seed)
         nprobe = cfg.nprobe or max(1, n_centroids // 64)
         ivf = IvfData(centroids, _assign_all(storage, centroids), nprobe)
     idx = TokenIndex(pids, mapping, storage, ivf)
@@ -325,7 +315,7 @@ def exact_topk_oracle(
     corpus: Corpus,
     encoder: Encoder,
     k: int = 20,
-    encodings: dict[str, PassageEncoding] | None = None,
+    encodings: dict[str, np.ndarray] | None = None,
 ) -> list[ScoredPassage]:
     """Brute-force reference: score every passage in one kernel call, rank, truncate.
 
@@ -336,10 +326,10 @@ def exact_topk_oracle(
     pids: list[str] = []
     mats: list[np.ndarray] = []
     for passage in corpus:
-        enc = encodings[passage.pid] if encodings else encoder.encode_passage(passage)
-        if enc.matrix.shape[0]:
+        rows = encodings[passage.pid] if encodings else encoder.encode_passage(passage)
+        if rows.shape[0]:
             pids.append(passage.pid)
-            mats.append(enc.matrix)
+            mats.append(rows)
     if not mats:
         return []
     counts = np.array([m.shape[0] for m in mats])
@@ -348,7 +338,7 @@ def exact_topk_oracle(
     return rank_scored(pids, s_query, s_fact, k)
 
 
-def encode_corpus(corpus: Corpus, encoder: Encoder) -> dict[str, PassageEncoding]:
+def encode_corpus(corpus: Corpus, encoder: Encoder) -> dict[str, np.ndarray]:
     """Precompute passage encodings keyed by pid (for the oracle hot path)."""
     return {p.pid: encoder.encode_passage(p) for p in corpus}
 
@@ -421,7 +411,10 @@ def load_index(path: str | Path) -> TokenIndex:
     pids = []
     for _ in range(n_pids):
         (length,) = r.unpack("<H")
-        pids.append(r.take(length).decode("utf-8"))
+        try:
+            pids.append(r.take(length).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
     vec_to_pid = r.array("<i4", n_vectors)
     storage = r.array("<f4", n_vectors * dim).reshape(n_vectors, dim)
     ivf_arrays = None

@@ -3,7 +3,8 @@
 Three inference variants share one hop loop:
   condensed - append the condenser's kept facts to the query each hop;
   rerank    - append the full text of the hop's top passage instead;
-  hybrid    - run both and merge their per-hop rankings into one list.
+  hybrid    - run both (hop 1, the same for both, is retrieved once) and
+              merge their per-hop rankings into one list.
 
 Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
@@ -40,7 +41,6 @@ HYBRID_MERGE_TOTAL = 100
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    hops: int = 4
     per_hop_k: tuple[int, ...] = (25, 25, 25, 25)
     variant: str = VARIANT_CONDENSED
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
@@ -50,18 +50,18 @@ class PipelineConfig:
     verifier: str | None = None  # "trivial" or None
 
     def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ValueError(f"hops must be >= 1, got {self.hops}")
-        if len(self.per_hop_k) != self.hops:
-            raise ValueError(
-                f"per_hop_k has {len(self.per_hop_k)} entries for {self.hops} hops"
-            )
+        if not self.per_hop_k:
+            raise ValueError("per_hop_k must name at least one hop")
         if any(k < 1 for k in self.per_hop_k):
             raise ValueError("per-hop k values must be positive")
         if self.variant not in (VARIANT_CONDENSED, VARIANT_RERANK, VARIANT_HYBRID):
             raise ValueError(f"unknown pipeline variant {self.variant!r}")
         if self.verifier not in (None, "trivial"):
             raise ValueError(f"unknown verifier {self.verifier!r}")
+
+    @property
+    def hops(self) -> int:
+        return len(self.per_hop_k)
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,26 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.sentence_scorer = LexicalOverlapScorer(idf=IdfTable.from_corpus(corpus))
 
-    def _hop_loop(self, query: QueryRecord, rerank: bool) -> HopTrace:
+    def _hop_loop(
+        self, query: QueryRecord, rerank: bool, hop1: Sequence[ScoredPassage] | None = None
+    ) -> HopTrace:
+        """One variant's hops. `hop1`, when given, is the hop-1 ranking: every
+        variant retrieves hop 1 from q0 alone with nothing excluded."""
         cfg = self.cfg
         state = MultiHopQuery(qid=query.qid, q0_text=query.text)
         excluded: set[str] = set()
         hops: list[HopRecord] = []
         for t, k in enumerate(cfg.per_hop_k, start=1):
-            eq = self.encoder.encode_query(state)
-            ranked = retrieve(
-                eq,
-                self.index,
-                self.corpus,
-                replace(cfg.retrieval, k=k),
-                exclude=frozenset(excluded),
-            )
+            if t == 1 and hop1 is not None:
+                ranked = list(hop1)
+            else:
+                ranked = retrieve(
+                    self.encoder.encode_query(state),
+                    self.index,
+                    self.corpus,
+                    replace(cfg.retrieval, k=k),
+                    exclude=frozenset(excluded),
+                )
             kept: list[Fact] = []
             context_pid: str | None = None
             new_facts: list[Fact] = []
@@ -182,7 +188,7 @@ class PipelineRunner:
 
     def run_hybrid(self, query: QueryRecord) -> HybridTrace:
         condensed = self.run_condensed(query)
-        reranked = self.run_rerank(query)
+        reranked = self._hop_loop(query, rerank=True, hop1=condensed.hops[0].ranked)
         merged = merge_hybrid(condensed, reranked, total=self.cfg.hybrid_total)
         return HybridTrace(
             qid=query.qid, merged=tuple(merged), condensed=condensed, rerank=reranked

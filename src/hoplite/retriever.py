@@ -41,9 +41,14 @@ def retrieve(
     A flat index scores every passage; an IVF index scores the candidates
     from `candidates_for`, each whole. Excluded pids are dropped first, and
     one `score_segments` call scores the rest. A query with no rows
-    retrieves nothing.
+    retrieves nothing; one whose dim differs from the index's raises ValueError.
     """
     cfg = cfg or RetrievalConfig()
+    if eq.dim != index.dim:
+        raise ValueError(
+            f"query dim {eq.dim} does not match index dim {index.dim}; "
+            "set encoder.dim to the dim the index was built with"
+        )
     if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
         return []
     if index.ivf is None:

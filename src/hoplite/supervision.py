@@ -130,10 +130,9 @@ class TermWeightTrainer:
     staying deterministic.
     """
 
-    def __init__(self, eta: float = 0.75, max_ratio: float = 4.0, negatives_used: int = 8):
-        self.eta = eta
-        self.max_ratio = max_ratio
-        self.negatives_used = negatives_used
+    ETA = 0.75  # step size of the log-weight update
+    MAX_RATIO = 4.0  # weights are clipped to [1/MAX_RATIO, MAX_RATIO]
+    NEGATIVES_USED = 8  # top mined negatives compared per query
 
     def train(self, retriever: Retriever, batch: TrainingBatch) -> Retriever:
         delta: dict[str, float] = {}
@@ -141,7 +140,7 @@ class TermWeightTrainer:
         for qid in sorted(batch.queries):
             state = batch.queries[qid]
             pos = batch.positives.get(qid) or frozenset()
-            neg = (batch.negatives.get(qid) or ())[: self.negatives_used]
+            neg = (batch.negatives.get(qid) or ())[: self.NEGATIVES_USED]
             if not pos or not neg:
                 continue
             pos_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in sorted(pos)]
@@ -156,9 +155,9 @@ class TermWeightTrainer:
                 count[token] = count.get(token, 0) + 1
         if not delta:
             return retriever
-        lo, hi = 1.0 / self.max_ratio, self.max_ratio
+        lo, hi = 1.0 / self.MAX_RATIO, self.MAX_RATIO
         weights = {
-            t: float(min(hi, max(lo, math.exp(self.eta * delta[t] / count[t]))))
+            t: float(min(hi, max(lo, math.exp(self.ETA * delta[t] / count[t]))))
             for t in delta
         }
         return retriever.with_query_weights(weights)

@@ -281,6 +281,21 @@ def test_corrupt_index_exits_1(workdir, tmp_path):
     assert "error:" in r.stderr
 
 
+def test_dim_mismatch_exits_1_naming_both_dims(workdir, tmp_path):
+    data = workdir / "data"
+    narrow = tmp_path / "dim64.hlti"
+    r = run_cli(
+        "build-index", "--corpus", data / "corpus.jsonl", "--out", narrow, "--seed", 7,
+        env_extra={"HOPLITE_ENCODER_DIM": "64"},
+    )
+    assert r.returncode == 0, r.stderr
+    r = run_cli(
+        "retrieve", "--corpus", data / "corpus.jsonl", "--index", narrow, "--query", "x",
+    )
+    assert r.returncode == 1
+    assert "64" in r.stderr and "128" in r.stderr and "encoder.dim" in r.stderr
+
+
 def test_env_var_overrides_config(workdir, tmp_path):
     data = workdir / "data"
     out = tmp_path / "t.jsonl"

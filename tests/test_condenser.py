@@ -15,7 +15,7 @@ from hoplite.corpus import Corpus, Fact, MultiHopQuery, Passage
 
 
 def _q(text, facts=()):
-    return MultiHopQuery(qid="q", q0_text=text, facts=tuple(facts), hop_index=len(facts))
+    return MultiHopQuery(qid="q", q0_text=text, facts=tuple(facts))
 
 
 def _score(scorer, query_text, facts, sentence):

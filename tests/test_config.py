@@ -34,16 +34,16 @@ def test_default_config_is_a_copy():
 
 def test_hover_preset():
     cfg = resolve_config(preset="hover", environ={})
-    assert cfg["pipeline"]["hops"] == 4
     assert cfg["pipeline"]["per_hop_k"] == [25, 25, 25, 25]
+    assert pipeline_config(cfg).hops == 4
     assert cfg["supervision"]["k_hat"] == [20, None, None, None]
     assert cfg["eval"]["retrieval_k"] == 100
 
 
 def test_hotpotqa_preset():
     cfg = resolve_config(preset="hotpotqa", environ={})
-    assert cfg["pipeline"]["hops"] == 2
     assert cfg["pipeline"]["per_hop_k"] == [10, 40]
+    assert pipeline_config(cfg).hops == 2
     assert cfg["supervision"]["k_hat"] == [20, None]
     assert cfg["eval"]["retrieval_k"] == 20
 
@@ -58,13 +58,13 @@ def test_file_overrides_preset(tmp_path):
     path.write_text(json.dumps({"retrieval": {"k": 7}}), encoding="utf-8")
     cfg = resolve_config(preset="hover", config_path=path, environ={})
     assert cfg["retrieval"]["k"] == 7
-    assert cfg["pipeline"]["hops"] == 4  # preset still applies elsewhere
+    assert cfg["pipeline"]["per_hop_k"] == [25, 25, 25, 25]  # preset still applies elsewhere
 
 
 def test_file_can_define_new_preset(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
-        json.dumps({"presets": {"mine": {"seed": 42, "pipeline": {"hops": 2, "per_hop_k": [5, 5]}}}}),
+        json.dumps({"presets": {"mine": {"seed": 42, "pipeline": {"per_hop_k": [5, 5]}}}}),
         encoding="utf-8",
     )
     cfg = resolve_config(preset="mine", config_path=path, environ={})
@@ -79,7 +79,7 @@ def test_file_preset_shadows_builtin(tmp_path):
     )
     cfg = resolve_config(preset="hover", config_path=path, environ={})
     assert cfg["seed"] == 123
-    assert cfg["pipeline"]["hops"] == 4  # defaults, not the builtin hover overlay
+    assert cfg["pipeline"]["per_hop_k"] == [25, 25, 25, 25]  # defaults, not the builtin hover overlay
 
 
 def test_unknown_keys_rejected_recursively(tmp_path):
@@ -94,10 +94,15 @@ def test_unknown_keys_rejected_recursively(tmp_path):
         ("retrieval", "candidate_source"),
         ("condenser", "scorer"),
         ("pipeline", "context_scorer"),
+        ("index", "kmeans_iters"),
+        ("index", "sample_factor"),
+        ("pipeline", "hops"),
     ):
         path.write_text(json.dumps({section: {key: "x"}}), encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
             resolve_config(config_path=path, environ={})
+    with pytest.raises(ConfigError, match="HOPLITE_PIPELINE_HOPS"):
+        resolve_config(environ={"HOPLITE_PIPELINE_HOPS": "2"})
 
 
 def test_env_overrides():
@@ -176,12 +181,12 @@ def test_pipeline_config_variant_override():
     p = pipeline_config(cfg)
     assert p.variant == "condensed"
     assert p.per_hop_k == (25, 25, 25, 25)
-    r = pipeline_config(cfg, variant="hybrid")
-    assert r.variant == "hybrid"
+    cfg["pipeline"]["variant"] = "hybrid"
+    assert pipeline_config(cfg).variant == "hybrid"
 
 
 def test_materialized_configs_validate():
     cfg = resolve_config(environ={})
-    cfg["pipeline"]["per_hop_k"] = [25]
+    cfg["pipeline"]["per_hop_k"] = [25, 0]
     with pytest.raises(ValueError):
         pipeline_config(cfg)

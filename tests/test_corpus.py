@@ -134,16 +134,13 @@ def test_load_queryset_rejects_bad_num_hops(tmp_path):
 
 
 def test_multi_hop_query_extended():
-    q = MultiHopQuery(qid="q", q0_text="start", facts=(), hop_index=0)
+    q = MultiHopQuery(qid="q", q0_text="start", facts=())
     f = Fact(pid="p", sentence_index=0, text="bridge text")
     q2 = q.extended((f,))
-    assert q2.hop_index == 1
     assert q2.facts == (f,)
     # original untouched
     assert q.facts == ()
-    assert q.hop_index == 0
     q3 = q2.extended((f,))
-    assert q3.hop_index == 2
     assert q3.facts == (f, f)
 
 

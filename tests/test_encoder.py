@@ -45,7 +45,7 @@ def test_token_vector_seed_sensitivity():
 
 def test_identical_tokens_share_rows(enc):
     p = Passage(pid="p", title="", sentences=("rome rome",))
-    m = enc.encode_passage(p).matrix
+    m = enc.encode_passage(p)
     assert np.array_equal(m[0], m[1])
 
 
@@ -68,33 +68,22 @@ def test_shared_trigrams_correlate():
 
 def test_passage_encoding_layout(enc, tiny_corpus):
     p = tiny_corpus.get("p1")
-    pe = enc.encode_passage(p)
+    m = enc.encode_passage(p)
     n_title = len(tokenize(p.title))
     n_total = n_title + sum(len(tokenize(s)) for s in p.sentences)
-    assert pe.matrix.shape == (n_total, 64)
-    assert pe.matrix.dtype == np.float32
-    assert pe.title_rows == n_title
-    assert pe.sentence_spans[0][0] == n_title
-    assert pe.sentence_spans[-1][1] == n_total
-    # spans tile the body contiguously
-    for (a, b), (c, _) in zip(pe.sentence_spans, pe.sentence_spans[1:]):
-        assert b == c
-        assert a <= b
+    assert m.shape == (n_total, 64)
+    assert m.dtype == np.float32
 
 
 def test_passage_token_cap():
     enc = LexicalEncoder(EncoderConfig(dim=64, seed=0, max_passage_tokens=5))
     p = Passage(pid="p", title="one two", sentences=("three four five six", "seven"))
-    pe = enc.encode_passage(p)
-    assert pe.matrix.shape[0] == 5
-    assert pe.title_rows == 2
-    # spans clip to the cap instead of pointing past the matrix
-    assert pe.sentence_spans == ((2, 5), (5, 5))
+    assert enc.encode_passage(p).shape[0] == 5
 
 
 def test_query_token_cap(enc):
     text = " ".join(f"tok{i}" for i in range(100))
-    eq = enc.encode_query(MultiHopQuery(qid="q", q0_text=text, facts=(), hop_index=0))
+    eq = enc.encode_query(MultiHopQuery(qid="q", q0_text=text, facts=()))
     assert eq.query_part.shape[0] == 64
     assert eq.fact_part.shape[0] == 0
 
@@ -107,7 +96,7 @@ def test_fact_budget_keeps_earliest_hops():
         Fact(pid="b", sentence_index=0, text="five six seven"),
         Fact(pid="c", sentence_index=0, text="eight nine"),
     )
-    q = MultiHopQuery(qid="q", q0_text="w x y z", facts=facts, hop_index=3)
+    q = MultiHopQuery(qid="q", q0_text="w x y z", facts=facts)
     eq = enc.encode_query(q)
     # budget = 10 - 4 = 6: all of fact a, then b truncated, c dropped
     assert eq.query_part.shape[0] == 4
@@ -117,7 +106,7 @@ def test_fact_budget_keeps_earliest_hops():
 
 
 def test_empty_query_encodes_to_empty_matrices(enc):
-    eq = enc.encode_query(MultiHopQuery(qid="q", q0_text="", facts=(), hop_index=0))
+    eq = enc.encode_query(MultiHopQuery(qid="q", q0_text="", facts=()))
     assert eq.query_part.shape == (0, 64)
     assert eq.fact_part.shape == (0, 64)
     assert eq.dim == 64
@@ -125,7 +114,7 @@ def test_empty_query_encodes_to_empty_matrices(enc):
 
 def test_token_weighted_encoder_scales_query_rows(enc):
     weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
-    q = MultiHopQuery(qid="q", q0_text="rome tiber", facts=(), hop_index=0)
+    q = MultiHopQuery(qid="q", q0_text="rome tiber", facts=())
     base = enc.encode_query(q)
     got = weighted.encode_query(q)
     assert np.allclose(got.query_part[0], base.query_part[0] * 2.0)
@@ -135,7 +124,7 @@ def test_token_weighted_encoder_scales_query_rows(enc):
 def test_token_weighted_encoder_passage_passthrough(enc, tiny_corpus):
     weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
     p = tiny_corpus.get("p2")
-    assert np.array_equal(weighted.encode_passage(p).matrix, enc.encode_passage(p).matrix)
+    assert np.array_equal(weighted.encode_passage(p), enc.encode_passage(p))
 
 
 _WORDS = st.sampled_from(["rome", "tiber", "carthage", "harbor", "ships", "war", "gaul"])
@@ -162,7 +151,7 @@ def test_weighting_is_a_row_scale_under_the_token_budget(
     budget = max_query + spare - min(len(tokenize(q0)), max_query)
     assume(len(all_fact_tokens) > budget)
     facts = tuple(Fact(pid="p", sentence_index=i, text=t) for i, t in enumerate(fact_texts))
-    q = MultiHopQuery(qid="q", q0_text=q0, facts=facts, hop_index=len(facts))
+    q = MultiHopQuery(qid="q", q0_text=q0, facts=facts)
     base = enc.encode_query(q)
     q_tokens, fact_tokens = enc.kept_tokens(q)
     assert q_tokens == tokenize(q0)[:max_query]

@@ -1,4 +1,5 @@
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def _word_corpus(n_passages: int, tokens_per: int, seed: int) -> Corpus:
 
 
 def _query(text: str) -> MultiHopQuery:
-    return MultiHopQuery(qid="q", q0_text=text, facts=(), hop_index=0)
+    return MultiHopQuery(qid="q", q0_text=text, facts=())
 
 
 def _probe_all(corpus, enc, centroids=4):
@@ -77,7 +78,7 @@ def test_flat_index_vector_layout():
     assert idx.pids == ("a", "b", "c")
     assert list(idx.row_counts()) == [4, 4, 4]
     assert idx.rows_for("b") == (4, 8)
-    assert np.array_equal(idx.storage[4:8], enc.encode_passage(corpus.get("b")).matrix)
+    assert np.array_equal(idx.storage[4:8], enc.encode_passage(corpus.get("b")))
     assert idx.storage.dtype == np.float32
 
 
@@ -123,7 +124,7 @@ def test_candidates_source_modes(enc, tiny_corpus):
     idx = _probe_all(tiny_corpus, enc)
     facts = (Fact(pid="p1", sentence_index=0, text="tiber"),)
     eq = enc.encode_query(
-        MultiHopQuery(qid="q", q0_text="carthage", facts=facts, hop_index=1)
+        MultiHopQuery(qid="q", q0_text="carthage", facts=facts)
     )
     both = candidates_for(eq, idx, results_per_vector=2)
     assert sum(both.counts) == 4  # query row + fact row
@@ -206,7 +207,7 @@ def test_exact_topk_oracle_matches_manual_loop(enc, tiny_corpus):
     focus = FocusParams(n_hat=32, l_hat=8)
     manual = []
     for pid in tiny_corpus.pids:
-        rows = enc.encode_passage(tiny_corpus.get(pid)).matrix
+        rows = enc.encode_passage(tiny_corpus.get(pid))
         manual.append(flipr_score(eq, rows, focus, pid=pid))
     manual.sort(key=lambda sp: (-sp.score, sp.pid))
     got = exact_topk_oracle(eq, tiny_corpus, enc, k=3)
@@ -268,6 +269,16 @@ def test_load_rejects_out_of_range_assignment(tmp_path, bad):
     raw[-4:] = np.array([bad], dtype="<i4").tobytes()  # the last assignment
     path.write_bytes(bytes(raw))
     with pytest.raises(IndexFormatError, match=re.escape(str(path))):
+        load_index(path)
+
+
+def test_load_rejects_pid_that_is_not_utf8(tmp_path, enc, tiny_corpus):
+    path = tmp_path / "t.hlti"
+    save_index(build_index(tiny_corpus, enc), path)
+    raw = bytearray(path.read_bytes())
+    raw[4 + struct.calcsize("<BBIQQ") + 2] = 0xFF  # first byte of the first pid
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IndexFormatError, match=re.escape(str(path)) + ".*UTF-8"):
         load_index(path)
 
 

@@ -68,9 +68,10 @@ def _runner(corpus, enc, **kw):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(hops=2, per_hop_k=(25,))
+        PipelineConfig(per_hop_k=())
     with pytest.raises(ValueError):
-        PipelineConfig(hops=1, per_hop_k=(0,))
+        PipelineConfig(per_hop_k=(0,))
+    assert PipelineConfig(per_hop_k=(10, 40)).hops == 2
     with pytest.raises(ValueError):
         PipelineConfig(variant="mystery")
     with pytest.raises(ValueError):
@@ -78,7 +79,7 @@ def test_config_validation():
 
 
 def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=1, per_hop_k=(4,))
+    runner = _runner(tiny_corpus, enc, per_hop_k=(4,))
     query = _qrec("q1", "carthage fought rome")
     trace = runner.run_condensed(query)
 
@@ -117,7 +118,7 @@ _WORDS = ["carthage", "fought", "rome", "tiber", "river", "ships", "silver", "si
 )
 def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_k, variant, ivf):
     idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf" if ivf else "flat"))
-    cfg = PipelineConfig(hops=len(per_hop_k), per_hop_k=tuple(per_hop_k), variant=variant)
+    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
     trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", " ".join(words)))
     seen = set()
     for hop, k in zip(trace.hops, per_hop_k):
@@ -133,7 +134,7 @@ def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_
 
 
 def test_accumulate_facts_ablation(enc, tiny_corpus):
-    base = dict(hops=2, per_hop_k=(2, 2))
+    base = dict(per_hop_k=(2, 2))
     on = _runner(tiny_corpus, enc, **base)
     off = _runner(tiny_corpus, enc, accumulate_facts=False, **base)
     q = _qrec("q", "carthage fought rome")
@@ -145,7 +146,7 @@ def test_accumulate_facts_ablation(enc, tiny_corpus):
 
 
 def test_rerank_appends_whole_context_passage(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=2, per_hop_k=(3, 3), variant="rerank")
+    runner = _runner(tiny_corpus, enc, per_hop_k=(3, 3), variant="rerank")
     trace = runner.run_rerank(_qrec("q", "carthage fought rome"))
     assert trace.variant == "rerank"
     f_idx = 0
@@ -162,7 +163,7 @@ def test_rerank_appends_whole_context_passage(enc, tiny_corpus):
 
 def test_hybrid_runs_both_variants(enc, tiny_corpus):
     runner = _runner(
-        tiny_corpus, enc, hops=2, per_hop_k=(3, 3), variant="hybrid", hybrid_total=8
+        tiny_corpus, enc, per_hop_k=(3, 3), variant="hybrid", hybrid_total=8
     )
     trace = runner.run(_qrec("q", "carthage fought rome"))
     assert isinstance(trace, HybridTrace)
@@ -173,8 +174,26 @@ def test_hybrid_runs_both_variants(enc, tiny_corpus):
     assert len(set(trace.merged)) == len(trace.merged)
 
 
+@pytest.mark.parametrize("per_hop_k", [(3,), (3, 3), (2, 3, 4)])
+def test_hybrid_retrieves_hop_one_once(enc, tiny_corpus, monkeypatch, per_hop_k):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return retrieve(*args, **kwargs)
+
+    runner = _runner(tiny_corpus, enc, per_hop_k=per_hop_k, variant="hybrid")
+    monkeypatch.setattr("hoplite.pipeline.retrieve", counting)
+    query = _qrec("q", "carthage fought rome")
+    trace = runner.run(query)
+    assert len(calls) == 2 * len(per_hop_k) - 1
+    assert trace.rerank.hops[0].ranked == trace.condensed.hops[0].ranked
+    # the shared hop 1 leaves the rerank arm as a standalone rerank run writes it
+    assert trace_record(trace.rerank) == trace_record(runner.run_rerank(query))
+
+
 def test_trivial_verifier(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=1, per_hop_k=(2,), verifier="trivial")
+    runner = _runner(tiny_corpus, enc, per_hop_k=(2,), verifier="trivial")
     good = runner.run_condensed(_qrec("q", "tiber flows sea"))
     assert good.verdict is True
     bad = runner.run_condensed(_qrec("q", "qqq www eee"))
@@ -182,12 +201,12 @@ def test_trivial_verifier(enc, tiny_corpus):
 
 
 def test_no_verifier_means_none(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=1, per_hop_k=(2,))
+    runner = _runner(tiny_corpus, enc, per_hop_k=(2,))
     assert runner.run_condensed(_qrec("q", "tiber")).verdict is None
 
 
 def test_run_queries_thread_count_is_invisible(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=2, per_hop_k=(2, 2))
+    runner = _runner(tiny_corpus, enc, per_hop_k=(2, 2))
     queries = [
         _qrec("q1", "carthage fought rome"),
         _qrec("q2", "tiber river sea"),
@@ -292,7 +311,7 @@ def test_union_topk_rejects_overdraw():
 
 
 def test_trace_round_trip(tmp_path, enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, hops=2, per_hop_k=(2, 2))
+    runner = _runner(tiny_corpus, enc, per_hop_k=(2, 2))
     traces = run_queries(
         runner, [_qrec("q1", "carthage fought rome"), _qrec("q2", "tiber sea")], threads=1
     )
@@ -316,7 +335,7 @@ def test_trace_round_trip(tmp_path, enc, tiny_corpus):
 
 def test_hybrid_trace_record_nests_both_traces(enc, tiny_corpus):
     runner = _runner(
-        tiny_corpus, enc, hops=1, per_hop_k=(3,), variant="hybrid", hybrid_total=4
+        tiny_corpus, enc, per_hop_k=(3,), variant="hybrid", hybrid_total=4
     )
     rec = trace_record(runner.run(_qrec("q", "carthage rome")))
     assert rec["variant"] == "hybrid"

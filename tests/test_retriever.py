@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
-from hoplite.encoder import TokenWeightedEncoder
+from hoplite.encoder import EncoderConfig, LexicalEncoder, TokenWeightedEncoder
 from hoplite.index import IndexConfig, build_index, exact_topk_oracle
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
 
 
 def _query(text: str) -> MultiHopQuery:
-    return MultiHopQuery(qid="q", q0_text=text, facts=(), hop_index=0)
+    return MultiHopQuery(qid="q", q0_text=text, facts=())
 
 
 def test_retrieve_matches_exact_oracle_at_full_rpv(enc, tiny_corpus):
@@ -51,6 +51,17 @@ def test_retrieve_exclude_everything_is_empty(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage"))
     assert retrieve(eq, idx, tiny_corpus, exclude=set(tiny_corpus.pids)) == []
+
+
+@pytest.mark.parametrize("variant", ["flat", "ivf"])
+def test_retrieve_rejects_query_of_another_dim(enc, tiny_corpus, variant):
+    idx = build_index(tiny_corpus, enc, IndexConfig(variant=variant, centroid_count=3))
+    wide = LexicalEncoder(EncoderConfig(dim=128, seed=3))
+    # checked before the empty-query return and before IVF candidate generation
+    for text in ("carthage fought rome", ""):
+        eq = wide.encode_query(_query(text))
+        with pytest.raises(ValueError, match=r"query dim 128 .* index dim 64.*encoder\.dim"):
+            retrieve(eq, idx, tiny_corpus)
 
 
 def test_retrieve_errors_on_candidate_missing_from_corpus(enc, tiny_corpus):
