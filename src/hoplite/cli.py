@@ -176,19 +176,22 @@ def cmd_run(args, parser) -> int:
     return 0
 
 
-def _parse_k_hat(text: str) -> list[int | None]:
-    out: list[int | None] = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        out.append(None if part in ("all", "none", "") else int(part))
-    return out
+def _k_hat(text: str) -> list[int | None]:
+    """argparse type of --k-hat: comma-separated ints, 'all' or 'none' probing everything."""
+    parts = [part.strip().lower() for part in text.split(",")]
+    try:
+        return [None if part in ("all", "none", "") else int(part) for part in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers or 'all'") from None
 
 
 def cmd_lho(args, parser) -> int:
+    if args.triples_cap < 1:
+        parser.error(f"argument --triples-cap: {args.triples_cap} is not a positive integer")
     overrides: dict = {}
     sup: dict = {}
     if args.k_hat is not None:
-        sup["k_hat"] = _parse_k_hat(args.k_hat)
+        sup["k_hat"] = args.k_hat
     if args.trainer is not None:
         sup["trainer"] = args.trainer
     if sup:
@@ -200,8 +203,6 @@ def cmd_lho(args, parser) -> int:
     retr = Retriever(corpus, index, _encoder(cfg), cfgmod.lho_retrieval_config(cfg))
     expansion = EXPANSION_SHUFFLED if args.shuffled_expansion else EXPANSION_ORACLE
     result = latent_hop_ordering(retr, queries, cfgmod.lho_config(cfg), expansion=expansion)
-    for warning in result.warnings:
-        log.warning("%s", warning)
     write_supervision(args.out, result)
     line = (
         f"lho queries={len(queries)} hops={len(cfg['supervision']['k_hat'])} "
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="supervision JSONL output")
     sp.add_argument("--triples-out", help="also emit training triples here")
     sp.add_argument("--triples-cap", type=int, default=32)
-    sp.add_argument("--k-hat", help="per-hop positive depths, e.g. '20,all,all,all'")
+    sp.add_argument("--k-hat", type=_k_hat, help="per-hop positive depths, e.g. '20,all,all,all'")
     sp.add_argument("--trainer", help="trainer name: identity, term_weight")
     sp.add_argument("--truth", help="planted truth JSONL; prints order recovery")
     sp.add_argument(

@@ -51,30 +51,22 @@ class LexicalOverlapScorer:
     """Weighted token overlap with the query state, per sentence token.
 
     A sentence scores sum(idf(t) for overlapping tokens) / len(sentence
-    tokens). With idf=None all weights are 1.0 and the score is the plain
-    overlapping-token fraction.
+    tokens). With the empty table IdfTable({}, 0) every weight is 1.0 and
+    the score is the plain overlapping-token fraction.
     """
 
-    def __init__(self, idf: IdfTable | None = None):
+    def __init__(self, idf: IdfTable):
         self.idf = idf
 
-    def score(
-        self, query_text: str, facts: Sequence[Fact], sentences: Sequence[str]
-    ) -> list[float]:
-        context = set(tokenize(query_text))
-        for fact in facts:
-            context.update(tokenize(fact.text))
+    def score(self, query: MultiHopQuery, sentences: Sequence[str]) -> list[float]:
+        context = set(tokenize(query.text))
         return [self._overlap(context, s) for s in sentences]
 
     def _overlap(self, context: set[str], sentence: str) -> float:
         tokens = tokenize(sentence)
         if not tokens:
             return 0.0
-        if self.idf is None:
-            hit = sum(1.0 for t in tokens if t in context)
-        else:
-            hit = sum(self.idf(t) for t in tokens if t in context)
-        return hit / len(tokens)
+        return sum(self.idf(t) for t in tokens if t in context) / len(tokens)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def stage1_extract(
     Ties break by (pid ascending, sentence_index ascending).
     """
     located = [(p.pid, i, s) for p in passages for i, s in enumerate(p.sentences)]
-    scores = scorer.score(query.q0_text, query.facts, [s for _, _, s in located])
+    scores = scorer.score(query, [s for _, _, s in located])
     pool = [
         Fact(pid=pid, sentence_index=i, text=s, stage1_score=score)
         for (pid, i, s), score in zip(located, scores)
@@ -118,7 +110,7 @@ def stage2_filter(
     """Jointly rescore the pooled facts less tau; keep strictly positive, best first."""
     if not pooled:
         return []
-    overlaps = scorer.score(query.q0_text, query.facts, [f.text for f in pooled])
+    overlaps = scorer.score(query, [f.text for f in pooled])
     scores = [s - cfg.tau for s in overlaps]
     kept = [
         replace(f, stage2_score=s)

@@ -9,7 +9,8 @@ A config file may carry its own `"presets": {name: overlay}` section;
 those extend (and may shadow) the built-in presets. Environment variables
 name a top-level key (HOPLITE_SEED=3) or a section field joined with an
 underscore (HOPLITE_RETRIEVAL_K=50); values are parsed as JSON when they
-parse, otherwise taken as strings.
+parse, otherwise taken as strings. After every layer, a key whose default
+is a bool must hold a bool and one whose default is an int an int.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ DEFAULTS: dict = {
         "variant": "condensed",
         "accumulate_facts": True,
         "hybrid_total": 100,
-        "verifier": None,
+        "verify": False,
     },
     "supervision": {
         "k_retrieve": 1000,
@@ -168,7 +169,19 @@ def resolve_config(
     apply_env(cfg, environ)
     if overrides:
         merge_overlay(cfg, overrides, "flags")
+    _check_types(cfg, DEFAULTS)
     return cfg
+
+
+def _check_types(cfg: dict, defaults: Mapping, where: str = "") -> None:
+    """Bool defaults demand a bool, int defaults an int; None, float, list defaults are free."""
+    for key, default in defaults.items():
+        value, name = cfg[key], f"{where}{key}"
+        if isinstance(default, dict):
+            _check_types(value, default, f"{name}.")
+        elif type(default) in (bool, int) and type(value) is not type(default):
+            kind = "true or false" if type(default) is bool else "an integer"
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 # Materializers from the resolved document to typed configs. Sub-seeds are
@@ -207,7 +220,7 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
         condenser=condenser_config(cfg),
         accumulate_facts=sub["accumulate_facts"],
         hybrid_total=sub["hybrid_total"],
-        verifier=sub["verifier"],
+        verify=sub["verify"],
     )
 
 

@@ -70,6 +70,11 @@ class MultiHopQuery:
     q0_text: str
     facts: tuple[Fact, ...] = ()
 
+    @property
+    def text(self) -> str:
+        """q0 then every fact's text, space-joined: the query as one string."""
+        return " ".join([self.q0_text] + [f.text for f in self.facts])
+
     def extended(self, new_facts: tuple[Fact, ...] | list[Fact]) -> "MultiHopQuery":
         """Next-hop state: same q0, facts appended."""
         return replace(self, facts=self.facts + tuple(new_facts))

@@ -8,13 +8,18 @@ exactly (dot product 1.0), tokens sharing trigrams land near each other,
 and unrelated tokens are near-orthogonal in expectation. Basis vectors
 are seeded by a keyed 64-bit hash, so encodings are bit-identical across
 processes and machines regardless of PYTHONHASHSEED.
+
+`query_weights` scale query rows per token (unnamed tokens keep 1.0);
+passage rows stay unit-norm, so one index serves every weighting.
+`reweighted(weights)` returns an encoder with the weights multiplied in
+token by token, sharing this encoder's token caches.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Mapping
 
 import numpy as np
 
@@ -61,20 +66,14 @@ class EncodedQuery:
         return self.query_part.shape[1]
 
 
-class Encoder(Protocol):
-    @property
-    def dim(self) -> int: ...
-
-    def encode_passage(self, passage: Passage) -> np.ndarray: ...
-
-    def encode_query(self, query: MultiHopQuery) -> EncodedQuery: ...
-
-
 class LexicalEncoder:
     """Deterministic trigram-hash encoder; see module docstring."""
 
-    def __init__(self, cfg: EncoderConfig | None = None):
+    def __init__(
+        self, cfg: EncoderConfig | None = None, query_weights: Mapping[str, float] | None = None
+    ):
         self.cfg = cfg or EncoderConfig()
+        self.query_weights = dict(query_weights or {})
         self._trigram_cache: dict[str, np.ndarray] = {}
         self._token_cache: dict[str, np.ndarray] = {}
 
@@ -131,37 +130,25 @@ class LexicalEncoder:
         # Overflow drops the newest facts' tokens; earliest hops survive.
         return q_tokens, fact_tokens[:budget]
 
+    def _query_matrix(self, tokens: list[str]) -> np.ndarray:
+        rows = self._matrix(tokens)
+        if not self.query_weights:
+            return rows
+        scales = np.array([self.query_weights.get(t, 1.0) for t in tokens], dtype=np.float32)
+        return rows * scales[:, None]
+
     def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
         q_tokens, fact_tokens = self.kept_tokens(query)
         return EncodedQuery(
-            query_part=self._matrix(q_tokens), fact_part=self._matrix(fact_tokens)
+            query_part=self._query_matrix(q_tokens), fact_part=self._query_matrix(fact_tokens)
         )
 
-
-class TokenWeightedEncoder:
-    """Wraps a lexical encoder, scaling query-side rows by per-token weights.
-
-    Passage encoding passes through untouched, so indexes stay unit-norm;
-    only the query contribution to each max-similarity term is re-weighted.
-    """
-
-    def __init__(self, base: LexicalEncoder, weights: dict[str, float]):
-        self.base = base
-        self.weights = dict(weights)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def _scaled(self, tokens: list[str]) -> np.ndarray:
-        scales = np.array([self.weights.get(t, 1.0) for t in tokens], dtype=np.float32)
-        return self.base._matrix(tokens) * scales[:, None]
-
-    def encode_passage(self, passage: Passage) -> np.ndarray:
-        return self.base.encode_passage(passage)
-
-    def encode_query(self, query: MultiHopQuery) -> EncodedQuery:
-        q_tokens, fact_tokens = self.base.kept_tokens(query)
-        return EncodedQuery(
-            query_part=self._scaled(q_tokens), fact_part=self._scaled(fact_tokens)
-        )
+    def reweighted(self, weights: Mapping[str, float]) -> "LexicalEncoder":
+        """Same encoder with query weights multiplied by `weights`, caches shared."""
+        merged = dict(self.query_weights)
+        for token, w in weights.items():
+            merged[token] = merged.get(token, 1.0) * w
+        other = LexicalEncoder(self.cfg, merged)
+        other._trigram_cache = self._trigram_cache
+        other._token_cache = self._token_cache
+        return other

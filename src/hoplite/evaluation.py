@@ -14,7 +14,7 @@ value equals the count-weighted mean of its strata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import Corpus, QueryRecord
@@ -102,23 +102,6 @@ class MetricBlock:
     verification_accuracy: float | None
     verification_n: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_queries": self.n_queries,
-            "retrieval_at_k": self.retrieval_at_k,
-            "retrieval_n": self.retrieval_n,
-            "passage_em": self.passage_em,
-            "passage_f1": self.passage_f1,
-            "passage_n": self.passage_n,
-            "sentence_em": self.sentence_em,
-            "sentence_f1": self.sentence_f1,
-            "sentence_n": self.sentence_n,
-            "answer_recall_at_k": self.answer_recall_at_k,
-            "answer_n": self.answer_n,
-            "verification_accuracy": self.verification_accuracy,
-            "verification_n": self.verification_n,
-        }
-
 
 def _mean(pairs: list[float]) -> float | None:
     return sum(pairs) / len(pairs) if pairs else None
@@ -156,15 +139,6 @@ class MetricsReport:
     retrieval_k: int
     answer_k: int
     supported_only: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "retrieval_k": self.retrieval_k,
-            "answer_k": self.answer_k,
-            "supported_only": self.supported_only,
-            "overall": self.overall.to_json_dict(),
-            "by_hops": {k: v.to_json_dict() for k, v in sorted(self.by_hops.items())},
-        }
 
     def format_table(self) -> str:
         def pct(v: float | None) -> str:
@@ -272,4 +246,4 @@ def evaluate_run(
 
 
 def report_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return json.dumps(asdict(report), indent=2, sort_keys=True)

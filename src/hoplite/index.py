@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import EncodedQuery, Encoder
+from .encoder import EncodedQuery, LexicalEncoder
 from .scoring import ScoredPassage, rank_scored, score_segments
 
 logger = logging.getLogger(__name__)
@@ -228,7 +228,9 @@ def _assign_all(storage: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_index(corpus: Corpus, encoder: Encoder, cfg: IndexConfig | None = None) -> TokenIndex:
+def build_index(
+    corpus: Corpus, encoder: LexicalEncoder, cfg: IndexConfig | None = None
+) -> TokenIndex:
     cfg = cfg or IndexConfig()
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
@@ -313,7 +315,7 @@ def candidates_for(
 def exact_topk_oracle(
     eq: EncodedQuery,
     corpus: Corpus,
-    encoder: Encoder,
+    encoder: LexicalEncoder,
     k: int = 20,
     encodings: dict[str, np.ndarray] | None = None,
 ) -> list[ScoredPassage]:
@@ -338,7 +340,7 @@ def exact_topk_oracle(
     return rank_scored(pids, s_query, s_fact, k)
 
 
-def encode_corpus(corpus: Corpus, encoder: Encoder) -> dict[str, np.ndarray]:
+def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
     """Precompute passage encodings keyed by pid (for the oracle hot path)."""
     return {p.pid: encoder.encode_passage(p) for p in corpus}
 

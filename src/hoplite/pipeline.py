@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .condenser import CondenserConfig, IdfTable, LexicalOverlapScorer, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
-from .encoder import Encoder
+from .encoder import LexicalEncoder
 from .index import TokenIndex
 from .retriever import RetrievalConfig, retrieve
 from .scoring import ScoredPassage
@@ -47,7 +47,7 @@ class PipelineConfig:
     condenser: CondenserConfig = field(default_factory=CondenserConfig)
     accumulate_facts: bool = True  # False: ablation, query never grows
     hybrid_total: int = HYBRID_MERGE_TOTAL
-    verifier: str | None = None  # "trivial" or None
+    verify: bool = False  # True: record the baseline verifier's verdict per trace
 
     def __post_init__(self) -> None:
         if not self.per_hop_k:
@@ -56,8 +56,8 @@ class PipelineConfig:
             raise ValueError("per-hop k values must be positive")
         if self.variant not in (VARIANT_CONDENSED, VARIANT_RERANK, VARIANT_HYBRID):
             raise ValueError(f"unknown pipeline variant {self.variant!r}")
-        if self.verifier not in (None, "trivial"):
-            raise ValueError(f"unknown verifier {self.verifier!r}")
+        if not isinstance(self.verify, bool):
+            raise ValueError(f"verify must be a bool, got {self.verify!r}")
 
     @property
     def hops(self) -> int:
@@ -101,7 +101,7 @@ class PipelineRunner:
         self,
         corpus: Corpus,
         index: TokenIndex,
-        encoder: Encoder,
+        encoder: LexicalEncoder,
         cfg: PipelineConfig | None = None,
     ):
         self.corpus = corpus
@@ -161,13 +161,9 @@ class PipelineRunner:
             )
             excluded.update(sp.pid for sp in ranked)
             state = state.extended(new_facts if cfg.accumulate_facts else ())
-        union: list[str] = []
-        for hop in hops:
-            union.extend(sp.pid for sp in hop.ranked)
-        verdict = None
-        if cfg.verifier == "trivial":
-            # Baseline verifier: supported iff every hop kept at least one fact.
-            verdict = all(len(hop.kept_facts) >= 1 for hop in hops)
+        union = [sp.pid for hop in hops for sp in hop.ranked]
+        # Baseline verifier: supported iff every hop kept at least one fact.
+        verdict = all(hop.kept_facts for hop in hops) if cfg.verify else None
         return HopTrace(
             qid=query.qid,
             q0_text=query.text,
@@ -176,7 +172,7 @@ class PipelineRunner:
             hops=tuple(hops),
             union_pids=tuple(union),
             final_facts=state.facts,
-            final_query_text=" ".join([query.text] + [f.text for f in state.facts]),
+            final_query_text=state.text,
             verdict=verdict,
         )
 
@@ -255,22 +251,6 @@ def merge_hybrid(
         for h in range(n_hops):
             take(condensed.hops[h].ranked, total)
             take(rerank.hops[h].ranked, total)
-    return out
-
-
-def union_topk(trace: HopTrace, take: Sequence[int]) -> list[str]:
-    """Concatenate per-hop prefixes of the ranked lists, hop-major.
-
-    take_i may not exceed that hop's configured k. No dedup is needed:
-    hop exclusion already keeps the lists disjoint.
-    """
-    if len(take) != len(trace.hops):
-        raise ValueError(f"take has {len(take)} entries for {len(trace.hops)} hops")
-    out: list[str] = []
-    for hop, k_cfg, t_i in zip(trace.hops, trace.per_hop_k, take):
-        if t_i < 0 or t_i > k_cfg:
-            raise ValueError(f"take {t_i} exceeds configured k {k_cfg} at hop {hop.t}")
-        out.extend(sp.pid for sp in hop.ranked[:t_i])
     return out
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import Corpus, MultiHopQuery
-from .encoder import EncodedQuery, Encoder, TokenWeightedEncoder
+from .encoder import EncodedQuery, LexicalEncoder
 from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for
 from .scoring import FocusParams, ScoredPassage, rank_scored, score_segments
 
@@ -77,7 +77,7 @@ class Retriever:
         self,
         corpus: Corpus,
         index: TokenIndex,
-        encoder: Encoder,
+        encoder: LexicalEncoder,
         cfg: RetrievalConfig | None = None,
     ):
         self.corpus = corpus
@@ -97,12 +97,4 @@ class Retriever:
 
     def with_query_weights(self, weights: dict[str, float]) -> "Retriever":
         """New retriever whose query-side token rows are scaled by weight."""
-        base = self.encoder
-        merged = dict(weights)
-        if isinstance(base, TokenWeightedEncoder):
-            merged = dict(base.weights)
-            for token, w in weights.items():
-                merged[token] = merged.get(token, 1.0) * w
-            base = base.base
-        wrapped = TokenWeightedEncoder(base, merged)
-        return Retriever(self.corpus, self.index, wrapped, self.cfg)
+        return Retriever(self.corpus, self.index, self.encoder.reweighted(weights), self.cfg)

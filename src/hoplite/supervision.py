@@ -99,7 +99,6 @@ class SupervisionSet:
 class LhoResult:
     sets: SupervisionSet
     weak_qids: frozenset[str]
-    warnings: tuple[str, ...]
     retriever: Retriever
 
 
@@ -145,10 +144,7 @@ class TermWeightTrainer:
                 continue
             pos_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in sorted(pos)]
             neg_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in neg]
-            state_tokens = set(tokenize(state.q0_text))
-            for fact in state.facts:
-                state_tokens.update(tokenize(fact.text))
-            for token in sorted(state_tokens):
+            for token in sorted(set(tokenize(state.text))):
                 p_hit = sum(token in s for s in pos_sets) / len(pos_sets)
                 n_hit = sum(token in s for s in neg_sets) / len(neg_sets)
                 delta[token] = delta.get(token, 0.0) + (p_hit - n_hit)
@@ -166,46 +162,40 @@ class TermWeightTrainer:
 TRAINERS = {"identity": IdentityTrainer, "term_weight": TermWeightTrainer}
 
 
-@dataclass(frozen=True)
-class DiscoveryOutcome:
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
-    fallback: bool
-
-
 def discover_positives(
     retriever: Retriever,
     states: dict[str, MultiHopQuery],
     queries: dict[str, QueryRecord],
     remaining: dict[str, set[str]],
+    t: int,
     k_hat: int | None,
     cfg: LhoConfig,
-) -> dict[str, DiscoveryOutcome]:
-    """One hop of positive/negative mining for every active query.
+) -> dict[str, HopSupervision]:
+    """Hop t of positive/negative mining for every active query.
 
     Positives are the remaining gold pids intersected with the retriever's
     top-k_hat; negatives are all non-gold pids in the ranking, in rank
     order. An empty intersection promotes the single best-ranked remaining
     gold (fallback), so every query keeps making progress.
     """
-    out: dict[str, DiscoveryOutcome] = {}
+    out: dict[str, HopSupervision] = {}
     for qid in sorted(states):
+        state = states[qid]
         left = remaining[qid]
         if not left:
-            out[qid] = DiscoveryOutcome((), (), False)
+            out[qid] = HopSupervision(t, (), (), False, state.text)
             continue
-        ranked = retriever.retrieve(states[qid], k=cfg.k_retrieve)
+        ranked = retriever.retrieve(state, k=cfg.k_retrieve)
         ranked_pids = [sp.pid for sp in ranked]
         gold = queries[qid].gold_pids
         head = ranked_pids if k_hat is None else ranked_pids[:k_hat]
         positives = sorted(p for p in head if p in left)
-        fallback = False
-        if not positives:
-            fallback = True
+        fallback = not positives
+        if fallback:
             rank_of = {pid: i for i, pid in enumerate(ranked_pids)}
             positives = [min(left, key=lambda p: (rank_of.get(p, len(ranked_pids)), p))]
         negatives = tuple(p for p in ranked_pids if p not in gold)
-        out[qid] = DiscoveryOutcome(tuple(positives), negatives, fallback)
+        out[qid] = HopSupervision(t, tuple(positives), negatives, fallback, state.text)
     return out
 
 
@@ -256,16 +246,13 @@ def latent_hop_ordering(
     remaining = {q.qid: set(q.gold_pids) for q in queries}
     records: dict[str, list[HopSupervision]] = {q.qid: [] for q in queries}
     weak: set[str] = set()
-    warnings: list[str] = []
 
     oversize = [q.qid for q in queries if len(q.gold_pids) > cfg.hops]
     if oversize:
-        msg = (
-            f"{len(oversize)} queries have more gold passages than {cfg.hops} hops; "
-            "some golds will never be assigned"
+        logger.warning(
+            "%d queries have more gold passages than %d hops; some golds will never be assigned",
+            len(oversize), cfg.hops,
         )
-        warnings.append(msg)
-        logger.warning(msg)
 
     trainer = TRAINERS.get(cfg.trainer)
     if trainer is None:
@@ -274,23 +261,13 @@ def latent_hop_ordering(
 
     current = retriever
     for t, k_hat in enumerate(cfg.k_hat, start=1):
-        outcomes = discover_positives(current, states, by_qid, remaining, k_hat, cfg)
+        outcomes = discover_positives(current, states, by_qid, remaining, t, k_hat, cfg)
         for qid in sorted(states):
             outcome = outcomes[qid]
-            state = states[qid]
-            records[qid].append(
-                HopSupervision(
-                    t=t,
-                    positives=outcome.positives,
-                    negatives=outcome.negatives,
-                    fallback=outcome.fallback,
-                    query_text=" ".join([state.q0_text] + [f.text for f in state.facts]),
-                )
-            )
+            records[qid].append(outcome)
             if outcome.fallback:
                 weak.add(qid)
             if not outcome.positives:
-                states[qid] = state.extended(())
                 continue
             if expansion == EXPANSION_ORACLE:
                 new_facts: list[Fact] = []
@@ -304,7 +281,7 @@ def latent_hop_ordering(
                 )
                 n = len(outcome.positives) * cfg.facts_per_expansion
                 new_facts = _shuffled_facts(corpus, rng, n)
-            states[qid] = state.extended(new_facts)
+            states[qid] = states[qid].extended(new_facts)
             remaining[qid] -= set(outcome.positives)
         batch = TrainingBatch(
             queries=dict(states),
@@ -316,7 +293,6 @@ def latent_hop_ordering(
     return LhoResult(
         sets=SupervisionSet({qid: tuple(rec) for qid, rec in records.items()}),
         weak_qids=frozenset(weak),
-        warnings=tuple(warnings),
         retriever=current,
     )
 

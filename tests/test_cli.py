@@ -330,3 +330,59 @@ def test_resolved_config_logged(workdir, tmp_path):
     assert r.returncode == 0
     assert "resolved config" in r.stderr
     assert '"seed": 7' in r.stderr
+
+
+def test_bad_config_value_type_exits_2(workdir, tmp_path):
+    data = workdir / "data"
+    out = tmp_path / "t.jsonl"
+    for name, value, key in (
+        ("HOPLITE_RETRIEVAL_K", "abc", "retrieval.k"),
+        ("HOPLITE_PIPELINE_ACCUMULATE_FACTS", "no", "pipeline.accumulate_facts"),
+    ):
+        r = run_cli(
+            "run", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+            "--out", out, "--seed", 7, "--preset", "hotpotqa", env_extra={name: value},
+        )
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr
+        assert not out.exists()
+
+
+def test_verify_switch_records_verdicts(workdir, tmp_path):
+    data = workdir / "data"
+    out = tmp_path / "t.jsonl"
+    r = run_cli(
+        "run", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+        "--out", out, "--seed", 7, "--preset", "hotpotqa",
+        env_extra={"HOPLITE_PIPELINE_VERIFY": "true"},
+    )
+    assert r.returncode == 0, r.stderr
+    meta, records = read_traces(out)
+    assert meta["config"]["pipeline"]["verify"] is True
+    assert all(isinstance(rec["verdict"], bool) for rec in records)
+
+
+def _lho(workdir, out, *extra):
+    data = workdir / "data"
+    return run_cli(
+        "lho", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+        "--index", workdir / "flat.hlti", "--out", out, "--seed", 7, *extra,
+    )
+
+
+def test_lho_oversize_gold_warning_logged_once(workdir, tmp_path):
+    # the planted queries have two golds; one hop cannot assign both
+    r = _lho(workdir, tmp_path / "sup.jsonl", "--k-hat", "5")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.count("more gold passages") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--k-hat", "5,x"), ("--triples-cap", "0"), ("--triples-cap", "abc")]
+)
+def test_lho_bad_flag_is_usage_error_before_any_work(workdir, tmp_path, flag, value):
+    sup = tmp_path / "sup.jsonl"
+    r = _lho(workdir, sup, "--triples-out", tmp_path / "tri.jsonl", flag, value)
+    assert r.returncode == 2
+    assert flag in r.stderr and value in r.stderr
+    assert not sup.exists()

@@ -19,7 +19,7 @@ def _q(text, facts=()):
 
 
 def _score(scorer, query_text, facts, sentence):
-    [score] = scorer.score(query_text, facts, [sentence])
+    [score] = scorer.score(_q(query_text, facts), [sentence])
     return score
 
 
@@ -43,7 +43,7 @@ def test_idf_counts_each_passage_once():
 
 
 def test_stage1_overlap_fraction_without_idf():
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     # 1 of 4 sentence tokens overlaps the query -> 0.25
     s = _score(scorer, "rome conquered gaul", (), "rome had four legions")
     assert abs(s - 0.25) < 1e-12
@@ -54,7 +54,7 @@ def test_stage1_overlap_fraction_without_idf():
 
 
 def test_stage1_context_includes_facts():
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     fact = Fact(pid="p", sentence_index=0, text="tiber river")
     bare = _score(scorer, "rome", (), "the tiber floods")
     with_fact = _score(scorer, "rome", (fact,), "the tiber floods")
@@ -62,7 +62,7 @@ def test_stage1_context_includes_facts():
 
 
 def test_stage1_extract_sorts_and_truncates(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     q = _q("carthage fought rome")
     passages = [tiny_corpus.get("p1"), tiny_corpus.get("d1")]
     cfg = CondenserConfig(stage1_top_k_facts=2)
@@ -75,7 +75,7 @@ def test_stage1_extract_sorts_and_truncates(tiny_corpus):
 
 
 def test_stage1_tie_break_is_pid_then_index():
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     passages = [
         Passage(pid="b", title="", sentences=("rome alpha", "rome beta")),
         Passage(pid="a", title="", sentences=("rome gamma",)),
@@ -86,7 +86,7 @@ def test_stage1_tie_break_is_pid_then_index():
 
 
 def test_stage2_subtracts_tau_and_keeps_positive():
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     pooled = [
         Fact(pid="a", sentence_index=0, text="rome one two three", stage1_score=0.25),
         Fact(pid="b", sentence_index=0, text="x y z unrelated words here gone", stage1_score=0.0),
@@ -100,7 +100,7 @@ def test_stage2_subtracts_tau_and_keeps_positive():
 def test_stage2_fixture_scores():
     # pooled stage-2 scores [0.4, -0.1, 0.2] -> kept [0.4, 0.2]
     class Fixed:
-        def score(self, q, facts, sentences):
+        def score(self, query, sentences):
             return [0.4, -0.1, 0.2]
 
     pooled = [
@@ -115,7 +115,7 @@ def test_stage2_fixture_scores():
 
 def test_stage2_zero_is_dropped():
     class Zero:
-        def score(self, q, facts, sentences):
+        def score(self, query, sentences):
             return [0.0 for _ in sentences]
 
     pooled = [Fact(pid="a", sentence_index=0, text="s")]
@@ -137,14 +137,14 @@ def test_condense_returns_subset_of_stage1(tiny_corpus):
 
 
 def test_condense_may_be_empty(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     q = _q("entirely unrelated vocabulary")
     kept = condense(q, [tiny_corpus.get("f1")], CondenserConfig(), scorer)
     assert kept == []
 
 
 def test_fact_text_is_verbatim(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=None)
+    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     q = _q("tiber flows sea")
     kept = condense(q, [tiny_corpus.get("p3")], CondenserConfig(), scorer)
     assert kept

@@ -190,3 +190,51 @@ def test_materialized_configs_validate():
     cfg["pipeline"]["per_hop_k"] = [25, 0]
     with pytest.raises(ValueError):
         pipeline_config(cfg)
+
+
+def test_bool_keys_require_bools(tmp_path):
+    with pytest.raises(ConfigError, match="pipeline.accumulate_facts"):
+        resolve_config(environ={"HOPLITE_PIPELINE_ACCUMULATE_FACTS": "no"})
+    path = tmp_path / "cfg.json"
+    for bad in ("trivial", 1, None):
+        path.write_text(json.dumps({"pipeline": {"verify": bad}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="pipeline.verify"):
+            resolve_config(config_path=path, environ={})
+    cfg = resolve_config(environ={"HOPLITE_PIPELINE_ACCUMULATE_FACTS": "false"})
+    assert cfg["pipeline"]["accumulate_facts"] is False
+    assert pipeline_config(
+        resolve_config(overrides={"pipeline": {"verify": True}}, environ={})
+    ).verify
+
+
+def test_int_keys_require_ints(tmp_path):
+    with pytest.raises(ConfigError, match="retrieval.k"):
+        resolve_config(environ={"HOPLITE_RETRIEVAL_K": "abc"})
+    with pytest.raises(ConfigError, match="seed"):
+        resolve_config(overrides={"seed": True}, environ={})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"encoder": {"dim": 64.0}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="encoder.dim"):
+        resolve_config(config_path=path, environ={})
+    assert resolve_config(environ={"HOPLITE_THREADS": "2"})["threads"] == 2
+
+
+def test_type_check_leaves_none_float_and_list_keys_alone():
+    overrides = {
+        "index": {"centroid_count": 8, "nprobe": 2},
+        "condenser": {"tau": 0},
+        "eval": {"supported_only": True},
+        "supervision": {"k_hat": [5, None]},
+    }
+    cfg = resolve_config(overrides=overrides, environ={})
+    assert cfg["condenser"]["tau"] == 0
+    assert cfg["eval"]["supported_only"] is True
+
+
+def test_old_verifier_key_is_unknown(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"pipeline": {"verifier": "trivial"}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="verifier"):
+        resolve_config(config_path=path, environ={})
+    with pytest.raises(ConfigError, match="HOPLITE_PIPELINE_VERIFIER"):
+        resolve_config(environ={"HOPLITE_PIPELINE_VERIFIER": "trivial"})

@@ -7,7 +7,6 @@ from hoplite.corpus import Fact, MultiHopQuery, Passage
 from hoplite.encoder import (
     EncoderConfig,
     LexicalEncoder,
-    TokenWeightedEncoder,
     tokenize,
 )
 
@@ -113,7 +112,7 @@ def test_empty_query_encodes_to_empty_matrices(enc):
 
 
 def test_token_weighted_encoder_scales_query_rows(enc):
-    weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
+    weighted = enc.reweighted({"rome": 2.0})
     q = MultiHopQuery(qid="q", q0_text="rome tiber", facts=())
     base = enc.encode_query(q)
     got = weighted.encode_query(q)
@@ -122,7 +121,7 @@ def test_token_weighted_encoder_scales_query_rows(enc):
 
 
 def test_token_weighted_encoder_passage_passthrough(enc, tiny_corpus):
-    weighted = TokenWeightedEncoder(enc, {"rome": 2.0})
+    weighted = enc.reweighted({"rome": 2.0})
     p = tiny_corpus.get("p2")
     assert np.array_equal(weighted.encode_passage(p), enc.encode_passage(p))
 
@@ -159,11 +158,11 @@ def test_weighting_is_a_row_scale_under_the_token_budget(
     assert base.query_part.shape[0] == len(q_tokens)
     assert base.fact_part.shape[0] == budget
 
-    unit = TokenWeightedEncoder(enc, {t: 1.0 for t in q_tokens + fact_tokens}).encode_query(q)
+    unit = enc.reweighted({t: 1.0 for t in q_tokens + fact_tokens}).encode_query(q)
     assert np.array_equal(unit.query_part, base.query_part)
     assert np.array_equal(unit.fact_part, base.fact_part)
 
-    got = TokenWeightedEncoder(enc, weights).encode_query(q)
+    got = enc.reweighted(weights).encode_query(q)
     for rows, want_rows, tokens in (
         (got.query_part, base.query_part, q_tokens),
         (got.fact_part, base.fact_part, fact_tokens),

@@ -89,7 +89,7 @@ def _lho_result():
         t=1, positives=("p-é",), negatives=("p2",), fallback=False, query_text=TEXT
     )
     sets = SupervisionSet({"q-é": (hop,)})
-    return LhoResult(sets=sets, weak_qids=frozenset(), warnings=(), retriever=None)
+    return LhoResult(sets=sets, weak_qids=frozenset(), retriever=None)
 
 
 def test_dump_corpus_bytes(tmp_path):

@@ -18,10 +18,9 @@ from hoplite.pipeline import (
     read_traces,
     run_queries,
     trace_record,
-    union_topk,
     write_traces,
 )
-from hoplite.retriever import RetrievalConfig, retrieve
+from hoplite.retriever import retrieve
 from hoplite.scoring import ScoredPassage
 
 
@@ -75,7 +74,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(variant="mystery")
     with pytest.raises(ValueError):
-        PipelineConfig(verifier="strict")
+        PipelineConfig(verify="trivial")
 
 
 def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
@@ -193,7 +192,7 @@ def test_hybrid_retrieves_hop_one_once(enc, tiny_corpus, monkeypatch, per_hop_k)
 
 
 def test_trivial_verifier(enc, tiny_corpus):
-    runner = _runner(tiny_corpus, enc, per_hop_k=(2,), verifier="trivial")
+    runner = _runner(tiny_corpus, enc, per_hop_k=(2,), verify=True)
     good = runner.run_condensed(_qrec("q", "tiber flows sea"))
     assert good.verdict is True
     bad = runner.run_condensed(_qrec("q", "qqq www eee"))
@@ -283,27 +282,6 @@ def test_merge_size_and_uniqueness(data, n_hops, total):
     assert len(merged) == min(total, len(unique))
     assert len(set(merged)) == len(merged)
     assert set(merged) <= unique
-
-
-# ---------------------------------------------------------------------------
-# union views
-
-
-def test_union_topk_prefixes():
-    t = _mk_trace([["a", "b", "c"], ["d", "e", "f"]])
-    assert union_topk(t, [2, 1]) == ["a", "b", "d"]
-    assert union_topk(t, [3, 3]) == ["a", "b", "c", "d", "e", "f"]
-    assert union_topk(t, [0, 0]) == []
-
-
-def test_union_topk_rejects_overdraw():
-    t = _mk_trace([["a", "b", "c"]])
-    with pytest.raises(ValueError, match="exceeds"):
-        union_topk(t, [4])
-    with pytest.raises(ValueError):
-        union_topk(t, [-1])
-    with pytest.raises(ValueError, match="entries"):
-        union_topk(t, [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoplite.corpus import Fact, MultiHopQuery
 from hoplite.encoder import EncodedQuery
 from hoplite.scoring import (
     FocusParams,

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -9,7 +10,6 @@ from hoplite.scoring import ScoredPassage
 from hoplite.supervision import (
     HopSupervision,
     LhoConfig,
-    LhoResult,
     SupervisionSet,
     TermWeightTrainer,
     TrainingBatch,
@@ -68,11 +68,13 @@ def test_discover_positives_head_intersection():
         _states([q]),
         {"q": q},
         {"q": {"A", "B"}},
+        t=1,
         k_hat=2,
         cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
     )["q"]
     assert out.positives == ("A",)
     assert out.fallback is False
+    assert (out.t, out.query_text) == (1, "text")
     # negatives are every non-gold pid, rank order
     assert out.negatives == ("x", "y")
 
@@ -84,6 +86,7 @@ def test_discover_positives_none_in_head_promotes_best_gold():
         _states([q]),
         {"q": q},
         {"q": {"B"}},
+        t=1,
         k_hat=2,
         cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
     )["q"]
@@ -99,6 +102,7 @@ def test_discover_positives_unranked_gold_still_promoted():
         _states([q]),
         {"q": q},
         {"q": {"ghost"}},
+        t=1,
         k_hat=1,
         cfg=LhoConfig(k_retrieve=10, k_hat=(1,)),
     )["q"]
@@ -113,6 +117,7 @@ def test_discover_positives_exhausted_query_is_inactive():
         _states([q]),
         {"q": q},
         {"q": set()},
+        t=1,
         k_hat=2,
         cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
     )["q"]
@@ -214,13 +219,15 @@ def test_shuffled_expansion_is_seeded():
         latent_hop_ordering(retriever, result.queries, cfg7, expansion="random")
 
 
-def test_oversize_gold_warning():
+def test_oversize_gold_warning(caplog):
     result = _planted(hops=2)
     retriever = _retriever(result)
     cfg = LhoConfig(k_retrieve=20, k_hat=(5,))  # one hop for two golds
-    lho = latent_hop_ordering(retriever, result.queries, cfg)
-    assert lho.warnings
-    assert "more gold passages" in lho.warnings[0]
+    with caplog.at_level(logging.WARNING, logger="hoplite.supervision"):
+        latent_hop_ordering(retriever, result.queries, cfg)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "more gold passages" in warnings[0]
 
 
 def test_lho_config_validation():
@@ -261,7 +268,7 @@ def test_term_weight_trainer_boosts_positive_tokens():
         negatives={"q": ("neg1", "neg2")},
     )
     trained = TermWeightTrainer().train(retriever, batch)
-    w = trained.encoder.weights
+    w = trained.encoder.query_weights
     assert w["zebra"] > 1.0  # in the positive, absent from negatives
     assert w["plain"] < 1.0  # in every negative, absent from the positive
     assert all(0.25 <= v <= 4.0 for v in w.values())

@@ -3,9 +3,9 @@ import re
 
 import pytest
 
-from hoplite.corpus import dump_corpus, load_corpus, load_queryset
+from hoplite.corpus import load_corpus, load_queryset
 from hoplite.encoder import tokenize
-from hoplite.synth import PlantSpec, SynthResult, generate, read_truth, write_synth
+from hoplite.synth import PlantSpec, generate, read_truth, write_synth
 
 
 def _spec(**kw):
