@@ -70,15 +70,17 @@ def _require(parser: argparse.ArgumentParser, path: str | None, what: str) -> Pa
     return p
 
 
-def _resolve(args: argparse.Namespace, overrides: dict | None = None) -> dict:
-    merged = dict(overrides or {})
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.threads is not None:
-        merged["threads"] = args.threads
-    cfg = cfgmod.resolve_config(
-        preset=args.preset, config_path=args.config, overrides=merged
-    )
+def _given(overlay: dict) -> dict:
+    """A nested flag overlay without the flags left unset (None)."""
+    return {
+        k: _given(v) if isinstance(v, dict) else v for k, v in overlay.items() if v is not None
+    }
+
+
+def _resolve(args: argparse.Namespace, flags: dict | None = None) -> dict:
+    """The config document with command flags on top, checked whole before any input is read."""
+    overlay = _given({"seed": args.seed, "threads": args.threads, **(flags or {})})
+    cfg = cfgmod.resolve_config(preset=args.preset, config_path=args.config, overrides=overlay)
     log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
     return cfg
 
@@ -119,10 +121,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_build_index(args, parser) -> int:
-    overrides: dict = {}
-    if args.variant is not None:
-        overrides["index"] = {"variant": args.variant}
-    cfg = _resolve(args, overrides)
+    cfg = _resolve(args, {"index": {"variant": args.variant}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = build_index(corpus, _encoder(cfg), cfgmod.index_config(cfg))
     save_index(index, args.out)
@@ -137,10 +136,7 @@ def cmd_build_index(args, parser) -> int:
 
 
 def cmd_retrieve(args, parser) -> int:
-    overrides: dict = {}
-    if args.k is not None:
-        overrides["retrieval"] = {"k": args.k}
-    cfg = _resolve(args, overrides)
+    cfg = _resolve(args, {"retrieval": {"k": args.k}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = load_index(_require(parser, args.index, "index"))
     facts = tuple(
@@ -156,10 +152,7 @@ def cmd_retrieve(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    overrides: dict = {}
-    if args.variant is not None:
-        overrides["pipeline"] = {"variant": args.variant}
-    cfg = _resolve(args, overrides)
+    cfg = _resolve(args, {"pipeline": {"variant": args.variant}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)
@@ -188,15 +181,7 @@ def _k_hat(text: str) -> list[int | None]:
 def cmd_lho(args, parser) -> int:
     if args.triples_cap < 1:
         parser.error(f"argument --triples-cap: {args.triples_cap} is not a positive integer")
-    overrides: dict = {}
-    sup: dict = {}
-    if args.k_hat is not None:
-        sup["k_hat"] = args.k_hat
-    if args.trainer is not None:
-        sup["trainer"] = args.trainer
-    if sup:
-        overrides["supervision"] = sup
-    cfg = _resolve(args, overrides)
+    cfg = _resolve(args, {"supervision": {"k_hat": args.k_hat, "trainer": args.trainer}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)

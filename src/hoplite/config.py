@@ -10,7 +10,9 @@ those extend (and may shadow) the built-in presets. Environment variables
 name a top-level key (HOPLITE_SEED=3) or a section field joined with an
 underscore (HOPLITE_RETRIEVAL_K=50); values are parsed as JSON when they
 parse, otherwise taken as strings. After every layer, a key whose default
-is a bool must hold a bool and one whose default is an int an int.
+is a bool must hold a bool, an int default an int and a float default a
+number; then every typed config is built once, so any bad value raises
+ConfigError before a command reads its input.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import copy
 import json
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Mapping
 
 from .condenser import CondenserConfig
 from .encoder import EncoderConfig
 from .evaluation import EvalConfig
-from .index import IndexConfig, TRAINING_RESULTS_PER_VECTOR
+from .index import TRAINING_RESULTS_PER_VECTOR, VARIANT_IVF, IndexConfig
 from .pipeline import PipelineConfig
 from .retriever import RetrievalConfig
 from .scoring import FocusParams
@@ -38,42 +41,34 @@ class ConfigError(ValueError):
     pass
 
 
+def _section(cls, **extra) -> dict:
+    """One config section: `cls`'s plain field defaults (tuples as lists), then `extra`.
+
+    `seed` is left out (derived from the root seed), as are nested configs,
+    whose defaults are factories.
+    """
+    out = {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name != "seed" and f.default is not MISSING
+    }
+    return {**out, **extra}
+
+
 DEFAULTS: dict = {
-    "seed": 0,
-    "threads": 1,
-    "encoder": {
-        "dim": 128,
-        "max_passage_tokens": 256,
-        "max_query_tokens": 64,
-        "max_overall_tokens": 512,
-    },
-    "index": {
-        "variant": "ivf",
-        "centroid_count": None,
-        "nprobe": None,
-    },
-    "retrieval": {
-        "k": 25,
-        "results_per_vector": 512,
-        "query_focus": 32,
-        "fact_focus": 8,
-    },
-    "condenser": {"stage1_top_k_facts": 9, "tau": 0.1},
-    "pipeline": {
-        "per_hop_k": [25, 25, 25, 25],
-        "variant": "condensed",
-        "accumulate_facts": True,
-        "hybrid_total": 100,
-        "verify": False,
-    },
-    "supervision": {
-        "k_retrieve": 1000,
-        "k_hat": [20, None, None, None],
-        "facts_per_expansion": 5,
-        "trainer": "identity",
-        "results_per_vector": TRAINING_RESULTS_PER_VECTOR,
-    },
-    "eval": {"retrieval_k": 100, "answer_k": 20, "supported_only": None},
+    "seed": 0,  # root seed; every component seed is derived from it
+    "threads": 1,  # worker threads for per-query work; no typed config holds it
+    "encoder": _section(EncoderConfig),
+    "index": _section(IndexConfig, variant=VARIANT_IVF),  # the CLI builds IVF files
+    # FocusParams flattened into the retrieval section
+    "retrieval": _section(
+        RetrievalConfig, query_focus=FocusParams.n_hat, fact_focus=FocusParams.l_hat
+    ),
+    "condenser": _section(CondenserConfig),
+    "pipeline": _section(PipelineConfig),
+    # supervision mining probes shallower than inference retrieval
+    "supervision": _section(LhoConfig, results_per_vector=TRAINING_RESULTS_PER_VECTOR),
+    "eval": _section(EvalConfig),
 }
 
 # Dataset presets: hop counts and per-hop retrieval widths.
@@ -170,11 +165,15 @@ def resolve_config(
     if overrides:
         merge_overlay(cfg, overrides, "flags")
     _check_types(cfg, DEFAULTS)
+    _check_sections(cfg)
     return cfg
 
 
 def _check_types(cfg: dict, defaults: Mapping, where: str = "") -> None:
-    """Bool defaults demand a bool, int defaults an int; None, float, list defaults are free."""
+    """Bool defaults demand a bool, int defaults an int, float defaults a number.
+
+    None and list defaults are left to the typed configs.
+    """
     for key, default in defaults.items():
         value, name = cfg[key], f"{where}{key}"
         if isinstance(default, dict):
@@ -182,12 +181,35 @@ def _check_types(cfg: dict, defaults: Mapping, where: str = "") -> None:
         elif type(default) in (bool, int) and type(value) is not type(default):
             kind = "true or false" if type(default) is bool else "an integer"
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        elif type(default) is float and type(value) not in (int, float):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _check_sections(cfg: dict) -> None:
+    """Build every typed config, so a bad value fails before any input is read."""
+    if cfg["threads"] < 1:
+        raise ConfigError(f"threads must be >= 1, got {cfg['threads']}")
+    checks = (
+        ("encoder", encoder_config),
+        ("index", index_config),
+        ("retrieval", retrieval_config),
+        ("condenser", condenser_config),
+        ("pipeline", pipeline_config),
+        ("supervision", lho_config),
+        ("supervision", lho_retrieval_config),
+        ("eval", eval_config),
+    )
+    for section, build in checks:
+        try:
+            build(cfg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
 
 
 # Materializers from the resolved document to typed configs. Sub-seeds are
 # derived per component so e.g. changing kmeans seeding cannot perturb the
-# encoder basis. A section whose keys are exactly its dataclass's fields is
-# passed whole: merge_overlay admits no key the defaults lack.
+# encoder basis. Sections are passed whole: their defaults are the
+# dataclass fields, and merge_overlay admits no key the defaults lack.
 
 
 def encoder_config(cfg: dict) -> EncoderConfig:
@@ -198,12 +220,15 @@ def index_config(cfg: dict) -> IndexConfig:
     return IndexConfig(**cfg["index"], seed=derive_seed(cfg["seed"], "kmeans"))
 
 
+def _focus(cfg: dict) -> FocusParams:
+    sub = cfg["retrieval"]
+    return FocusParams(n_hat=sub["query_focus"], l_hat=sub["fact_focus"])
+
+
 def retrieval_config(cfg: dict) -> RetrievalConfig:
     sub = cfg["retrieval"]
     return RetrievalConfig(
-        k=sub["k"],
-        results_per_vector=sub["results_per_vector"],
-        focus=FocusParams(n_hat=sub["query_focus"], l_hat=sub["fact_focus"]),
+        k=sub["k"], results_per_vector=sub["results_per_vector"], focus=_focus(cfg)
     )
 
 
@@ -214,34 +239,24 @@ def condenser_config(cfg: dict) -> CondenserConfig:
 def pipeline_config(cfg: dict) -> PipelineConfig:
     sub = cfg["pipeline"]
     return PipelineConfig(
-        per_hop_k=tuple(sub["per_hop_k"]),
-        variant=sub["variant"],
+        **{**sub, "per_hop_k": tuple(sub["per_hop_k"])},
         retrieval=retrieval_config(cfg),
         condenser=condenser_config(cfg),
-        accumulate_facts=sub["accumulate_facts"],
-        hybrid_total=sub["hybrid_total"],
-        verify=sub["verify"],
     )
 
 
 def lho_config(cfg: dict) -> LhoConfig:
-    sub = cfg["supervision"]
-    return LhoConfig(
-        k_retrieve=sub["k_retrieve"],
-        k_hat=tuple(sub["k_hat"]),
-        facts_per_expansion=sub["facts_per_expansion"],
-        trainer=sub["trainer"],
-        seed=derive_seed(cfg["seed"], "supervision"),
-    )
+    sub = dict(cfg["supervision"])
+    del sub["results_per_vector"]  # read by lho_retrieval_config
+    sub["k_hat"] = tuple(sub["k_hat"])
+    return LhoConfig(**sub, seed=derive_seed(cfg["seed"], "supervision"))
 
 
 def lho_retrieval_config(cfg: dict) -> RetrievalConfig:
     """Retrieval settings for supervision mining (wider, shallower probes)."""
-    sub = cfg["retrieval"]
+    sub = cfg["supervision"]
     return RetrievalConfig(
-        k=cfg["supervision"]["k_retrieve"],
-        results_per_vector=cfg["supervision"]["results_per_vector"],
-        focus=FocusParams(n_hat=sub["query_focus"], l_hat=sub["fact_focus"]),
+        k=sub["k_retrieve"], results_per_vector=sub["results_per_vector"], focus=_focus(cfg)
     )
 
 

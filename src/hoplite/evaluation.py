@@ -70,6 +70,10 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.retrieval_k < 1 or self.answer_k < 1:
             raise ValueError("k values must be positive")
+        if self.supported_only is not None and not isinstance(self.supported_only, bool):
+            raise ValueError(
+                f"supported_only must be true, false or null, got {self.supported_only!r}"
+            )
 
 
 @dataclass
@@ -77,13 +81,13 @@ class _Row:
     """Per-query metric values; None when the query is outside a denominator."""
 
     num_hops: int | None
-    retrieval: int | None = None
+    retrieval_at_k: int | None = None
     passage_em: float | None = None
     passage_f1: float | None = None
     sentence_em: float | None = None
     sentence_f1: float | None = None
-    answer: int | None = None
-    verification: int | None = None
+    answer_recall_at_k: int | None = None
+    verification_accuracy: int | None = None
 
 
 @dataclass(frozen=True)
@@ -107,29 +111,25 @@ def _mean(pairs: list[float]) -> float | None:
     return sum(pairs) / len(pairs) if pairs else None
 
 
+# Each _Row metric and the MetricBlock field counting the rows that have it.
+_COUNTS = {
+    "retrieval_at_k": "retrieval_n",
+    "passage_em": "passage_n",
+    "passage_f1": "passage_n",
+    "sentence_em": "sentence_n",
+    "sentence_f1": "sentence_n",
+    "answer_recall_at_k": "answer_n",
+    "verification_accuracy": "verification_n",
+}
+
+
 def _aggregate(rows: list[_Row]) -> MetricBlock:
-    ret = [r.retrieval for r in rows if r.retrieval is not None]
-    pem = [r.passage_em for r in rows if r.passage_em is not None]
-    pf1 = [r.passage_f1 for r in rows if r.passage_f1 is not None]
-    sem = [r.sentence_em for r in rows if r.sentence_em is not None]
-    sf1 = [r.sentence_f1 for r in rows if r.sentence_f1 is not None]
-    ans = [r.answer for r in rows if r.answer is not None]
-    ver = [r.verification for r in rows if r.verification is not None]
-    return MetricBlock(
-        n_queries=len(rows),
-        retrieval_at_k=_mean(ret),
-        retrieval_n=len(ret),
-        passage_em=_mean(pem),
-        passage_f1=_mean(pf1),
-        passage_n=len(pem),
-        sentence_em=_mean(sem),
-        sentence_f1=_mean(sf1),
-        sentence_n=len(sem),
-        answer_recall_at_k=_mean(ans),
-        answer_n=len(ans),
-        verification_accuracy=_mean(ver),
-        verification_n=len(ver),
-    )
+    block: dict = {"n_queries": len(rows)}
+    for metric, count in _COUNTS.items():
+        values = [getattr(r, metric) for r in rows if getattr(r, metric) is not None]
+        block[metric] = _mean(values)
+        block[count] = len(values)
+    return MetricBlock(**block)
 
 
 @dataclass(frozen=True)
@@ -220,16 +220,16 @@ def evaluate_run(
         row = _Row(num_hops=q.num_hops)
         if q.gold_pids:
             if not supported_only or q.label is not False:
-                row.retrieval = retrieval_at_k(union, set(q.gold_pids), cfg.retrieval_k)
+                row.retrieval_at_k = retrieval_at_k(union, set(q.gold_pids), cfg.retrieval_k)
             predicted = _predicted_passages(rec.get("variant", "condensed"), kept, ctx)
             row.passage_em, row.passage_f1 = set_em_f1(predicted, set(q.gold_pids))
         if q.gold_facts:
             pred_sent = {(f["pid"], f["sentence_index"]) for f in kept}
             row.sentence_em, row.sentence_f1 = set_em_f1(pred_sent, set(q.gold_facts))
         if q.answer is not None and normalize_answer_text(q.answer) not in _YES_NO:
-            row.answer = answer_recall(union, q.answer, cfg.answer_k, corpus)
+            row.answer_recall_at_k = answer_recall(union, q.answer, cfg.answer_k, corpus)
         if q.label is not None and verdict is not None:
-            row.verification = 1 if verdict == q.label else 0
+            row.verification_accuracy = 1 if verdict == q.label else 0
         rows.append(row)
 
     strata: dict[str, list[_Row]] = {}

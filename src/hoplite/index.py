@@ -67,10 +67,10 @@ class IndexConfig:
     def __post_init__(self) -> None:
         if self.variant not in (VARIANT_FLAT, VARIANT_IVF):
             raise ValueError(f"unknown index variant {self.variant!r}")
-        if self.centroid_count is not None and self.centroid_count < 1:
-            raise ValueError("centroid_count must be positive")
-        if self.nprobe is not None and self.nprobe < 1:
-            raise ValueError("nprobe must be positive")
+        for name in ("centroid_count", "nprobe"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} must be a positive integer or null, got {value!r}")
 
 
 class IvfData:
@@ -268,24 +268,12 @@ def build_index(
     return idx
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Candidate passages for one encoded query: their positions in the
-    index's pid table (ascending) and their per-vector hit counts."""
-
-    positions: np.ndarray
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.positions.size)
-
-
 def candidates_for(
     eq: EncodedQuery,
     index: TokenIndex,
     results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR,
-) -> CandidateSet:
-    """Union of per-source-row nearest vectors on an IVF index, as passage hit counts.
+) -> np.ndarray:
+    """Union of per-source-row nearest vectors on an IVF index, as ascending pid positions.
 
     Every query row and fact row is a source row. Each scans its nprobe
     nearest centroid lists and contributes its top results_per_vector
@@ -295,8 +283,7 @@ def candidates_for(
         raise ValueError("candidates_for needs an IVF index; flat search scores every passage")
     if results_per_vector < 1:
         raise ValueError("results_per_vector must be positive")
-    n_pids = len(index.pids)
-    counts = np.zeros(n_pids, dtype=np.int64)
+    hit = np.zeros(len(index.pids), dtype=bool)
     ivf = index.ivf
     cent64 = ivf.centroids.astype(np.float64)
     # matmul raises ValueError on a dim mismatch
@@ -307,9 +294,8 @@ def candidates_for(
             ds = index.storage[cand].astype(np.float64) @ row
             keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
             cand = cand[keep]
-        counts += np.bincount(index.vec_to_pid[cand], minlength=n_pids)
-    positions = np.flatnonzero(counts)
-    return CandidateSet(positions, counts[positions])
+        hit[index.vec_to_pid[cand]] = True
+    return np.flatnonzero(hit)
 
 
 def exact_topk_oracle(

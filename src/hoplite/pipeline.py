@@ -52,12 +52,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.per_hop_k:
             raise ValueError("per_hop_k must name at least one hop")
-        if any(k < 1 for k in self.per_hop_k):
-            raise ValueError("per-hop k values must be positive")
+        if any(type(k) is not int or k < 1 for k in self.per_hop_k):
+            raise ValueError(f"per_hop_k values must be positive integers, got {self.per_hop_k}")
         if self.variant not in (VARIANT_CONDENSED, VARIANT_RERANK, VARIANT_HYBRID):
             raise ValueError(f"unknown pipeline variant {self.variant!r}")
         if not isinstance(self.verify, bool):
             raise ValueError(f"verify must be a bool, got {self.verify!r}")
+        if self.hybrid_total < 0:
+            raise ValueError(f"hybrid_total must be non-negative, got {self.hybrid_total}")
 
     @property
     def hops(self) -> int:

@@ -54,7 +54,7 @@ def retrieve(
     if index.ivf is None:
         pool = np.flatnonzero(index.row_counts())
     else:
-        pool = candidates_for(eq, index, cfg.results_per_vector).positions
+        pool = candidates_for(eq, index, cfg.results_per_vector)
     if exclude:
         pool = pool[~np.isin(pool, index.positions_of(exclude))]
     pids = [index.pids[i] for i in pool.tolist()]

@@ -38,9 +38,9 @@ class FocusParams:
 
     def __post_init__(self) -> None:
         if self.n_hat < 1:
-            raise ValueError(f"n_hat must be >= 1, got {self.n_hat}")
+            raise ValueError(f"n_hat (query_focus) must be >= 1, got {self.n_hat}")
         if self.l_hat < 0:
-            raise ValueError(f"l_hat must be >= 0, got {self.l_hat}")
+            raise ValueError(f"l_hat (fact_focus) must be >= 0, got {self.l_hat}")
 
 
 @dataclass(frozen=True)

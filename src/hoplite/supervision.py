@@ -57,14 +57,14 @@ class LhoConfig:
         for depth in self.k_hat:
             if depth is None:
                 continue
-            if depth < 1:
-                raise ValueError(f"positive depth must be positive, got {depth}")
+            if type(depth) is not int or depth < 1:
+                raise ValueError(f"k_hat depths must be positive integers or null, got {depth!r}")
             if depth > self.k_retrieve:
-                raise ValueError(
-                    f"positive depth {depth} exceeds k_retrieve {self.k_retrieve}"
-                )
+                raise ValueError(f"k_hat depth {depth} exceeds k_retrieve {self.k_retrieve}")
         if self.facts_per_expansion < 1:
             raise ValueError("facts_per_expansion must be positive")
+        if self.trainer not in TRAINERS:
+            raise ValueError(f"unknown trainer {self.trainer!r}; known: {sorted(TRAINERS)}")
 
     @property
     def hops(self) -> int:
@@ -254,10 +254,7 @@ def latent_hop_ordering(
             len(oversize), cfg.hops,
         )
 
-    trainer = TRAINERS.get(cfg.trainer)
-    if trainer is None:
-        raise ValueError(f"unknown trainer {cfg.trainer!r}; known: {sorted(TRAINERS)}")
-    trainer = trainer()
+    trainer = TRAINERS[cfg.trainer]()
 
     current = retriever
     for t, k_hat in enumerate(cfg.k_hat, start=1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoplite
+from hoplite.config import ENV_PREFIX
 from hoplite.corpus import Corpus, Passage, QueryRecord
 from hoplite.encoder import EncoderConfig, LexicalEncoder
 
@@ -79,12 +80,14 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 def subprocess_env() -> dict[str, str]:
     """A copy of ``os.environ`` for a child ``python -m hoplite.cli``.
 
-    The directory holding the imported ``hoplite`` package (``src`` in a
-    checkout) goes first on ``PYTHONPATH`` as an absolute path, ahead of any
-    existing entries, so the child runs the same package as the tests
-    whatever its cwd and whether or not another copy is installed.
+    Inherited ``HOPLITE_*`` variables are dropped, so a config variable set in
+    the calling shell cannot change what a test runs; a test that needs one
+    passes it itself. The directory holding the imported ``hoplite`` package
+    (``src`` in a checkout) goes first on ``PYTHONPATH`` as an absolute path,
+    ahead of any existing entries, so the child runs the same package as the
+    tests whatever its cwd and whether or not another copy is installed.
     """
-    env = os.environ.copy()
+    env = {k: v for k, v in os.environ.items() if not k.startswith(ENV_PREFIX)}
     root = str(Path(hoplite.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env

@@ -386,3 +386,55 @@ def test_lho_bad_flag_is_usage_error_before_any_work(workdir, tmp_path, flag, va
     assert r.returncode == 2
     assert flag in r.stderr and value in r.stderr
     assert not sup.exists()
+
+
+def _cmd(workdir, tmp_path, command):
+    """Arguments that let `command` run on the shared dataset, writing to tmp_path."""
+    data = workdir / "data"
+    corpus, queries = ("--corpus", data / "corpus.jsonl"), ("--queries", data / "queries.jsonl")
+    index = ("--index", workdir / "flat.hlti")
+    out = ("--out", tmp_path / "out")
+    return {
+        "build-index": [command, *corpus, *out],
+        "retrieve": [command, *corpus, *index, "--query", "rome"],
+        "run": [command, *corpus, *queries, *index, *out],
+        "lho": [command, *corpus, *queries, *index, *out],
+        "eval": [command, *corpus, *queries, "--traces", tmp_path / "t.jsonl", *out],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flags, env, key",
+    [
+        ("lho", ["--trainer", "bogus"], {}, "trainer 'bogus'"),
+        ("lho", ["--k-hat", "0,5"], {}, "k_hat"),
+        ("lho", [], {"HOPLITE_SUPERVISION_K_RETRIEVE": "5"}, "k_retrieve 5"),
+        ("run", [], {"HOPLITE_PIPELINE_VARIANT": "bogus"}, "variant 'bogus'"),
+        ("retrieve", ["--k", "0"], {}, "retrieval: k "),
+        ("run", [], {"HOPLITE_RETRIEVAL_QUERY_FOCUS": "0"}, "query_focus"),
+        ("run", [], {"HOPLITE_CONDENSER_TAU": "abc"}, "condenser.tau"),
+        ("build-index", [], {"HOPLITE_INDEX_NPROBE": "abc"}, "nprobe"),
+        ("build-index", [], {"HOPLITE_INDEX_CENTROID_COUNT": "abc"}, "centroid_count"),
+        ("eval", [], {"HOPLITE_EVAL_SUPPORTED_ONLY": "yes"}, "supported_only"),
+        ("run", [], {"HOPLITE_PIPELINE_HYBRID_TOTAL": "-1"}, "hybrid_total"),
+        ("run", [], {"HOPLITE_PIPELINE_PER_HOP_K": "[2.5]"}, "per_hop_k"),
+        ("run", ["--threads", "-3"], {}, "threads"),
+    ],
+)
+def test_bad_config_value_exits_2_before_reading_input(
+    workdir, tmp_path, command, flags, env, key
+):
+    r = run_cli(*_cmd(workdir, tmp_path, command), *flags, "--seed", 7, env_extra=env)
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert "loaded" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_inherited_config_variables_do_not_reach_the_cli(workdir, monkeypatch):
+    monkeypatch.setenv("HOPLITE_PIPELINE_VARIANT", "bogus")
+    data = workdir / "data"
+    r = run_cli(
+        "heuristic-order", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl"
+    )
+    assert r.returncode == 0, r.stderr

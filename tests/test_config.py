@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,11 @@ from hoplite.config import (
     resolve_config,
     retrieval_config,
 )
+from hoplite.encoder import EncoderConfig
+from hoplite.evaluation import EvalConfig
+from hoplite.index import IndexConfig
+from hoplite.pipeline import PipelineConfig
+from hoplite.supervision import LhoConfig
 from hoplite.util import derive_seed
 
 
@@ -238,3 +246,52 @@ def test_old_verifier_key_is_unknown(tmp_path):
         resolve_config(config_path=path, environ={})
     with pytest.raises(ConfigError, match="HOPLITE_PIPELINE_VERIFIER"):
         resolve_config(environ={"HOPLITE_PIPELINE_VERIFIER": "trivial"})
+
+
+def test_float_keys_require_numbers():
+    for raw in ("true", "[0.1]"):
+        with pytest.raises(ConfigError, match="condenser.tau"):
+            resolve_config(environ={"HOPLITE_CONDENSER_TAU": raw})
+    assert resolve_config(environ={"HOPLITE_CONDENSER_TAU": "1"})["condenser"]["tau"] == 1
+
+
+# (environment variable, raw value, text the error must name)
+BAD_VALUES = [
+    ("HOPLITE_SUPERVISION_TRAINER", "bogus", "trainer 'bogus'"),
+    ("HOPLITE_SUPERVISION_K_HAT", "[0, 5]", "k_hat"),
+    ("HOPLITE_SUPERVISION_K_HAT", "[2.5, null]", "k_hat"),
+    ("HOPLITE_PIPELINE_PER_HOP_K", "[25, true]", "per_hop_k"),
+    # the default k_hat [20, ...] is deeper than 5; checked even for commands that skip lho
+    ("HOPLITE_SUPERVISION_K_RETRIEVE", "5", "supervision: k_hat depth 20 exceeds k_retrieve 5"),
+    ("HOPLITE_PIPELINE_VARIANT", "bogus", "variant 'bogus'"),
+    ("HOPLITE_PIPELINE_HYBRID_TOTAL", "-1", "hybrid_total"),
+    ("HOPLITE_RETRIEVAL_K", "0", "retrieval: k "),
+    ("HOPLITE_RETRIEVAL_QUERY_FOCUS", "0", "query_focus"),
+    ("HOPLITE_CONDENSER_TAU", "abc", "condenser.tau"),
+    ("HOPLITE_INDEX_NPROBE", "abc", "nprobe"),
+    ("HOPLITE_INDEX_CENTROID_COUNT", "abc", "centroid_count"),
+    ("HOPLITE_EVAL_SUPPORTED_ONLY", "yes", "supported_only"),
+    ("HOPLITE_THREADS", "0", "threads"),
+]
+
+
+@pytest.mark.parametrize("name, raw, key", BAD_VALUES)
+def test_resolve_checks_every_section(name, raw, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        resolve_config(environ={name: raw})
+
+
+def test_defaults_are_the_typed_config_defaults():
+    cfg = resolve_config(environ={})
+    assert replace(encoder_config(cfg), seed=0) == EncoderConfig()
+    assert replace(index_config(cfg), seed=0) == IndexConfig(variant="ivf")
+    assert pipeline_config(cfg) == PipelineConfig()
+    assert replace(lho_config(cfg), seed=0) == LhoConfig()
+    assert eval_config(cfg) == EvalConfig()
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == default_config()

@@ -347,3 +347,8 @@ def test_eval_config_validation():
         EvalConfig(retrieval_k=0)
     with pytest.raises(ValueError):
         EvalConfig(answer_k=0)
+    for bad in ("yes", 1, 0):
+        with pytest.raises(ValueError, match="supported_only"):
+            EvalConfig(supported_only=bad)
+    for ok in (None, True, False):
+        assert EvalConfig(supported_only=ok).supported_only is ok

@@ -46,20 +46,18 @@ def _probe_all(corpus, enc, centroids=4):
     return build_index(corpus, enc, cfg)
 
 
-def _hits(idx, cands):
-    """pid -> hit count of a CandidateSet."""
-    return {idx.pids[i]: c for i, c in zip(cands.positions.tolist(), cands.counts.tolist())}
+def _hits(idx, positions):
+    """The pids at candidate positions, which must be ascending and distinct."""
+    assert np.all(np.diff(positions) > 0)
+    return {idx.pids[i] for i in positions.tolist()}
 
 
 def _brute_force_hits(eq, idx, rpv):
-    """Each source row's top-rpv storage vectors by float64 dot product, as pid hits."""
+    """Each source row's top-rpv storage vectors by float64 dot product, as pids."""
     rows = np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64)
     sims = rows @ idx.storage.astype(np.float64).T
-    counts = np.zeros(len(idx.pids), dtype=np.int64)
-    for row in sims:
-        top = np.argpartition(-row, rpv - 1)[:rpv]
-        counts += np.bincount(idx.vec_to_pid[top], minlength=len(idx.pids))
-    return {idx.pids[j]: int(counts[j]) for j in np.flatnonzero(counts)}
+    tops = [np.argpartition(-row, rpv - 1)[:rpv] for row in sims]
+    return {idx.pids[j] for top in tops for j in idx.vec_to_pid[top]}
 
 
 def test_flat_index_vector_layout():
@@ -103,19 +101,16 @@ def test_build_index_rejects_empty_corpus(enc):
 def test_ivf_candidates_rpv_covering_all_vectors(enc, tiny_corpus):
     idx = _probe_all(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage rome tiber"))
-    hits_by_pid = _hits(idx, candidates_for(eq, idx, results_per_vector=idx.n_vectors))
-    assert set(hits_by_pid) == set(tiny_corpus.pids)
-    counts = dict(zip(idx.pids, idx.row_counts()))
-    for pid, hits in hits_by_pid.items():
-        assert hits == eq.query_part.shape[0] * counts[pid]
+    hits = _hits(idx, candidates_for(eq, idx, results_per_vector=idx.n_vectors))
+    assert hits == set(tiny_corpus.pids)
 
 
-def test_ivf_candidates_counts_sum(enc, tiny_corpus):
+def test_ivf_candidates_bounded_by_rpv(enc, tiny_corpus):
     idx = _probe_all(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage rome"))
     rpv = 3
     cands = candidates_for(eq, idx, results_per_vector=rpv)
-    assert sum(cands.counts) == eq.query_part.shape[0] * rpv
+    assert 0 < len(cands) <= eq.query_part.shape[0] * rpv
 
 
 def test_candidates_source_modes(enc, tiny_corpus):
@@ -126,8 +121,10 @@ def test_candidates_source_modes(enc, tiny_corpus):
     eq = enc.encode_query(
         MultiHopQuery(qid="q", q0_text="carthage", facts=facts)
     )
-    both = candidates_for(eq, idx, results_per_vector=2)
-    assert sum(both.counts) == 4  # query row + fact row
+    only_query = _hits(idx, candidates_for(enc.encode_query(_query("carthage")), idx, 2))
+    both = _hits(idx, candidates_for(eq, idx, results_per_vector=2))
+    assert only_query < both  # the fact row adds its own nearest vectors
+    assert any("tiber" in tiny_corpus.get(pid).text for pid in both - only_query)
 
 
 def test_candidates_empty_query(enc, tiny_corpus):
@@ -184,6 +181,14 @@ def test_ivf_default_centroids_and_nprobe():
     idx = build_index(corpus, enc, IndexConfig(variant="ivf", seed=0))
     assert idx.ivf.n_centroids == 13
     assert idx.ivf.nprobe == 1
+
+
+@pytest.mark.parametrize("name", ["centroid_count", "nprobe"])
+@pytest.mark.parametrize("bad", ["abc", 2.5, True, 0])
+def test_index_config_ivf_sizes_must_be_positive_ints(name, bad):
+    with pytest.raises(ValueError, match=name):
+        IndexConfig(variant="ivf", **{name: bad})
+    assert getattr(IndexConfig(variant="ivf", **{name: 3}), name) == 3
 
 
 def test_ivf_rejects_more_centroids_than_vectors(enc):

@@ -75,6 +75,9 @@ def test_config_validation():
         PipelineConfig(variant="mystery")
     with pytest.raises(ValueError):
         PipelineConfig(verify="trivial")
+    with pytest.raises(ValueError, match="hybrid_total"):
+        PipelineConfig(hybrid_total=-1)
+    assert PipelineConfig(hybrid_total=0).hybrid_total == 0
 
 
 def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
