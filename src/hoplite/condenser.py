@@ -1,10 +1,10 @@
 """Two-stage fact condenser.
 
 Stage 1 scores every sentence of every retrieved passage against the
-query state and pools the strongest few across passages. Stage 2 jointly
-rescores the pooled facts and keeps those with positive scores, so the
-context grows by sentences rather than whole passages. Both stages
-score with the same lexical overlap; stage 2 subtracts a margin tau.
+query state by idf-weighted lexical overlap and pools the strongest few
+across passages. Stage 2 thresholds each pooled fact's stage-1 score at
+tau and keeps those above it, so the context grows by sentences rather
+than whole passages.
 
 Sentence text is copied verbatim from the corpus - (pid, sentence_index)
 provenance must survive serialization exactly.
@@ -46,27 +46,19 @@ class IdfTable:
         df = self._df.get(token, 0)
         return math.log((1 + self.n_passages) / (1 + df)) + 1.0
 
+    def overlap(self, query: MultiHopQuery, sentences: Sequence[str]) -> list[float]:
+        """Weighted token overlap of each sentence with the query state.
 
-class LexicalOverlapScorer:
-    """Weighted token overlap with the query state, per sentence token.
-
-    A sentence scores sum(idf(t) for overlapping tokens) / len(sentence
-    tokens). With the empty table IdfTable({}, 0) every weight is 1.0 and
-    the score is the plain overlapping-token fraction.
-    """
-
-    def __init__(self, idf: IdfTable):
-        self.idf = idf
-
-    def score(self, query: MultiHopQuery, sentences: Sequence[str]) -> list[float]:
+        A sentence scores sum(idf(t) for overlapping tokens) / len(sentence
+        tokens). With the empty table IdfTable({}, 0) every weight is 1.0 and
+        the score is the plain overlapping-token fraction.
+        """
         context = set(tokenize(query.text))
-        return [self._overlap(context, s) for s in sentences]
-
-    def _overlap(self, context: set[str], sentence: str) -> float:
-        tokens = tokenize(sentence)
-        if not tokens:
-            return 0.0
-        return sum(self.idf(t) for t in tokens if t in context) / len(tokens)
+        scores = []
+        for tokens in map(tokenize, sentences):
+            hits = sum(self(t) for t in tokens if t in context)
+            scores.append(hits / len(tokens) if tokens else 0.0)
+        return scores
 
 
 @dataclass(frozen=True)
@@ -85,14 +77,14 @@ def stage1_extract(
     query: MultiHopQuery,
     passages: Sequence[Passage],
     cfg: CondenserConfig,
-    scorer: LexicalOverlapScorer,
+    idf: IdfTable,
 ) -> list[Fact]:
     """Score every sentence of every passage; pool the top few across passages.
 
     Ties break by (pid ascending, sentence_index ascending).
     """
     located = [(p.pid, i, s) for p in passages for i, s in enumerate(p.sentences)]
-    scores = scorer.score(query, [s for _, _, s in located])
+    scores = idf.overlap(query, [s for _, _, s in located])
     pool = [
         Fact(pid=pid, sentence_index=i, text=s, stage1_score=score)
         for (pid, i, s), score in zip(located, scores)
@@ -101,21 +93,13 @@ def stage1_extract(
     return pool[: cfg.stage1_top_k_facts]
 
 
-def stage2_filter(
-    query: MultiHopQuery,
-    pooled: Sequence[Fact],
-    cfg: CondenserConfig,
-    scorer: LexicalOverlapScorer,
-) -> list[Fact]:
-    """Jointly rescore the pooled facts less tau; keep strictly positive, best first."""
-    if not pooled:
-        return []
-    overlaps = scorer.score(query, [f.text for f in pooled])
-    scores = [s - cfg.tau for s in overlaps]
+def stage2_filter(pooled: Sequence[Fact], cfg: CondenserConfig) -> list[Fact]:
+    """Keep the pooled facts whose stage-1 score exceeds tau, best first;
+    stage2_score is the margin stage1_score - tau."""
     kept = [
-        replace(f, stage2_score=s)
-        for f, s in zip(pooled, scores)
-        if s > 0.0
+        replace(f, stage2_score=margin)
+        for f in pooled
+        if (margin := f.stage1_score - cfg.tau) > 0.0
     ]
     kept.sort(key=lambda f: (-f.stage2_score, f.pid, f.sentence_index))
     return kept
@@ -125,7 +109,7 @@ def condense(
     query: MultiHopQuery,
     passages: Sequence[Passage],
     cfg: CondenserConfig,
-    scorer: LexicalOverlapScorer,
+    idf: IdfTable,
 ) -> list[Fact]:
     """Both stages back to back; may legitimately return an empty list."""
-    return stage2_filter(query, stage1_extract(query, passages, cfg, scorer), cfg, scorer)
+    return stage2_filter(stage1_extract(query, passages, cfg, idf), cfg)

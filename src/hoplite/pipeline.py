@@ -20,9 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .condenser import CondenserConfig, IdfTable, LexicalOverlapScorer, condense
+from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import TokenIndex
@@ -110,7 +110,7 @@ class PipelineRunner:
         self.index = index
         self.encoder = encoder
         self.cfg = cfg or PipelineConfig()
-        self.sentence_scorer = LexicalOverlapScorer(idf=IdfTable.from_corpus(corpus))
+        self.idf = IdfTable.from_corpus(corpus)
 
     def _hop_loop(
         self, query: QueryRecord, rerank: bool, hop1: Sequence[ScoredPassage] | None = None
@@ -145,13 +145,8 @@ class PipelineRunner:
                         for i, s in enumerate(passage.sentences)
                     ]
             else:
-                kept = condense(
-                    state,
-                    [self.corpus.get(sp.pid) for sp in ranked],
-                    cfg.condenser,
-                    self.sentence_scorer,
-                )
-                new_facts = kept
+                passages = [self.corpus.get(sp.pid) for sp in ranked]
+                kept = new_facts = condense(state, passages, cfg.condenser, self.idf)
             hops.append(
                 HopRecord(
                     t=t,
@@ -178,26 +173,16 @@ class PipelineRunner:
             verdict=verdict,
         )
 
-    def run_condensed(self, query: QueryRecord) -> HopTrace:
-        return self._hop_loop(query, rerank=False)
-
-    def run_rerank(self, query: QueryRecord) -> HopTrace:
-        return self._hop_loop(query, rerank=True)
-
-    def run_hybrid(self, query: QueryRecord) -> HybridTrace:
-        condensed = self.run_condensed(query)
+    def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
+        """One query through the configured variant."""
+        if self.cfg.variant != VARIANT_HYBRID:
+            return self._hop_loop(query, rerank=self.cfg.variant == VARIANT_RERANK)
+        condensed = self._hop_loop(query, rerank=False)
         reranked = self._hop_loop(query, rerank=True, hop1=condensed.hops[0].ranked)
         merged = merge_hybrid(condensed, reranked, total=self.cfg.hybrid_total)
         return HybridTrace(
             qid=query.qid, merged=tuple(merged), condensed=condensed, rerank=reranked
         )
-
-    def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
-        if self.cfg.variant == VARIANT_CONDENSED:
-            return self.run_condensed(query)
-        if self.cfg.variant == VARIANT_RERANK:
-            return self.run_rerank(query)
-        return self.run_hybrid(query)
 
 
 def run_queries(
@@ -308,11 +293,9 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
 
 
 def write_traces(
-    path: str | Path, traces: Iterable[HopTrace | HybridTrace | dict], meta: dict | None = None
+    path: str | Path, traces: Iterable[HopTrace | HybridTrace], meta: dict | None = None
 ) -> None:
-    records: Iterable[dict] = (
-        trace if isinstance(trace, dict) else trace_record(trace) for trace in traces
-    )
+    records: Iterable[dict] = map(trace_record, traces)
     if meta is not None:
         # The dumps/loads round trip orders the meta keys at every depth.
         sorted_meta = json.loads(json.dumps(meta, sort_keys=True))
@@ -320,13 +303,42 @@ def write_traces(
     write_jsonl(path, records)
 
 
+def _missing(obj: object, what: str, keys: Sequence[str]) -> Iterator[str]:
+    if not isinstance(obj, dict):
+        yield f"{what} is not a JSON object"
+        return
+    yield from (f"{what} has no {key!r} field" for key in keys if key not in obj)
+
+
+def _trace_problems(rec: object, what: str = "trace record") -> Iterator[str]:
+    """Why a parsed line is not a trace record with the fields readers use;
+    lazy, so the first problem stops the walk before it indexes a bad value."""
+    if isinstance(rec, dict) and rec.get("variant") == VARIANT_HYBRID:
+        yield from _missing(rec, what, ("qid", "merged", "condensed", "rerank"))
+        yield from _trace_problems(rec["condensed"], "'condensed' trace")
+        yield from _trace_problems(rec["rerank"], "'rerank' trace")
+        return
+    yield from _missing(rec, what, ("qid", "union", "hops"))
+    for hop in rec["hops"]:
+        yield from _missing(hop, "hop", ("kept_facts",))
+        for fact in hop["kept_facts"]:
+            yield from _missing(fact, "kept fact", ("pid", "sentence_index"))
+
+
 def read_traces(path: str | Path) -> tuple[dict | None, list[dict]]:
-    """Returns (meta, records); meta is None when the file has no meta line."""
+    """Returns (meta, records); meta is None when the file has no meta line.
+
+    A record that is not an object, or lacks a field readers use, raises
+    ValueError naming the file, the line and the field.
+    """
     meta = None
     records: list[dict] = []
     for lineno, obj in read_jsonl(path):
-        if "meta" in obj and lineno == 1:
+        if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
             meta = obj["meta"]
-        else:
-            records.append(obj)
+            continue
+        problem = next(_trace_problems(obj), None)
+        if problem:
+            raise ValueError(f"{path}: line {lineno}: {problem}")
+        records.append(obj)
     return meta, records

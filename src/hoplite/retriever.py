@@ -85,15 +85,10 @@ class Retriever:
         self.encoder = encoder
         self.cfg = cfg or RetrievalConfig()
 
-    def retrieve(
-        self,
-        query: MultiHopQuery,
-        k: int | None = None,
-        exclude: frozenset[str] | set[str] = frozenset(),
-    ) -> list[ScoredPassage]:
+    def retrieve(self, query: MultiHopQuery, k: int | None = None) -> list[ScoredPassage]:
         cfg = self.cfg if k is None else replace(self.cfg, k=k)
         eq = self.encoder.encode_query(query)
-        return retrieve(eq, self.index, self.corpus, cfg, exclude)
+        return retrieve(eq, self.index, self.corpus, cfg)
 
     def with_query_weights(self, weights: dict[str, float]) -> "Retriever":
         """New retriever whose query-side token rows are scaled by weight."""

@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 NEGATIVE_SAMPLING_DEPTH = 1000  # ranked depth mined for negatives, per hop
 FACTS_PER_EXPANSION = 5  # oracle facts appended per newly-assigned positive
+EXHAUSTIVE_ORDER_LIMIT = 4  # unmatched golds searched over every order (HoVer's most)
 
 # Published per-hop positive depths (None probes the whole ranking).
 HOVER_POSITIVE_DEPTHS_ROUND1 = (20, None, None, None)
@@ -98,8 +99,13 @@ class SupervisionSet:
 @dataclass(frozen=True)
 class LhoResult:
     sets: SupervisionSet
-    weak_qids: frozenset[str]
-    retriever: Retriever
+
+    @property
+    def weak_qids(self) -> frozenset[str]:
+        """Queries with at least one hop whose positive came from a fallback."""
+        return frozenset(
+            qid for qid, hops in self.sets.records.items() if any(h.fallback for h in hops)
+        )
 
 
 @dataclass(frozen=True)
@@ -232,10 +238,10 @@ def latent_hop_ordering(
 ) -> LhoResult:
     """Assign each query's gold passages to hops, mining negatives as we go.
 
-    Runs cfg.hops rounds of discover -> expand -> train. The returned
-    retriever is whatever the trainer produced last (unchanged for the
-    identity trainer); records hold per-hop positives, negatives, the
-    query text used, and fallback flags.
+    Runs cfg.hops rounds of discover -> expand -> train; each hop after the
+    first retrieves with the retriever the trainer produced from the hop
+    before (unchanged for the identity trainer). Records hold per-hop
+    positives, negatives, the query text used, and fallback flags.
     """
     cfg = cfg or LhoConfig()
     if expansion not in (EXPANSION_ORACLE, EXPANSION_SHUFFLED):
@@ -245,7 +251,6 @@ def latent_hop_ordering(
     states = {q.qid: MultiHopQuery(qid=q.qid, q0_text=q.text) for q in queries}
     remaining = {q.qid: set(q.gold_pids) for q in queries}
     records: dict[str, list[HopSupervision]] = {q.qid: [] for q in queries}
-    weak: set[str] = set()
 
     oversize = [q.qid for q in queries if len(q.gold_pids) > cfg.hops]
     if oversize:
@@ -262,8 +267,6 @@ def latent_hop_ordering(
         for qid in sorted(states):
             outcome = outcomes[qid]
             records[qid].append(outcome)
-            if outcome.fallback:
-                weak.add(qid)
             if not outcome.positives:
                 continue
             if expansion == EXPANSION_ORACLE:
@@ -287,11 +290,7 @@ def latent_hop_ordering(
         )
         current = trainer.train(current, batch)
 
-    return LhoResult(
-        sets=SupervisionSet({qid: tuple(rec) for qid, rec in records.items()}),
-        weak_qids=frozenset(weak),
-        retriever=current,
-    )
+    return LhoResult(SupervisionSet({qid: tuple(rec) for qid, rec in records.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +325,11 @@ def _order_by_titles(
         )
         return best * len(group) + rest_score, [group] + rest
     # No title matches at all: branch on every choice for this hop and keep
-    # the one whose downstream hops recover the most overlap.
+    # the one whose downstream hops recover the most overlap. The search is
+    # factorial, so past the limit the first pid, which wins ties, goes next.
+    choices = remaining if len(remaining) <= EXHAUSTIVE_ORDER_LIMIT else remaining[:1]
     best_total, best_order = -1.0, []
-    for pid in remaining:  # sorted order; first wins ties
+    for pid in choices:  # sorted order; first wins ties
         grown = " ".join([claim, corpus.get(pid).text])
         total, rest = _order_by_titles(grown, [p for p in remaining if p != pid], corpus)
         if total > best_total:
@@ -342,7 +343,9 @@ def heuristic_order(query: QueryRecord, corpus: Corpus) -> list[tuple[str, ...]]
     If exactly one gold passage contains the answer string, it is pinned
     as the final hop. The rest are grouped greedily by title overlap with
     the growing claim; ties hop together. When nothing overlaps, every
-    branch is tried and the one with the best downstream overlap wins.
+    branch is tried and the one with the best downstream overlap wins, as
+    long as at most EXHAUSTIVE_ORDER_LIMIT golds remain; beyond that the
+    first remaining pid in sorted order takes the hop.
     """
     golds = sorted(query.gold_pids)
     final_pid: str | None = None
@@ -455,12 +458,13 @@ def order_recovery(
 
 
 def supervision_records(result: LhoResult) -> list[dict]:
+    weak = result.weak_qids
     out = []
     for qid in sorted(result.sets.records):
         out.append(
             {
                 "qid": qid,
-                "weak": qid in result.weak_qids,
+                "weak": qid in weak,
                 "hops": [
                     {
                         "t": hop.t,

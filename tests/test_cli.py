@@ -244,6 +244,40 @@ def test_lho_and_eval_flow(workdir, tmp_path):
     assert obj["overall"]["retrieval_at_k"] >= 0.5
 
 
+_FACT = {"pid": "p", "sentence_index": 0}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"qid": "q", "hops": []}, "trace record has no 'union' field"),
+        (["q", "union"], "trace record is not a JSON object"),
+        (
+            {"qid": "q", "union": [], "hops": [{"kept_facts": [_FACT, {"pid": "p"}]}]},
+            "kept fact has no 'sentence_index' field",
+        ),
+        (
+            {"qid": "q", "variant": "hybrid", "merged": [],
+             "condensed": {"qid": "q", "union": [], "hops": []}, "rerank": {"qid": "q"}},
+            "'rerank' trace has no 'union' field",
+        ),
+    ],
+)
+def test_eval_malformed_trace_exits_1_naming_line_and_field(workdir, tmp_path, bad, message):
+    data = workdir / "data"
+    good = {"qid": "q", "union": [], "hops": [{"kept_facts": [_FACT]}]}
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "\n".join(json.dumps(obj) for obj in ({"meta": {}}, good, bad)) + "\n", encoding="utf-8"
+    )
+    r = run_cli(
+        "eval", "--traces", traces,
+        "--queries", data / "queries.jsonl", "--corpus", data / "corpus.jsonl",
+    )
+    assert r.returncode == 1
+    assert f"{traces}: line 3: {message}" in r.stderr
+
+
 def test_heuristic_order_stdout(workdir):
     data = workdir / "data"
     r = run_cli(

@@ -1,12 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoplite.condenser import (
     DEFAULT_TAU,
     CondenserConfig,
     IdfTable,
-    LexicalOverlapScorer,
     condense,
     stage1_extract,
     stage2_filter,
@@ -18,8 +19,8 @@ def _q(text, facts=()):
     return MultiHopQuery(qid="q", q0_text=text, facts=tuple(facts))
 
 
-def _score(scorer, query_text, facts, sentence):
-    [score] = scorer.score(_q(query_text, facts), [sentence])
+def _score(idf, query_text, facts, sentence):
+    [score] = idf.overlap(_q(query_text, facts), [sentence])
     return score
 
 
@@ -43,30 +44,30 @@ def test_idf_counts_each_passage_once():
 
 
 def test_stage1_overlap_fraction_without_idf():
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     # 1 of 4 sentence tokens overlaps the query -> 0.25
-    s = _score(scorer, "rome conquered gaul", (), "rome had four legions")
+    s = _score(idf, "rome conquered gaul", (), "rome had four legions")
     assert abs(s - 0.25) < 1e-12
     # no overlap -> 0.0
-    assert _score(scorer, "rome", (), "looms weave cloth") == 0.0
+    assert _score(idf, "rome", (), "looms weave cloth") == 0.0
     # empty sentence -> 0.0, no division error
-    assert _score(scorer, "rome", (), "!!!") == 0.0
+    assert _score(idf, "rome", (), "!!!") == 0.0
 
 
 def test_stage1_context_includes_facts():
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     fact = Fact(pid="p", sentence_index=0, text="tiber river")
-    bare = _score(scorer, "rome", (), "the tiber floods")
-    with_fact = _score(scorer, "rome", (fact,), "the tiber floods")
+    bare = _score(idf, "rome", (), "the tiber floods")
+    with_fact = _score(idf, "rome", (fact,), "the tiber floods")
     assert with_fact > bare
 
 
 def test_stage1_extract_sorts_and_truncates(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     q = _q("carthage fought rome")
     passages = [tiny_corpus.get("p1"), tiny_corpus.get("d1")]
     cfg = CondenserConfig(stage1_top_k_facts=2)
-    got = stage1_extract(q, passages, cfg, scorer)
+    got = stage1_extract(q, passages, cfg, idf)
     assert len(got) == 2
     assert got[0].stage1_score >= got[1].stage1_score
     # the war sentence overlaps 4 of its 6 tokens; it must come first
@@ -75,60 +76,80 @@ def test_stage1_extract_sorts_and_truncates(tiny_corpus):
 
 
 def test_stage1_tie_break_is_pid_then_index():
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     passages = [
         Passage(pid="b", title="", sentences=("rome alpha", "rome beta")),
         Passage(pid="a", title="", sentences=("rome gamma",)),
     ]
-    got = stage1_extract(_q("rome"), passages, CondenserConfig(stage1_top_k_facts=9), scorer)
+    got = stage1_extract(_q("rome"), passages, CondenserConfig(stage1_top_k_facts=9), idf)
     # all three score 0.5; order is (a,0), (b,0), (b,1)
     assert [(f.pid, f.sentence_index) for f in got] == [("a", 0), ("b", 0), ("b", 1)]
 
 
 def test_stage2_subtracts_tau_and_keeps_positive():
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
     pooled = [
         Fact(pid="a", sentence_index=0, text="rome one two three", stage1_score=0.25),
         Fact(pid="b", sentence_index=0, text="x y z unrelated words here gone", stage1_score=0.0),
     ]
-    kept = stage2_filter(_q("rome"), pooled, CondenserConfig(tau=0.1), scorer)
+    kept = stage2_filter(pooled, CondenserConfig(tau=0.1))
     # 0.25 - 0.1 = 0.15 survives; 0.0 - 0.1 drops
     assert [(f.pid, f.stage2_score) for f in kept] == [("a", pytest.approx(0.15))]
     assert kept[0].stage1_score == 0.25  # stage-1 provenance preserved
 
 
 def test_stage2_fixture_scores():
-    # pooled stage-2 scores [0.4, -0.1, 0.2] -> kept [0.4, 0.2]
-    class Fixed:
-        def score(self, query, sentences):
-            return [0.4, -0.1, 0.2]
-
+    # pooled stage-1 scores [0.4, -0.1, 0.2] at tau 0 -> kept [0.4, 0.2]
     pooled = [
-        Fact(pid="a", sentence_index=0, text="s1"),
-        Fact(pid="b", sentence_index=0, text="s2"),
-        Fact(pid="c", sentence_index=0, text="s3"),
+        Fact(pid="a", sentence_index=0, text="s1", stage1_score=0.4),
+        Fact(pid="b", sentence_index=0, text="s2", stage1_score=-0.1),
+        Fact(pid="c", sentence_index=0, text="s3", stage1_score=0.2),
     ]
-    kept = stage2_filter(_q("any"), pooled, CondenserConfig(tau=0.0), Fixed())
+    kept = stage2_filter(pooled, CondenserConfig(tau=0.0))
     assert [f.pid for f in kept] == ["a", "c"]
     assert [f.stage2_score for f in kept] == [0.4, 0.2]
 
 
 def test_stage2_zero_is_dropped():
-    class Zero:
-        def score(self, query, sentences):
-            return [0.0 for _ in sentences]
+    pooled = [Fact(pid="a", sentence_index=0, text="s", stage1_score=0.0)]
+    assert stage2_filter(pooled, CondenserConfig(tau=0.0)) == []
 
-    pooled = [Fact(pid="a", sentence_index=0, text="s")]
-    assert stage2_filter(_q("any"), pooled, CondenserConfig(tau=0.0), Zero()) == []
+
+_VOCAB = ["rome", "carthage", "tiber", "sea", "ships", "silver", "gaul", "looms"]
+_sentence = st.lists(st.sampled_from(_VOCAB), max_size=5).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    passages=st.lists(st.lists(_sentence, min_size=1, max_size=4), min_size=1, max_size=5),
+    query=st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4).map(" ".join),
+    top_k=st.integers(1, 16),
+    tau=st.floats(0.0, 2.0),
+)
+def test_condense_thresholds_the_stage1_pool(passages, query, top_k, tau):
+    corpus = Corpus(
+        [Passage(pid=f"p{i}", title="", sentences=tuple(s)) for i, s in enumerate(passages)]
+    )
+    idf = IdfTable.from_corpus(corpus)
+    cfg = CondenserConfig(stage1_top_k_facts=top_k, tau=tau)
+    q = _q(query)
+    pool = stage1_extract(q, list(corpus), cfg, idf)
+    kept = condense(q, list(corpus), cfg, idf)
+    above = [f for f in pool if f.stage1_score > tau]
+    assert sorted((f.pid, f.sentence_index) for f in kept) == sorted(
+        (f.pid, f.sentence_index) for f in above
+    )
+    for f in kept:
+        assert f.stage2_score == f.stage1_score - tau
+    assert [f.stage2_score for f in kept] == sorted((f.stage2_score for f in kept), reverse=True)
 
 
 def test_condense_returns_subset_of_stage1(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=IdfTable.from_corpus(tiny_corpus))
+    idf = IdfTable.from_corpus(tiny_corpus)
     q = _q("carthage fought rome")
     passages = [tiny_corpus.get(p) for p in tiny_corpus.pids]
     cfg = CondenserConfig()
-    pooled = stage1_extract(q, passages, cfg, scorer)
-    kept = condense(q, passages, cfg, scorer)
+    pooled = stage1_extract(q, passages, cfg, idf)
+    kept = condense(q, passages, cfg, idf)
     pooled_keys = {(f.pid, f.sentence_index) for f in pooled}
     assert {(f.pid, f.sentence_index) for f in kept} <= pooled_keys
     for f in kept:
@@ -137,16 +158,16 @@ def test_condense_returns_subset_of_stage1(tiny_corpus):
 
 
 def test_condense_may_be_empty(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     q = _q("entirely unrelated vocabulary")
-    kept = condense(q, [tiny_corpus.get("f1")], CondenserConfig(), scorer)
+    kept = condense(q, [tiny_corpus.get("f1")], CondenserConfig(), idf)
     assert kept == []
 
 
 def test_fact_text_is_verbatim(tiny_corpus):
-    scorer = LexicalOverlapScorer(idf=IdfTable({}, 0))
+    idf = IdfTable({}, 0)
     q = _q("tiber flows sea")
-    kept = condense(q, [tiny_corpus.get("p3")], CondenserConfig(), scorer)
+    kept = condense(q, [tiny_corpus.get("p3")], CondenserConfig(), idf)
     assert kept
     f = kept[0]
     assert f.text == tiny_corpus.get(f.pid).sentences[f.sentence_index]
@@ -161,10 +182,9 @@ def test_stage1_with_idf_prefers_rare_tokens():
         + [Passage(pid="rare", title="", sentences=("zyzzyva common",))]
     )
     idf = IdfTable.from_corpus(corpus)
-    scorer = LexicalOverlapScorer(idf=idf)
     # both sentences have 1-of-2 overlap; the rare token must outscore
-    rare = _score(scorer, "zyzzyva topic", (), "zyzzyva appears")
-    common = _score(scorer, "common topic", (), "common appears")
+    rare = _score(idf, "zyzzyva topic", (), "zyzzyva appears")
+    common = _score(idf, "common topic", (), "common appears")
     assert rare > common
 
 

@@ -5,6 +5,9 @@ a change to the shared writer shows up as a byte difference in every format.
 """
 
 import json
+from dataclasses import replace
+
+import pytest
 
 from hoplite.corpus import (
     Corpus,
@@ -89,7 +92,7 @@ def _lho_result():
         t=1, positives=("p-é",), negatives=("p2",), fallback=False, query_text=TEXT
     )
     sets = SupervisionSet({"q-é": (hop,)})
-    return LhoResult(sets=sets, weak_qids=frozenset(), retriever=None)
+    return LhoResult(sets=sets)
 
 
 def test_dump_corpus_bytes(tmp_path):
@@ -116,11 +119,11 @@ def test_write_traces_bytes_and_sorted_meta(tmp_path):
         "queries": 2,
         "config": {"z": {"b": 1, "a": [{"y": 2, "x": TEXT}]}, "a": None},
     }
-    extra = {"qid": "q2", "variant": "condensed", "note": TEXT}
-    write_traces(path, [_trace(), extra], meta=meta)
+    second = replace(_trace(), qid="q2", final_query_text=TEXT)
+    write_traces(path, [_trace(), second], meta=meta)
     raw = path.read_bytes()
     head = json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True) + "\n"
-    assert raw == head.encode("utf-8") + _lines([trace_record(_trace()), extra])
+    assert raw == head.encode("utf-8") + _lines([trace_record(_trace()), trace_record(second)])
     assert raw.startswith(
         '{"meta": {"config": {"a": null, "z": {"a": [{"x": "'.encode("utf-8")
     )
@@ -136,16 +139,20 @@ def test_write_traces_without_meta(tmp_path):
 
 def test_read_traces_meta_only_from_line_one(tmp_path):
     path = tmp_path / "traces.jsonl"
+    late = {"meta": "late", "qid": "a", "union": [], "hops": []}
+    plain = {"qid": "b", "union": [], "hops": []}
     path.write_text(
-        '{"meta": {"queries": 1}}\n\n{"meta": "late", "qid": "a"}\n   \n{"qid": "b"}\n',
+        f'{{"meta": {{"queries": 1}}}}\n\n{json.dumps(late)}\n   \n{json.dumps(plain)}\n',
         encoding="utf-8",
     )
     meta, records = read_traces(path)
     assert meta == {"queries": 1}
-    assert records == [{"meta": "late", "qid": "a"}, {"qid": "b"}]
+    assert records == [late, plain]
 
+    # past line 1 a meta object is read as a trace record, and it is not one
     path.write_text('\n{"meta": {"queries": 1}}\n', encoding="utf-8")
-    assert read_traces(path) == (None, [{"meta": {"queries": 1}}])
+    with pytest.raises(ValueError, match="line 2: trace record has no 'qid' field"):
+        read_traces(path)
 
 
 def test_write_supervision_bytes(tmp_path):

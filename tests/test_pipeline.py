@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hoplite.condenser import CondenserConfig, IdfTable, LexicalOverlapScorer, condense
+from hoplite.condenser import CondenserConfig, IdfTable, condense
 from hoplite.corpus import MultiHopQuery, QueryRecord
 from hoplite.index import IndexConfig, build_index
 from hoplite.pipeline import (
@@ -83,16 +83,18 @@ def test_config_validation():
 def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
     runner = _runner(tiny_corpus, enc, per_hop_k=(4,))
     query = _qrec("q1", "carthage fought rome")
-    trace = runner.run_condensed(query)
+    trace = runner.run(query)
 
     state = MultiHopQuery(qid="q1", q0_text=query.text)
     eq = enc.encode_query(state)
     ranked = retrieve(
         eq, runner.index, tiny_corpus, replace(runner.cfg.retrieval, k=4)
     )
-    scorer = LexicalOverlapScorer(idf=IdfTable.from_corpus(tiny_corpus))
     kept = condense(
-        state, [tiny_corpus.get(sp.pid) for sp in ranked], CondenserConfig(), scorer
+        state,
+        [tiny_corpus.get(sp.pid) for sp in ranked],
+        CondenserConfig(),
+        IdfTable.from_corpus(tiny_corpus),
     )
 
     hop = trace.hops[0]
@@ -140,7 +142,7 @@ def test_accumulate_facts_ablation(enc, tiny_corpus):
     on = _runner(tiny_corpus, enc, **base)
     off = _runner(tiny_corpus, enc, accumulate_facts=False, **base)
     q = _qrec("q", "carthage fought rome")
-    t_on, t_off = on.run_condensed(q), off.run_condensed(q)
+    t_on, t_off = on.run(q), off.run(q)
     assert t_off.final_facts == ()
     assert t_off.final_query_text == q.text
     if t_on.hops[0].kept_facts:
@@ -149,7 +151,7 @@ def test_accumulate_facts_ablation(enc, tiny_corpus):
 
 def test_rerank_appends_whole_context_passage(enc, tiny_corpus):
     runner = _runner(tiny_corpus, enc, per_hop_k=(3, 3), variant="rerank")
-    trace = runner.run_rerank(_qrec("q", "carthage fought rome"))
+    trace = runner.run(_qrec("q", "carthage fought rome"))
     assert trace.variant == "rerank"
     f_idx = 0
     for hop in trace.hops:
@@ -191,20 +193,21 @@ def test_hybrid_retrieves_hop_one_once(enc, tiny_corpus, monkeypatch, per_hop_k)
     assert len(calls) == 2 * len(per_hop_k) - 1
     assert trace.rerank.hops[0].ranked == trace.condensed.hops[0].ranked
     # the shared hop 1 leaves the rerank arm as a standalone rerank run writes it
-    assert trace_record(trace.rerank) == trace_record(runner.run_rerank(query))
+    rerank = PipelineRunner(tiny_corpus, runner.index, enc, replace(runner.cfg, variant="rerank"))
+    assert trace_record(trace.rerank) == trace_record(rerank.run(query))
 
 
 def test_trivial_verifier(enc, tiny_corpus):
     runner = _runner(tiny_corpus, enc, per_hop_k=(2,), verify=True)
-    good = runner.run_condensed(_qrec("q", "tiber flows sea"))
+    good = runner.run(_qrec("q", "tiber flows sea"))
     assert good.verdict is True
-    bad = runner.run_condensed(_qrec("q", "qqq www eee"))
+    bad = runner.run(_qrec("q", "qqq www eee"))
     assert bad.verdict is False
 
 
 def test_no_verifier_means_none(enc, tiny_corpus):
     runner = _runner(tiny_corpus, enc, per_hop_k=(2,))
-    assert runner.run_condensed(_qrec("q", "tiber")).verdict is None
+    assert runner.run(_qrec("q", "tiber")).verdict is None
 
 
 def test_run_queries_thread_count_is_invisible(enc, tiny_corpus):
@@ -334,7 +337,7 @@ def test_read_traces_reports_bad_line(tmp_path):
 
 def test_read_traces_without_meta(tmp_path):
     path = tmp_path / "plain.jsonl"
-    path.write_text('{"qid": "q"}\n', encoding="utf-8")
+    path.write_text('{"qid": "q", "union": [], "hops": []}\n', encoding="utf-8")
     meta, records = read_traces(path)
     assert meta is None
-    assert records == [{"qid": "q"}]
+    assert records == [{"qid": "q", "union": [], "hops": []}]

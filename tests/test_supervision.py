@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 
 import pytest
 
@@ -33,10 +34,8 @@ class StubRetriever:
     def __init__(self, ranking):
         self.ranking = list(ranking)
 
-    def retrieve(self, state, k=None, exclude=frozenset()):
-        pids = [p for p in self.ranking if p not in exclude]
-        if k is not None:
-            pids = pids[:k]
+    def retrieve(self, state, k=None):
+        pids = self.ranking if k is None else self.ranking[:k]
         return [
             ScoredPassage(pid=p, score=float(len(pids) - i), s_query=0.0, s_fact=0.0)
             for i, p in enumerate(pids)
@@ -219,6 +218,41 @@ def test_shuffled_expansion_is_seeded():
         latent_hop_ordering(retriever, result.queries, cfg7, expansion="random")
 
 
+class RankingPerQuery:
+    """A fixed ranking per qid behind the Retriever surface LHO uses."""
+
+    def __init__(self, corpus, rankings):
+        self.corpus = corpus
+        self.rankings = rankings
+
+    def retrieve(self, state, k=None):
+        return StubRetriever(self.rankings[state.qid]).retrieve(state, k=k)
+
+
+def test_weak_queries_are_those_with_a_fallback_hop():
+    corpus = Corpus(
+        [Passage(pid=p, title="", sentences=(f"{p} words",)) for p in ("A", "B", "x", "y")]
+    )
+    queries = [
+        _qrec("weak", "claim", gold={"A", "B"}),  # no gold ever ranks within k_hat 1
+        _qrec("strong", "claim", gold={"A"}),
+        _qrec("late", "claim", gold={"A", "B"}),  # B is left for hop 2's fallback
+    ]
+    retriever = RankingPerQuery(
+        corpus, {"weak": ["x", "A", "B"], "strong": ["A", "x"], "late": ["A", "x", "y"]}
+    )
+    lho = latent_hop_ordering(retriever, queries, LhoConfig(k_retrieve=10, k_hat=(1, 1)))
+    fell_back = {
+        qid for qid, hops in lho.sets.records.items() if any(h.fallback for h in hops)
+    }
+    assert fell_back == {"weak", "late"}
+    assert lho.weak_qids == fell_back
+    assert [h.fallback for h in lho.sets.records["weak"]] == [True, True]
+    assert [h.fallback for h in lho.sets.records["late"]] == [False, True]
+    for rec in supervision_records(lho):
+        assert rec["weak"] == (rec["qid"] in fell_back)
+
+
 def test_oversize_gold_warning(caplog):
     result = _planted(hops=2)
     retriever = _retriever(result)
@@ -352,6 +386,19 @@ def test_heuristic_order_zero_overlap_uses_downstream_signal():
     q = _qrec("q", "statement sharing nothing", gold={"A", "B", "C"})
     # only B unlocks C (whose text unlocks A)
     assert heuristic_order(q, corpus) == [("B",), ("C",), ("A",)]
+
+
+def test_heuristic_order_many_unmatched_golds_is_fast():
+    pids = [f"G{i:02d}" for i in range(12)]
+    corpus = Corpus(
+        [Passage(pid=p, title=f"title{p}", sentences=(f"words{p} only",)) for p in pids]
+    )
+    q = _qrec("q", "claim sharing nothing", gold=set(pids))
+    start = time.perf_counter()
+    order = heuristic_order(q, corpus)
+    assert time.perf_counter() - start < 1.0
+    # nothing ever matches, so every hop takes the first pid left
+    assert order == [(p,) for p in pids]
 
 
 def test_heuristic_order_empty_gold():
