@@ -16,12 +16,16 @@ On-disk layout (all little-endian):
   IVF block (variant=1 only):
     u32 n_centroids | u32 nprobe
     centroids: n_centroids x dim x f32 | assignments: n_vectors x i32
+The pid table has any length, so `load_index` places the file in memory
+with the vectors block on a STORAGE_ALIGN boundary; the arrays stay
+read-only views of that one buffer.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +35,16 @@ import numpy as np
 
 from .corpus import Corpus
 from .encoder import EncodedQuery, LexicalEncoder
-from .scoring import ScoredPassage, rank_scored, score_segments
+from .scoring import (
+    F32_UNIT,
+    FocusParams,
+    ScoredPassage,
+    gamma,
+    rank_scored,
+    score_segments,
+    screen_error,
+    screen_sums,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +61,9 @@ INFERENCE_RESULTS_PER_VECTOR = 512
 KMEANS_ITERS = 25
 KMEANS_SAMPLE_FACTOR = 64
 ASSIGN_BLOCK = 8192
+
+# Byte alignment of a loaded index's storage block, so float32 GEMMs read it in place.
+STORAGE_ALIGN = 64
 
 _INDEX_MAGIC = b"HLTI"
 _INDEX_VERSION = 1
@@ -112,7 +128,8 @@ class TokenIndex:
     ):
         self.pids = tuple(pids)
         self.vec_to_pid = np.ascontiguousarray(vec_to_pid, dtype=np.int32)
-        self.storage = np.ascontiguousarray(storage, dtype=np.float32)
+        # aligned, so the screen's GEMM reads it without numpy copying it first
+        self.storage = np.require(storage, np.float32, ["C_CONTIGUOUS", "ALIGNED"])
         if self.storage.ndim != 2:
             raise ValueError("storage must be 2-D")
         if self.vec_to_pid.shape[0] != self.storage.shape[0]:
@@ -131,6 +148,17 @@ class TokenIndex:
         self.ivf = ivf
         if ivf is not None and ivf.assignments.shape[0] != self.storage.shape[0]:
             raise ValueError("IVF assignments disagree with vector count")
+        # For the float32 screen: non-empty passages grouped by row count, as
+        # (pid positions, first rows, row count), and an upper bound on row norms.
+        counts = self.row_counts()
+        self._length_buckets = []
+        for length in np.unique(counts[counts > 0]).tolist():
+            positions = np.flatnonzero(counts == length)
+            self._length_buckets.append((positions, self._offsets[positions], length))
+        squares = np.einsum("ij,ij->i", self.storage, self.storage)  # float32 sums
+        self.max_row_norm = math.sqrt(
+            float(squares.max(initial=0.0)) / (1 - gamma(self.dim, F32_UNIT))
+        )
 
     @property
     def dim(self) -> int:
@@ -164,6 +192,28 @@ class TokenIndex:
         n = int(counts.sum())
         gather = np.repeat(self._offsets[positions] - starts, counts) + np.arange(n)
         return self.storage[gather].astype(np.float64), starts
+
+    def screen_maxima(self, src: np.ndarray) -> np.ndarray:
+        """Float32 (n_pids, len(src)): each passage's best float32 dot product per
+        source row. One GEMM reads storage in place; rows of empty passages are unset."""
+        sims = self.storage @ np.ascontiguousarray(src, dtype=np.float32).T
+        out = np.empty((len(self.pids), sims.shape[1]), dtype=np.float32)
+        for positions, first_rows, length in self._length_buckets:
+            best = sims[first_rows]
+            for j in range(1, length):
+                np.maximum(best, sims[first_rows + j], out=best)
+            out[positions] = best
+        return out
+
+
+def _cluster_sums(vectors: np.ndarray, assign: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Per cluster, the sum of its member vectors added one by one in index order:
+    the bits `np.add.at` gives, from one flat `np.bincount`, which is faster."""
+    dim = vectors.shape[1]
+    cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(cells, weights=vectors.ravel(), minlength=n_clusters * dim).reshape(
+        n_clusters, dim
+    )
 
 
 def _kmeans(vectors: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
@@ -210,8 +260,7 @@ def _kmeans(vectors: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign.copy()
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, train)
+        sums = _cluster_sums(train, assign, n_centroids)
         norms = np.linalg.norm(sums, axis=1)
         ok = norms > 1e-12
         centroids[ok] = sums[ok] / norms[ok, None]
@@ -298,6 +347,26 @@ def candidates_for(
     return np.flatnonzero(hit)
 
 
+def rank_pool(
+    eq: EncodedQuery, index: TokenIndex, pool: np.ndarray, k: int, focus: FocusParams
+) -> list[ScoredPassage]:
+    """The float64 top-k of the passages at `pool` (distinct, ascending, none empty).
+
+    Unless the band could not prune (2k >= pool size), a float32 screen
+    scores every passage and only the pool passages screened within twice
+    the error bound of the k-th best are rescored in float64; the rest
+    cannot reach the top k (see `scoring`).
+    """
+    if 2 * k < pool.size:
+        src = np.concatenate([eq.query_part, eq.fact_part])
+        approx = screen_sums(eq, index.screen_maxima(src)[pool], focus)
+        kth = np.partition(approx, -k)[-k]
+        pool = pool[approx >= kth - 2 * screen_error(eq, focus, index.max_row_norm)]
+    rows, starts = index.stacked_rows(pool)
+    s_query, s_fact = score_segments(eq, rows, starts, focus)
+    return rank_scored([index.pids[i] for i in pool.tolist()], s_query, s_fact, k)
+
+
 def exact_topk_oracle(
     eq: EncodedQuery,
     corpus: Corpus,
@@ -305,11 +374,13 @@ def exact_topk_oracle(
     k: int = 20,
     encodings: dict[str, np.ndarray] | None = None,
 ) -> list[ScoredPassage]:
-    """Brute-force reference: score every passage in one kernel call, rank, truncate.
+    """Reference ranking of every passage: no index file, no candidate generation.
 
-    No index, no candidate generation; default focus; ties break by
-    ascending pid. Pass precomputed encodings to amortize repeated corpus
-    scans. Passages that encode to zero rows are unscorable and skipped.
+    Ranks through `rank_pool` over a flat index of the encodings, the
+    kernel `retrieve` uses, so both produce the same float64 scores. Default
+    focus; ties break by ascending pid. Pass precomputed encodings to
+    amortize repeated corpus scans. Passages that encode to zero rows are
+    unscorable and skipped.
     """
     pids: list[str] = []
     mats: list[np.ndarray] = []
@@ -320,10 +391,9 @@ def exact_topk_oracle(
             mats.append(rows)
     if not mats:
         return []
-    counts = np.array([m.shape[0] for m in mats])
-    rows = np.concatenate(mats, dtype=np.float64)
-    s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts)
-    return rank_scored(pids, s_query, s_fact, k)
+    counts = [m.shape[0] for m in mats]
+    index = TokenIndex(pids, np.repeat(np.arange(len(pids)), counts), np.concatenate(mats))
+    return rank_pool(eq, index, np.arange(len(pids)), k, FocusParams())
 
 
 def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
@@ -360,7 +430,7 @@ def save_index(index: TokenIndex, path: str | Path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: str):
+    def __init__(self, blob: memoryview, path: str):
         self.blob = blob
         self.pos = 0
         self.path = path
@@ -374,7 +444,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         start = self._advance(n)
-        return self.blob[start : self.pos]
+        return bytes(self.blob[start : self.pos])
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -385,24 +455,40 @@ class _Reader:
         return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
+def _read_placed(fh, buf: np.ndarray, size: int, offset: int) -> memoryview:
+    """The file's `size` bytes, read into `buf` so that byte `offset` lands on a
+    STORAGE_ALIGN boundary, as a read-only view."""
+    shift = -(buf.ctypes.data + offset) % STORAGE_ALIGN
+    view = memoryview(buf)[shift : shift + size]
+    fh.seek(0)
+    if fh.readinto(view) != size:
+        raise IndexFormatError(f"{fh.name}: truncated file")
+    return view.toreadonly()
+
+
 def load_index(path: str | Path) -> TokenIndex:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, str(path))
-    if r.take(4) != _INDEX_MAGIC:
-        raise IndexFormatError(f"{path}: bad magic")
-    version, variant, dim, n_vectors, n_pids = r.unpack("<BBIQQ")
-    if version != _INDEX_VERSION:
-        raise IndexFormatError(f"{path}: unsupported version {version}")
-    if variant not in (0, 1):
-        raise IndexFormatError(f"{path}: unknown variant byte {variant}")
-    pids = []
-    for _ in range(n_pids):
-        (length,) = r.unpack("<H")
-        try:
-            pids.append(r.take(length).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size + STORAGE_ALIGN, dtype=np.uint8)
+        r = _Reader(_read_placed(fh, buf, size, 0), str(path))
+        if r.take(4) != _INDEX_MAGIC:
+            raise IndexFormatError(f"{path}: bad magic")
+        version, variant, dim, n_vectors, n_pids = r.unpack("<BBIQQ")
+        if version != _INDEX_VERSION:
+            raise IndexFormatError(f"{path}: unsupported version {version}")
+        if variant not in (0, 1):
+            raise IndexFormatError(f"{path}: unknown variant byte {variant}")
+        pids = []
+        for _ in range(n_pids):
+            (length,) = r.unpack("<H")
+            try:
+                pids.append(r.take(length).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
+        # The pid table has any length: read again, shifted, if storage would be misaligned.
+        storage_at = r.pos + 4 * n_vectors
+        if storage_at % STORAGE_ALIGN:
+            r.blob = _read_placed(fh, buf, size, storage_at)
     vec_to_pid = r.array("<i4", n_vectors)
     storage = r.array("<f4", n_vectors * dim).reshape(n_vectors, dim)
     ivf_arrays = None
@@ -410,8 +496,8 @@ def load_index(path: str | Path) -> TokenIndex:
         n_centroids, nprobe = r.unpack("<II")
         centroids = r.array("<f4", n_centroids * dim).reshape(n_centroids, dim)
         ivf_arrays = (centroids, r.array("<i4", n_vectors), nprobe)
-    if r.pos != len(blob):
-        raise IndexFormatError(f"{path}: {len(blob) - r.pos} trailing bytes")
+    if r.pos != size:
+        raise IndexFormatError(f"{path}: {size - r.pos} trailing bytes")
     try:  # a structural error in the arrays is a format error of this file
         ivf = IvfData(*ivf_arrays) if ivf_arrays else None
         return TokenIndex(pids, vec_to_pid, storage, ivf)

@@ -310,17 +310,24 @@ def _missing(obj: object, what: str, keys: Sequence[str]) -> Iterator[str]:
     yield from (f"{what} has no {key!r} field" for key in keys if key not in obj)
 
 
+def _not_lists(obj: dict, keys: Sequence[str]) -> Iterator[str]:
+    yield from (f"{key!r} is not a list" for key in keys if not isinstance(obj[key], list))
+
+
 def _trace_problems(rec: object, what: str = "trace record") -> Iterator[str]:
     """Why a parsed line is not a trace record with the fields readers use;
     lazy, so the first problem stops the walk before it indexes a bad value."""
     if isinstance(rec, dict) and rec.get("variant") == VARIANT_HYBRID:
         yield from _missing(rec, what, ("qid", "merged", "condensed", "rerank"))
+        yield from _not_lists(rec, ("merged",))
         yield from _trace_problems(rec["condensed"], "'condensed' trace")
         yield from _trace_problems(rec["rerank"], "'rerank' trace")
         return
     yield from _missing(rec, what, ("qid", "union", "hops"))
+    yield from _not_lists(rec, ("union", "hops"))
     for hop in rec["hops"]:
         yield from _missing(hop, "hop", ("kept_facts",))
+        yield from _not_lists(hop, ("kept_facts",))
         for fact in hop["kept_facts"]:
             yield from _missing(fact, "kept fact", ("pid", "sentence_index"))
 
@@ -328,8 +335,9 @@ def _trace_problems(rec: object, what: str = "trace record") -> Iterator[str]:
 def read_traces(path: str | Path) -> tuple[dict | None, list[dict]]:
     """Returns (meta, records); meta is None when the file has no meta line.
 
-    A record that is not an object, or lacks a field readers use, raises
-    ValueError naming the file, the line and the field.
+    A record that is not an object, lacks a field readers use, or holds a
+    non-list where readers iterate (`union`, `hops`, `kept_facts`, `merged`)
+    raises ValueError naming the file, the line and the field.
     """
     meta = None
     records: list[dict] = []

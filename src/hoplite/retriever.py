@@ -1,4 +1,14 @@
-"""Single-hop retrieval: exact on a flat index, candidates then full scoring on IVF."""
+"""Single-hop retrieval: exact on a flat index, candidates then exact scoring on IVF.
+
+The pool is every non-empty passage of a flat index, or the IVF candidates,
+less the excluded pids. `index.rank_pool` ranks it in two passes: a float32
+screen of every passage straight from the index storage, then float64
+rescoring of the pool passages the screen's error bound cannot rule out of
+the top k. Rankings are the float64 rankings of the whole pool; for the same
+query, pool, index and BLAS thread count, scores are the same bits every call.
+When k is at least half the pool, the screen could not prune, and the pool
+is scored in float64 in one pass.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +18,8 @@ import numpy as np
 
 from .corpus import Corpus, MultiHopQuery
 from .encoder import EncodedQuery, LexicalEncoder
-from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for
-from .scoring import FocusParams, ScoredPassage, rank_scored, score_segments
+from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for, rank_pool
+from .scoring import FocusParams, ScoredPassage
 
 # perfbench/spans.py patches `candidates_for` and `flipr_score` on this module
 # by name, so both stay imported here although `retrieve` calls only the first.
@@ -39,9 +49,10 @@ def retrieve(
     """Top-k passages for an encoded query, ties broken by ascending pid.
 
     A flat index scores every passage; an IVF index scores the candidates
-    from `candidates_for`, each whole. Excluded pids are dropped first, and
-    one `score_segments` call scores the rest. A query with no rows
-    retrieves nothing; one whose dim differs from the index's raises ValueError.
+    from `candidates_for`, each whole. Excluded pids are dropped first and
+    `rank_pool` ranks the rest. A pool pid missing from the corpus raises
+    KeyError, wherever it would rank. A query with no rows retrieves
+    nothing; one whose dim differs from the index's raises ValueError.
     """
     cfg = cfg or RetrievalConfig()
     if eq.dim != index.dim:
@@ -57,13 +68,10 @@ def retrieve(
         pool = candidates_for(eq, index, cfg.results_per_vector)
     if exclude:
         pool = pool[~np.isin(pool, index.positions_of(exclude))]
-    pids = [index.pids[i] for i in pool.tolist()]
-    for pid in pids:
-        if pid not in corpus:
-            raise KeyError(f"index candidate {pid!r} is not in the corpus")
-    rows, starts = index.stacked_rows(pool)
-    s_query, s_fact = score_segments(eq, rows, starts, cfg.focus)
-    return rank_scored(pids, s_query, s_fact, cfg.k)
+    for i in pool.tolist():
+        if index.pids[i] not in corpus:
+            raise KeyError(f"index candidate {index.pids[i]!r} is not in the corpus")
+    return rank_pool(eq, index, pool, cfg.k, cfg.focus)
 
 
 class Retriever:

@@ -8,12 +8,28 @@ n_hat of the query-row maxima) and the fact part (top l_hat of the
 fact-row maxima), which stops a passage that weakly matches everything
 from beating one that strongly matches a subset.
 
-One segmented kernel, `score_segments`, computes every focused score:
-one float64 GEMM of the query and fact rows against the stacked passage
-rows, `np.maximum.reduceat` per passage, then top-k sums in descending
-order. Scores are deterministic for the same rows and BLAS thread count,
-but not across batch shapes: BLAS may round a passage scored alone and in
-a batch differently in the last bits.
+One segmented kernel, `score_segments`, computes every exact focused
+score: one float64 GEMM of the query and fact rows against the stacked
+passage rows, `np.maximum.reduceat` per passage, then top-k sums in
+descending order.
+
+Ranking many passages takes two passes (`index.rank_pool`). A float32
+screen scores every passage from the index's float32 storage in place;
+`screen_error` bounds how far a screened score can be from the float64
+one. Each float32 dot product of length d is off by at most
+gamma_d * |src_i| * |p| with gamma_d = d*u / (1 - d*u) and u = 2**-24,
+under any summation order; casting float64 query rows down adds
+u * |src_i| * |p|. Maxima and top-k sums move a score by no more than the
+sum of the k largest row errors, so every screened score is within E of
+its float64 score. Every passage that can still reach the top k scores
+within 2E of the k-th best screened score; only that band is rescored
+exactly with `score_segments`, so the ranking is the float64 ranking.
+
+Scores are deterministic for the same rows and BLAS thread count, but
+not across batch shapes: BLAS may round a passage scored alone and in a
+batch differently in the last bits. The screen is float32 BLAS work on
+the same inputs, so the band, and with it the rescored batch, is the same
+for the same query, pool and index: repeated calls give the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +43,9 @@ from .encoder import EncodedQuery
 
 DEFAULT_QUERY_FOCUS = 32
 DEFAULT_FACT_FOCUS = 8
+
+F32_UNIT = 2.0**-24  # unit roundoff of float32
+F64_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -65,6 +84,36 @@ def _top_sums(maxima: np.ndarray, k: int) -> np.ndarray:
     """Per row, the sum of its k largest values, added in descending order."""
     # C-contiguous rows so np.sum adds each row pairwise in descending order.
     return np.ascontiguousarray(np.sort(maxima, axis=1)[:, ::-1][:, :k]).sum(axis=1)
+
+
+def gamma(n: int, unit: float) -> float:
+    """Relative error bound of an n-term dot product in a format with this unit roundoff."""
+    return n * unit / (1 - n * unit)
+
+
+def screen_error(eq: EncodedQuery, focus: FocusParams, max_row_norm: float) -> float:
+    """Bound on |screened score - float64 score| for passages with row norms <= max_row_norm.
+
+    Source rows are screened as float32. The bound uses the actual row
+    norms, since trained query weights scale rows up, and a float64
+    term covers the rounding of both passes' float64 sums and norms.
+    """
+    n_src = eq.query_part.shape[0] + eq.fact_part.shape[0]
+    rel = gamma(eq.dim, F32_UNIT) + gamma(eq.dim + 2 * n_src + 2, F64_UNIT)
+    total = 0.0
+    for part, k in ((eq.query_part, focus.n_hat), (eq.fact_part, focus.l_hat)):
+        part32 = part.astype(np.float32, copy=False).astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", part32, part32))
+        cast = F32_UNIT / (1 - F32_UNIT) if part.dtype != np.float32 else 0.0
+        total += (rel + cast) * float(np.sort(norms)[::-1][:k].sum())
+    return total * max_row_norm
+
+
+def screen_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> np.ndarray:
+    """Screened focused scores from float32 per-passage maxima (one column per source row)."""
+    nq = eq.query_part.shape[0]
+    maxima = maxima.astype(np.float64)
+    return _top_sums(maxima[:, :nq], focus.n_hat) + _top_sums(maxima[:, nq:], focus.l_hat)
 
 
 def score_segments(

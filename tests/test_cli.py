@@ -261,6 +261,16 @@ _FACT = {"pid": "p", "sentence_index": 0}
              "condensed": {"qid": "q", "union": [], "hops": []}, "rerank": {"qid": "q"}},
             "'rerank' trace has no 'union' field",
         ),
+        ({"qid": "q", "union": [], "hops": 5}, "'hops' is not a list"),
+        ({"qid": "q", "union": 7, "hops": []}, "'union' is not a list"),
+        ({"qid": "q", "union": [], "hops": [{"kept_facts": 3}]}, "'kept_facts' is not a list"),
+        ({"qid": "q", "union": [], "hops": [[_FACT]]}, "hop is not a JSON object"),
+        (
+            {"qid": "q", "variant": "hybrid", "merged": "p",
+             "condensed": {"qid": "q", "union": [], "hops": []},
+             "rerank": {"qid": "q", "union": [], "hops": []}},
+            "'merged' is not a list",
+        ),
     ],
 )
 def test_eval_malformed_trace_exits_1_naming_line_and_field(workdir, tmp_path, bad, message):

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
 from hoplite.encoder import EncoderConfig, LexicalEncoder
 from hoplite.index import (
+    STORAGE_ALIGN,
     IndexConfig,
     IndexFormatError,
+    TokenIndex,
+    _cluster_sums,
     build_index,
     candidates_for,
     encode_corpus,
@@ -207,6 +210,27 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.ivf.assignments, b.ivf.assignments)
 
 
+@pytest.mark.parametrize("n_big", [3, 1000])
+def test_cluster_sums_are_the_bits_of_add_at(n_big):
+    # pairwise summation (as in np.add.reduceat) would change the bits
+    rng = np.random.default_rng(n_big)
+    assign = np.concatenate([np.zeros(n_big, int), rng.integers(0, 7, 200), np.arange(7)])
+    rng.shuffle(assign)
+    vectors = rng.standard_normal((assign.size, 16))
+    want = np.zeros((7, 16))
+    np.add.at(want, assign, vectors)
+    got = _cluster_sums(vectors, assign, 7)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_max_row_norm_bounds_every_row():
+    rng = np.random.default_rng(5)
+    storage = (rng.standard_normal((300, 64)) * rng.uniform(0.1, 3.0, (300, 1))).astype(np.float32)
+    idx = TokenIndex(["a", "b"], np.repeat([0, 1], 150), storage)
+    true_max = np.linalg.norm(storage.astype(np.float64), axis=1).max()
+    assert true_max <= idx.max_row_norm <= true_max * (1 + 1e-5)
+
+
 def test_exact_topk_oracle_matches_manual_loop(enc, tiny_corpus):
     eq = enc.encode_query(_query("carthage fought rome"))
     focus = FocusParams(n_hat=32, l_hat=8)
@@ -244,6 +268,21 @@ def test_save_load_round_trip_flat(tmp_path, enc, tiny_corpus):
     assert not loaded.vec_to_pid.flags.writeable
     eq = enc.encode_query(_query("rome tiber"))
     assert retrieve(eq, loaded, tiny_corpus) == retrieve(eq, idx, tiny_corpus)
+
+
+@pytest.mark.parametrize("variant", ["flat", "ivf"])
+@pytest.mark.parametrize("pid", ["a", "abc", "abcd"])
+def test_loaded_storage_is_aligned_whatever_the_pid_table_length(tmp_path, variant, pid):
+    enc = LexicalEncoder(EncoderConfig(dim=16, seed=0))
+    corpus = Corpus([Passage(pid=pid, title="", sentences=("one two three four five",))])
+    idx = build_index(corpus, enc, IndexConfig(variant=variant, centroid_count=2))
+    path = tmp_path / "index.hlti"
+    save_index(idx, path)
+    loaded = load_index(path)
+    assert loaded.storage.flags.aligned
+    assert loaded.storage.ctypes.data % STORAGE_ALIGN == 0
+    assert not loaded.storage.flags.writeable  # still a view of the read buffer
+    assert loaded.storage.tobytes() == idx.storage.tobytes()
 
 
 def test_save_load_round_trip_ivf(tmp_path):

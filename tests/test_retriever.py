@@ -1,9 +1,23 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hoplite.corpus import Corpus, MultiHopQuery
-from hoplite.encoder import EncoderConfig, LexicalEncoder
-from hoplite.index import IndexConfig, build_index, exact_topk_oracle
+from hoplite.corpus import Corpus, MultiHopQuery, Passage
+from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
+from hoplite.index import (
+    IndexConfig,
+    IvfData,
+    TokenIndex,
+    build_index,
+    candidates_for,
+    exact_topk_oracle,
+)
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
+from hoplite.scoring import FocusParams, rank_scored, score_segments, screen_error
+from hoplite.supervision import TermWeightTrainer
+
+from conftest import unit_rows
 
 
 def _query(text: str) -> MultiHopQuery:
@@ -69,6 +83,104 @@ def test_retrieve_errors_on_candidate_missing_from_corpus(enc, tiny_corpus):
     eq = enc.encode_query(_query("rome tiber weaving"))
     with pytest.raises(KeyError):
         retrieve(eq, idx, smaller)
+
+
+def test_missing_corpus_pid_raises_even_outside_the_band(enc, tiny_corpus):
+    idx = build_index(tiny_corpus, enc)
+    eq = enc.encode_query(_query("carthage fought three wars against rome"))
+    ranked = retrieve(eq, idx, tiny_corpus, RetrievalConfig(k=len(tiny_corpus.pids)))
+    best, last = ranked[0], ranked[-1]
+    # k = 1 screens (2k < 6 passages) and the last pid is far outside the band
+    assert best.score - last.score > 4 * screen_error(eq, FocusParams(), idx.max_row_norm)
+    smaller = Corpus([p for p in tiny_corpus if p.pid != last.pid])
+    with pytest.raises(KeyError, match=last.pid):
+        retrieve(eq, idx, smaller, RetrievalConfig(k=1))
+
+
+def _nudged(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`rows` with some entries moved a few float32 ulps up or down."""
+    out = rows.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        pick = rng.random(out.shape) < 0.5
+        toward = np.where(rng.random(out.shape) < 0.5, np.inf, -np.inf).astype(np.float32)
+        out = np.where(pick, np.nextafter(out, toward), out)
+    return out
+
+
+def _on_grid(rows: np.ndarray, bits: int, dtype) -> np.ndarray:
+    """Rows rounded to multiples of 2**-bits: float64 dot products of such rows
+    are exact, so exact copies tie to the bit whatever the BLAS batch shape."""
+    return (np.round(rows * 2.0**bits) / 2.0**bits).astype(dtype)
+
+
+@st.composite
+def planted_retrievals(draw):
+    """An index whose passages include exact and few-ulp copies of each other,
+    a query with rows scaled up to MAX_RATIO (float32 or float64), and a flat
+    or IVF pool with exclusions; k from 1 to one past the passage count, so
+    both sides of the 2k < pool size rule that decides whether to screen."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([4, 16, 64]))
+    n_base = draw(st.integers(2, 10))
+    passages = [_on_grid(unit_rows(rng, int(rng.integers(1, 5)), dim), 12, np.float32)
+                for _ in range(n_base)]
+    for base in passages[:n_base]:
+        if draw(st.booleans()):
+            passages.append(base.copy())
+        if draw(st.booleans()):
+            passages.append(_nudged(base, rng))
+    passages.append(np.zeros((0, dim), np.float32))  # an empty passage is never scored
+    passages = [passages[i] for i in rng.permutation(len(passages))]
+    pids = [f"p{i:02d}" for i in range(len(passages))]
+    storage = np.concatenate(passages)
+    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+
+    ivf = None
+    rpv = storage.shape[0]
+    if draw(st.booleans()):
+        n_c = int(rng.integers(1, 4))
+        centroids = unit_rows(rng, n_c, dim)
+        assign = np.argmax(storage @ centroids.T, axis=1)
+        ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
+        rpv = int(rng.integers(1, storage.shape[0] + 1))
+    index = TokenIndex(pids, vec_to_pid, storage, ivf)
+
+    def query_rows(n):
+        # near copies of passage rows make strong maxima, as real queries do
+        near = storage[rng.integers(0, storage.shape[0], n)] + 0.1 * unit_rows(rng, n, dim)
+        ratio = TermWeightTrainer.MAX_RATIO
+        scaled = near * rng.uniform(1 / ratio, ratio, (n, 1))
+        # float64 rows off the float32 grid exercise the cast term of the bound
+        if draw(st.booleans()):
+            return _on_grid(scaled, 30, np.float64)
+        return _on_grid(scaled, 20, np.float32)
+
+    eq = EncodedQuery(query_rows(draw(st.integers(1, 6))), query_rows(draw(st.integers(0, 4))))
+    focus = FocusParams(n_hat=draw(st.integers(1, 6)), l_hat=draw(st.integers(0, 4)))
+    exclude = {pid for pid in pids if rng.random() < 0.15}
+    k = draw(st.integers(1, len(pids) + 1))
+    return index, eq, RetrievalConfig(k=k, results_per_vector=rpv, focus=focus), exclude
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_retrievals())
+def test_screen_and_rescore_ranks_as_one_float64_pass(case):
+    index, eq, cfg, exclude = case
+    corpus = Corpus([Passage(pid=pid, title="", sentences=("x",)) for pid in index.pids])
+    got = retrieve(eq, index, corpus, cfg, exclude)
+
+    pool = np.flatnonzero(index.row_counts()) if index.ivf is None else candidates_for(
+        eq, index, cfg.results_per_vector
+    )
+    pool = pool[~np.isin(pool, index.positions_of(exclude))]
+    rows, starts = index.stacked_rows(pool)
+    s_query, s_fact = score_segments(eq, rows, starts, cfg.focus)
+    want = rank_scored([index.pids[i] for i in pool.tolist()], s_query, s_fact, cfg.k)
+
+    assert [sp.pid for sp in got] == [sp.pid for sp in want]
+    for a, b in zip(got, want):
+        assert abs(a.score - b.score) <= 1e-12
+        assert abs(a.s_query - b.s_query) <= 1e-12
 
 
 def test_retriever_wrapper_equals_free_function(enc, tiny_corpus):
