@@ -29,7 +29,7 @@ from .pipeline import (
     write_traces,
     read_traces,
 )
-from .retriever import Retriever, retrieve
+from .retriever import Retriever, check_corpus_covers, retrieve
 from .supervision import (
     EXPANSION_ORACLE,
     EXPANSION_SHUFFLED,
@@ -139,13 +139,11 @@ def cmd_retrieve(args, parser) -> int:
     cfg = _resolve(args, {"retrieval": {"k": args.k}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = load_index(_require(parser, args.index, "index"))
-    facts = tuple(
-        Fact(pid="cli", sentence_index=i, text=text)
-        for i, text in enumerate(args.fact)
-    )
+    check_corpus_covers(index, corpus)
+    facts = tuple(Fact(pid="cli", sentence_index=i, text=text) for i, text in enumerate(args.fact))
     query = MultiHopQuery(qid="cli", q0_text=args.query, facts=facts)
     eq = _encoder(cfg).encode_query(query)
-    ranked = retrieve(eq, index, corpus, cfgmod.retrieval_config(cfg))
+    ranked = retrieve(eq, index, cfgmod.retrieval_config(cfg))
     for rank, sp in enumerate(ranked, start=1):
         print(f"{rank}\t{sp.pid}\t{sp.score:.6f}")
     return 0

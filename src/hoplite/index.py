@@ -29,7 +29,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,12 +38,13 @@ from .encoder import EncodedQuery, LexicalEncoder
 from .scoring import (
     F32_UNIT,
     FocusParams,
-    ScoredPassage,
+    Ranking,
+    focused_sums,
     gamma,
     rank_scored,
-    score_segments,
+    row_maxima,
     screen_error,
-    screen_sums,
+    source_columns,
 )
 
 logger = logging.getLogger(__name__)
@@ -64,6 +65,11 @@ ASSIGN_BLOCK = 8192
 
 # Byte alignment of a loaded index's storage block, so float32 GEMMs read it in place.
 STORAGE_ALIGN = 64
+
+# Bytes of one float64 passage stack, and of its product, in exact scoring: under
+# glibc's default 128 KiB mmap threshold, so a stack reuses heap memory instead of
+# being mapped and faulted in anew, and it stays in cache for its GEMM.
+STACK_BYTES = 120 * 1024
 
 _INDEX_MAGIC = b"HLTI"
 _INDEX_VERSION = 1
@@ -145,11 +151,14 @@ class TokenIndex:
         self._pid_to_idx = {pid: i for i, pid in enumerate(self.pids)}
         if len(self._pid_to_idx) != n:
             raise ValueError("duplicate pid in index")
+        # each pid's place in string order, so rankings break ties without strings
+        self.pid_rank = np.empty(n, dtype=np.intp)
+        self.pid_rank[sorted(range(n), key=self.pids.__getitem__)] = np.arange(n)
         self.ivf = ivf
         if ivf is not None and ivf.assignments.shape[0] != self.storage.shape[0]:
             raise ValueError("IVF assignments disagree with vector count")
-        # For the float32 screen: non-empty passages grouped by row count, as
-        # (pid positions, first rows, row count), and an upper bound on row norms.
+        # Non-empty passages grouped by row count, as (pid positions, first rows,
+        # row count), for the screen and the kernel; an upper bound on row norms.
         counts = self.row_counts()
         self._length_buckets = []
         for length in np.unique(counts[counts > 0]).tolist():
@@ -183,15 +192,17 @@ class TokenIndex:
     def row_counts(self) -> np.ndarray:
         return np.diff(self._offsets)
 
-    def stacked_rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 rows of the passages at `positions` (distinct, ascending, none
-        empty) and each one's first row: the input of `score_segments`. Converts
-        storage once per call; the index keeps no float64 copy."""
-        counts = self.row_counts()[positions]
-        starts = np.cumsum(counts) - counts
-        n = int(counts.sum())
-        gather = np.repeat(self._offsets[positions] - starts, counts) + np.arange(n)
-        return self.storage[gather].astype(np.float64), starts
+    def stacks(self, positions: np.ndarray, max_rows: int) -> Iterator[tuple[np.ndarray, ...]]:
+        """The non-empty passages at `positions`, grouped by row count L and cut
+        into stacks of at most max(L, max_rows) rows: per stack, the passages'
+        positions and their float32 rows as an (n, L, dim) array."""
+        wanted = np.zeros(len(self.pids), dtype=bool)
+        wanted[positions] = True
+        for bucket, first_rows, length in self._length_buckets:
+            pick = np.flatnonzero(wanted[bucket])
+            step = max(1, max_rows // length)
+            for at in (pick[i : i + step] for i in range(0, pick.size, step)):
+                yield bucket[at], self.storage[first_rows[at, None] + np.arange(length)]
 
     def screen_maxima(self, src: np.ndarray) -> np.ndarray:
         """Float32 (n_pids, len(src)): each passage's best float32 dot product per
@@ -349,7 +360,7 @@ def candidates_for(
 
 def rank_pool(
     eq: EncodedQuery, index: TokenIndex, pool: np.ndarray, k: int, focus: FocusParams
-) -> list[ScoredPassage]:
+) -> Ranking:
     """The float64 top-k of the passages at `pool` (distinct, ascending, none empty).
 
     Unless the band could not prune (2k >= pool size), a float32 screen
@@ -357,14 +368,21 @@ def rank_pool(
     the error bound of the k-th best are rescored in float64; the rest
     cannot reach the top k (see `scoring`).
     """
+    cols = source_columns(eq)
     if 2 * k < pool.size:
-        src = np.concatenate([eq.query_part, eq.fact_part])
-        approx = screen_sums(eq, index.screen_maxima(src)[pool], focus)
+        s_query, s_fact = focused_sums(eq, index.screen_maxima(cols.T)[pool].astype(float), focus)
+        approx = s_query + s_fact
         kth = np.partition(approx, -k)[-k]
         pool = pool[approx >= kth - 2 * screen_error(eq, focus, index.max_row_norm)]
-    rows, starts = index.stacked_rows(pool)
-    s_query, s_fact = score_segments(eq, rows, starts, focus)
-    return rank_scored([index.pids[i] for i in pool.tolist()], s_query, s_fact, k)
+    max_rows = STACK_BYTES // (8 * max(cols.shape))
+    stacks = [(at, row_maxima(stack, cols)) for at, stack in index.stacks(pool, max_rows)]
+    if not stacks:
+        return Ranking()
+    positions, maxima = (np.concatenate(part) for part in zip(*stacks))
+    s_query, s_fact = focused_sums(eq, maxima, focus)
+    order = rank_scored(s_query + s_fact, index.pid_rank[positions], k)
+    pids = tuple(index.pids[i] for i in positions[order].tolist())
+    return Ranking(pids, s_query[order], s_fact[order])
 
 
 def exact_topk_oracle(
@@ -373,7 +391,7 @@ def exact_topk_oracle(
     encoder: LexicalEncoder,
     k: int = 20,
     encodings: dict[str, np.ndarray] | None = None,
-) -> list[ScoredPassage]:
+) -> Ranking:
     """Reference ranking of every passage: no index file, no candidate generation.
 
     Ranks through `rank_pool` over a flat index of the encodings, the
@@ -382,18 +400,12 @@ def exact_topk_oracle(
     amortize repeated corpus scans. Passages that encode to zero rows are
     unscorable and skipped.
     """
-    pids: list[str] = []
-    mats: list[np.ndarray] = []
-    for passage in corpus:
-        rows = encodings[passage.pid] if encodings else encoder.encode_passage(passage)
-        if rows.shape[0]:
-            pids.append(passage.pid)
-            mats.append(rows)
+    mats = [encodings[p.pid] if encodings else encoder.encode_passage(p) for p in corpus]
     if not mats:
-        return []
+        return Ranking()
     counts = [m.shape[0] for m in mats]
-    index = TokenIndex(pids, np.repeat(np.arange(len(pids)), counts), np.concatenate(mats))
-    return rank_pool(eq, index, np.arange(len(pids)), k, FocusParams())
+    index = TokenIndex(corpus.pids, np.repeat(np.arange(len(mats)), counts), np.concatenate(mats))
+    return rank_pool(eq, index, np.flatnonzero(counts), k, FocusParams())
 
 
 def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:

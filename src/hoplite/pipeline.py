@@ -26,7 +26,7 @@ from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import TokenIndex
-from .retriever import RetrievalConfig, retrieve
+from .retriever import RetrievalConfig, check_corpus_covers, retrieve
 from .scoring import ScoredPassage
 from .util import read_jsonl, write_jsonl
 
@@ -97,7 +97,8 @@ class HybridTrace:
 
 
 class PipelineRunner:
-    """Runs queries through the configured variant over one corpus/index."""
+    """Runs queries through the configured variant over one index and a corpus
+    holding every pid of it (else KeyError)."""
 
     def __init__(
         self,
@@ -106,6 +107,7 @@ class PipelineRunner:
         encoder: LexicalEncoder,
         cfg: PipelineConfig | None = None,
     ):
+        check_corpus_covers(index, corpus)
         self.corpus = corpus
         self.index = index
         self.encoder = encoder
@@ -123,15 +125,11 @@ class PipelineRunner:
         hops: list[HopRecord] = []
         for t, k in enumerate(cfg.per_hop_k, start=1):
             if t == 1 and hop1 is not None:
-                ranked = list(hop1)
+                ranked = tuple(hop1)
             else:
-                ranked = retrieve(
-                    self.encoder.encode_query(state),
-                    self.index,
-                    self.corpus,
-                    replace(cfg.retrieval, k=k),
-                    exclude=frozenset(excluded),
-                )
+                eq = self.encoder.encode_query(state)
+                step = replace(cfg.retrieval, k=k)
+                ranked = tuple(retrieve(eq, self.index, step, exclude=frozenset(excluded)))
             kept: list[Fact] = []
             context_pid: str | None = None
             new_facts: list[Fact] = []
@@ -147,15 +145,7 @@ class PipelineRunner:
             else:
                 passages = [self.corpus.get(sp.pid) for sp in ranked]
                 kept = new_facts = condense(state, passages, cfg.condenser, self.idf)
-            hops.append(
-                HopRecord(
-                    t=t,
-                    ranked=tuple(ranked),
-                    kept_facts=tuple(kept),
-                    context_pid=context_pid,
-                    excluded=frozenset(excluded),
-                )
-            )
+            hops.append(HopRecord(t, ranked, tuple(kept), context_pid, frozenset(excluded)))
             excluded.update(sp.pid for sp in ranked)
             state = state.extended(new_facts if cfg.accumulate_facts else ())
         union = [sp.pid for hop in hops for sp in hop.ranked]

@@ -1,13 +1,13 @@
 """Single-hop retrieval: exact on a flat index, candidates then exact scoring on IVF.
 
 The pool is every non-empty passage of a flat index, or the IVF candidates,
-less the excluded pids. `index.rank_pool` ranks it in two passes: a float32
-screen of every passage straight from the index storage, then float64
-rescoring of the pool passages the screen's error bound cannot rule out of
-the top k. Rankings are the float64 rankings of the whole pool; for the same
-query, pool, index and BLAS thread count, scores are the same bits every call.
-When k is at least half the pool, the screen could not prune, and the pool
-is scored in float64 in one pass.
+less the excluded pids. `index.rank_pool` ranks it: a float32 screen of every
+passage straight from the index storage, then float64 rescoring of the pool
+passages the screen's error bound cannot rule out of the top k (all of them
+when k is at least half the pool). A passage's scores are the bits
+`flipr_score` gives it alone, so rankings are the float64 rankings of the
+whole pool. The corpus is checked once, when a `Retriever` or
+`pipeline.PipelineRunner` is built, not per call.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import Corpus, MultiHopQuery
 from .encoder import EncodedQuery, LexicalEncoder
 from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for, rank_pool
-from .scoring import FocusParams, ScoredPassage
+from .scoring import FocusParams, Ranking
 
 # perfbench/spans.py patches `candidates_for` and `flipr_score` on this module
 # by name, so both stay imported here although `retrieve` calls only the first.
@@ -39,20 +39,25 @@ class RetrievalConfig:
             raise ValueError("results_per_vector must be positive")
 
 
+def check_corpus_covers(index: TokenIndex, corpus: Corpus) -> None:
+    """Raise KeyError naming the first pid of the index that the corpus lacks."""
+    missing = [pid for pid in index.pids if pid not in corpus]
+    if missing:
+        raise KeyError(f"index pid {missing[0]!r} is not in the corpus")
+
+
 def retrieve(
     eq: EncodedQuery,
     index: TokenIndex,
-    corpus: Corpus,
     cfg: RetrievalConfig | None = None,
     exclude: frozenset[str] | set[str] = frozenset(),
-) -> list[ScoredPassage]:
+) -> Ranking:
     """Top-k passages for an encoded query, ties broken by ascending pid.
 
     A flat index scores every passage; an IVF index scores the candidates
     from `candidates_for`, each whole. Excluded pids are dropped first and
-    `rank_pool` ranks the rest. A pool pid missing from the corpus raises
-    KeyError, wherever it would rank. A query with no rows retrieves
-    nothing; one whose dim differs from the index's raises ValueError.
+    `rank_pool` ranks the rest. A query with no rows retrieves nothing; one
+    whose dim differs from the index's raises ValueError.
     """
     cfg = cfg or RetrievalConfig()
     if eq.dim != index.dim:
@@ -61,21 +66,18 @@ def retrieve(
             "set encoder.dim to the dim the index was built with"
         )
     if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
-        return []
+        return Ranking()
     if index.ivf is None:
         pool = np.flatnonzero(index.row_counts())
     else:
         pool = candidates_for(eq, index, cfg.results_per_vector)
     if exclude:
         pool = pool[~np.isin(pool, index.positions_of(exclude))]
-    for i in pool.tolist():
-        if index.pids[i] not in corpus:
-            raise KeyError(f"index candidate {index.pids[i]!r} is not in the corpus")
     return rank_pool(eq, index, pool, cfg.k, cfg.focus)
 
 
 class Retriever:
-    """Encoder + index + corpus bundled behind one retrieve call.
+    """Encoder + index + corpus (holding every index pid) behind one retrieve call.
 
     Immutable in practice: reweighting returns a new Retriever sharing the
     same index and corpus, so trained variants coexist with the original.
@@ -88,15 +90,16 @@ class Retriever:
         encoder: LexicalEncoder,
         cfg: RetrievalConfig | None = None,
     ):
+        check_corpus_covers(index, corpus)
         self.corpus = corpus
         self.index = index
         self.encoder = encoder
         self.cfg = cfg or RetrievalConfig()
 
-    def retrieve(self, query: MultiHopQuery, k: int | None = None) -> list[ScoredPassage]:
+    def retrieve(self, query: MultiHopQuery, k: int | None = None) -> Ranking:
         cfg = self.cfg if k is None else replace(self.cfg, k=k)
         eq = self.encoder.encode_query(query)
-        return retrieve(eq, self.index, self.corpus, cfg)
+        return retrieve(eq, self.index, cfg)
 
     def with_query_weights(self, weights: dict[str, float]) -> "Retriever":
         """New retriever whose query-side token rows are scaled by weight."""

@@ -8,10 +8,14 @@ n_hat of the query-row maxima) and the fact part (top l_hat of the
 fact-row maxima), which stops a passage that weakly matches everything
 from beating one that strongly matches a subset.
 
-One segmented kernel, `score_segments`, computes every exact focused
-score: one float64 GEMM of the query and fact rows against the stacked
-passage rows, `np.maximum.reduceat` per passage, then top-k sums in
-descending order.
+One kernel computes every exact focused score. `row_maxima` takes
+passages of equal row count L as an (n, L, d) stack: one batched float64
+`np.matmul` against the query and fact rows as columns, then the max over
+each passage's rows. `focused_sums` adds the top-k maxima in descending
+order. Each passage of a stack is its own product of the same shape, so
+scores do not depend on batch shape: a passage's scores are the same bits
+alone (`flipr_score`), in any stack and any pool, on a flat or an IVF
+index, for the same BLAS thread count.
 
 Ranking many passages takes two passes (`index.rank_pool`). A float32
 screen scores every passage from the index's float32 storage in place;
@@ -23,19 +27,13 @@ u * |src_i| * |p|. Maxima and top-k sums move a score by no more than the
 sum of the k largest row errors, so every screened score is within E of
 its float64 score. Every passage that can still reach the top k scores
 within 2E of the k-th best screened score; only that band is rescored
-exactly with `score_segments`, so the ranking is the float64 ranking.
-
-Scores are deterministic for the same rows and BLAS thread count, but
-not across batch shapes: BLAS may round a passage scored alone and in a
-batch differently in the last bits. The screen is float32 BLAS work on
-the same inputs, so the band, and with it the rescored batch, is the same
-for the same query, pool and index: repeated calls give the same bits.
+exactly by the kernel, so the ranking is the float64 ranking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -70,14 +68,20 @@ class ScoredPassage:
     s_fact: float
 
 
-def _segment_maxima(src: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Float64 (n_segments, n_src): each source row's best dot product per segment."""
-    starts = np.asarray(starts, dtype=np.intp)
-    if starts.size and (starts[0] != 0 or (np.diff(starts, append=len(rows)) < 1).any()):
-        raise ValueError("segments must start at row 0 and each hold at least one row")
-    # matmul raises ValueError on a dim mismatch
-    sims = src.astype(np.float64, copy=False) @ rows.astype(np.float64, copy=False).T
-    return np.maximum.reduceat(sims, starts, axis=1).T
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Ranked passages kept as arrays; iterating builds their `ScoredPassage`s."""
+
+    pids: tuple[str, ...] = ()
+    s_query: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    s_fact: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __len__(self) -> int:
+        return len(self.pids)
+
+    def __iter__(self) -> Iterator[ScoredPassage]:
+        for pid, s_query, s_fact in zip(self.pids, self.s_query.tolist(), self.s_fact.tolist()):
+            yield ScoredPassage(pid, s_query + s_fact, s_query, s_fact)
 
 
 def _top_sums(maxima: np.ndarray, k: int) -> np.ndarray:
@@ -109,27 +113,27 @@ def screen_error(eq: EncodedQuery, focus: FocusParams, max_row_norm: float) -> f
     return total * max_row_norm
 
 
-def screen_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> np.ndarray:
-    """Screened focused scores from float32 per-passage maxima (one column per source row)."""
-    nq = eq.query_part.shape[0]
-    maxima = maxima.astype(np.float64)
-    return _top_sums(maxima[:, :nq], focus.n_hat) + _top_sums(maxima[:, nq:], focus.l_hat)
-
-
-def score_segments(
-    eq: EncodedQuery, rows: np.ndarray, starts: np.ndarray, focus: FocusParams | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Focused scores (s_query, s_fact) of passages stacked into one row matrix.
-
-    Passage i owns rows[starts[i]:starts[i + 1]] (the last one runs to the
-    end) and must own at least one row.
-    """
-    fp = focus or FocusParams()
-    nq = eq.query_part.shape[0]
+def source_columns(eq: EncodedQuery) -> np.ndarray:
+    """Float64 (dim, n_src), C-contiguous: the query rows, then the fact rows, as columns."""
     parts = [part for part in (eq.query_part, eq.fact_part) if part.shape[0]]
-    src = np.concatenate(parts) if parts else np.zeros((0, rows.shape[1]))
-    maxima = _segment_maxima(src, rows, starts)
-    return _top_sums(maxima[:, :nq], fp.n_hat), _top_sums(maxima[:, nq:], fp.l_hat)
+    rows = np.concatenate(parts, dtype=np.float64) if parts else np.zeros((0, eq.dim))
+    return np.ascontiguousarray(rows.T)
+
+
+def row_maxima(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Float64 (n, n_src): per passage of an (n, L, d) stack, each source column's
+    best dot product. Each passage is its own (L, d) @ (d, n_src) product, so its
+    maxima are the same bits alone and in any stack."""
+    if stack.shape[1] < 1:
+        raise ValueError("passage matrix must have at least one row")
+    # matmul raises ValueError on a dim mismatch
+    return np.matmul(stack.astype(np.float64, copy=False), cols).max(axis=1)
+
+
+def focused_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> tuple:
+    """Focused scores (s_query, s_fact) from per-passage maxima, one column per source row."""
+    nq = eq.query_part.shape[0]
+    return _top_sums(maxima[:, :nq], focus.n_hat), _top_sums(maxima[:, nq:], focus.l_hat)
 
 
 def maxsim_rows(query_rows: np.ndarray, passage_rows: np.ndarray) -> np.ndarray:
@@ -138,24 +142,23 @@ def maxsim_rows(query_rows: np.ndarray, passage_rows: np.ndarray) -> np.ndarray:
     Returns a float64 vector of length len(query_rows). Negative maxima
     are kept as-is; nothing is clamped.
     """
-    return _segment_maxima(query_rows, passage_rows, [0])[0]
+    cols = np.ascontiguousarray(query_rows.T, dtype=np.float64)
+    return row_maxima(passage_rows[None], cols)[0]
 
 
 def flipr_score(
-    eq: EncodedQuery,
-    passage_rows: np.ndarray,
-    focus: FocusParams | None = None,
-    pid: str = "",
+    eq: EncodedQuery, passage_rows: np.ndarray, focus: FocusParams | None = None, pid: str = ""
 ) -> ScoredPassage:
     """Focused late interaction: top-n_hat query maxima plus top-l_hat fact maxima."""
-    (s_query,), (s_fact,) = score_segments(eq, passage_rows, [0], focus)
+    maxima = row_maxima(passage_rows[None], source_columns(eq))
+    (s_query,), (s_fact,) = focused_sums(eq, maxima, focus or FocusParams())
     return ScoredPassage(pid, float(s_query + s_fact), float(s_query), float(s_fact))
 
 
 def colbert_score(eq: EncodedQuery, passage_rows: np.ndarray) -> float:
     """Vanilla late interaction: sum of all per-row maxima, both parts.
 
-    Computed directly, not through `score_segments`, so it can check it.
+    Computed directly, not through `row_maxima`, so it can check it.
     """
     if passage_rows.shape[0] < 1:
         raise ValueError("passage matrix must have at least one row")
@@ -167,16 +170,13 @@ def colbert_score(eq: EncodedQuery, passage_rows: np.ndarray) -> float:
     return total
 
 
-def rank_scored(
-    pids: Sequence[str], s_query: np.ndarray, s_fact: np.ndarray, k: int
-) -> list[ScoredPassage]:
-    """The k best of the scored passages: score descending, then pid ascending."""
-    score = s_query + s_fact
-    pick = range(score.size)
+def rank_scored(score: np.ndarray, pid_rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best scores: score descending, then pid ascending.
+
+    `pid_rank[i]` is where the i-th passage's pid falls among all pids in
+    string order, so one `np.lexsort` settles ties without comparing strings.
+    """
+    pick = np.arange(score.size)
     if 0 < k < score.size:  # only scores tied with or above the k-th best can rank
-        pick = np.flatnonzero(score >= np.partition(score, -k)[-k]).tolist()
-    ranked = sorted(pick, key=lambda i: (-score[i], pids[i]))[:k]
-    return [
-        ScoredPassage(pids[i], float(score[i]), float(s_query[i]), float(s_fact[i]))
-        for i in ranked
-    ]
+        pick = np.flatnonzero(score >= np.partition(score, -k)[-k])
+    return pick[np.lexsort((pid_rank[pick], -score[pick]))[:k]]

@@ -191,15 +191,12 @@ def discover_positives(
         if not left:
             out[qid] = HopSupervision(t, (), (), False, state.text)
             continue
-        ranked = retriever.retrieve(state, k=cfg.k_retrieve)
-        ranked_pids = [sp.pid for sp in ranked]
+        ranked_pids = retriever.retrieve(state, k=cfg.k_retrieve).pids
         gold = queries[qid].gold_pids
-        head = ranked_pids if k_hat is None else ranked_pids[:k_hat]
-        positives = sorted(p for p in head if p in left)
+        positives = sorted(p for p in ranked_pids[:k_hat] if p in left)
         fallback = not positives
-        if fallback:
-            rank_of = {pid: i for i, pid in enumerate(ranked_pids)}
-            positives = [min(left, key=lambda p: (rank_of.get(p, len(ranked_pids)), p))]
+        if fallback:  # the best-ranked remaining gold, else the least pid
+            positives = [next((p for p in ranked_pids if p in left), min(left))]
         negatives = tuple(p for p in ranked_pids if p not in gold)
         out[qid] = HopSupervision(t, tuple(positives), negatives, fallback, state.text)
     return out

@@ -113,7 +113,7 @@ def test_a02_flat_retrieval_matches_oracle(acceptance_log):
     mismatches = 0
     for q in _word_queries(n=200, tokens=5, vocab_size=500, seed=12):
         eq = enc.encode_query(q)
-        got = retrieve(eq, idx, corpus, cfg)
+        got = retrieve(eq, idx, cfg)
         want = exact_topk_oracle(eq, corpus, enc, k=cfg.k, encodings=encodings)
         if [(sp.pid, sp.score) for sp in got] != [(sp.pid, sp.score) for sp in want]:
             mismatches += 1
@@ -152,7 +152,7 @@ def test_a03_ivf_recall(acceptance_log):
     for seed in (0, 1, 2):
         ivf = build_index(corpus, enc, IndexConfig(variant="ivf", seed=seed))
         hits = [
-            len({sp.pid for sp in retrieve(eq, ivf, corpus, rcfg)} & exact) / 20.0
+            len({sp.pid for sp in retrieve(eq, ivf, rcfg)} & exact) / 20.0
             for eq, exact in zip(eqs, exact_sets)
         ]
         per_seed.append(float(np.mean(hits)))

@@ -340,6 +340,31 @@ def test_dim_mismatch_exits_1_naming_both_dims(workdir, tmp_path):
     assert "64" in r.stderr and "128" in r.stderr and "encoder.dim" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["retrieve", "run", "lho"])
+def test_index_pid_missing_from_corpus_exits_1_naming_it(workdir, tmp_path, command):
+    data = workdir / "data"
+    golds = {
+        pid
+        for line in (data / "queries.jsonl").read_text().splitlines()
+        for pid in json.loads(line)["gold_pids"]
+    }
+    lines = (data / "corpus.jsonl").read_text().splitlines(keepends=True)
+    pids = [json.loads(line)["pid"] for line in lines]
+    dropped = next(pid for pid in pids if pid not in golds)
+    smaller = tmp_path / "corpus.jsonl"
+    smaller.write_text("".join(line for line, pid in zip(lines, pids) if pid != dropped))
+    out = tmp_path / "out.jsonl"
+    args = {
+        "retrieve": ["--query", "anything"],
+        "run": ["--queries", data / "queries.jsonl", "--out", out],
+        "lho": ["--queries", data / "queries.jsonl", "--out", out],
+    }[command]
+    r = run_cli(command, "--corpus", smaller, "--index", workdir / "flat.hlti", *args, "--seed", 7)
+    assert r.returncode == 1
+    assert repr(dropped) in r.stderr and "not in the corpus" in r.stderr
+    assert r.stdout == "" and not out.exists()
+
+
 def test_env_var_overrides_config(workdir, tmp_path):
     data = workdir / "data"
     out = tmp_path / "t.jsonl"

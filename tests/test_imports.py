@@ -7,8 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# perfbench/spans.py patches `flipr_score` on hoplite.retriever by name, so the
-# retriever imports it without calling it.
+# The flipr_score re-import in hoplite.retriever stays although the retriever
+# never calls it: perfbench/spans.py patches `flipr_score` on that module by name.
 ALLOWED = {"hoplite.retriever.flipr_score"}
 
 

@@ -87,9 +87,7 @@ def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
 
     state = MultiHopQuery(qid="q1", q0_text=query.text)
     eq = enc.encode_query(state)
-    ranked = retrieve(
-        eq, runner.index, tiny_corpus, replace(runner.cfg.retrieval, k=4)
-    )
+    ranked = retrieve(eq, runner.index, replace(runner.cfg.retrieval, k=4))
     kept = condense(
         state,
         [tiny_corpus.get(sp.pid) for sp in ranked],

@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoplite.corpus import Corpus, MultiHopQuery, Passage
+import hoplite.index as index_module
+from hoplite.corpus import Corpus, MultiHopQuery
 from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
 from hoplite.index import (
     IndexConfig,
@@ -13,8 +16,9 @@ from hoplite.index import (
     candidates_for,
     exact_topk_oracle,
 )
+from hoplite.pipeline import PipelineRunner
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
-from hoplite.scoring import FocusParams, rank_scored, score_segments, screen_error
+from hoplite.scoring import FocusParams, flipr_score, screen_error
 from hoplite.supervision import TermWeightTrainer
 
 from conftest import unit_rows
@@ -30,7 +34,7 @@ def test_retrieve_matches_exact_oracle_at_full_rpv(enc, tiny_corpus):
     cfg = RetrievalConfig(k=6, results_per_vector=idx.n_vectors)
     for text in ("carthage fought rome", "tiber river", "silver dye looms"):
         eq = enc.encode_query(_query(text))
-        got = retrieve(eq, idx, tiny_corpus, cfg)
+        got = retrieve(eq, idx, cfg)
         want = exact_topk_oracle(eq, tiny_corpus, enc, k=6)
         assert [(sp.pid, sp.score) for sp in got] == [(sp.pid, sp.score) for sp in want]
 
@@ -38,23 +42,23 @@ def test_retrieve_matches_exact_oracle_at_full_rpv(enc, tiny_corpus):
 def test_retrieve_scores_are_bit_stable(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage harbor ships"))
-    a = retrieve(eq, idx, tiny_corpus)
-    b = retrieve(eq, idx, tiny_corpus)
+    a = retrieve(eq, idx)
+    b = retrieve(eq, idx)
     assert [(sp.pid, sp.score) for sp in a] == [(sp.pid, sp.score) for sp in b]
 
 
 def test_retrieve_respects_k(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage rome tiber"))
-    assert len(retrieve(eq, idx, tiny_corpus, RetrievalConfig(k=2))) == 2
+    assert len(retrieve(eq, idx, RetrievalConfig(k=2))) == 2
 
 
 def test_retrieve_excludes_pids(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage fought rome"))
-    full = retrieve(eq, idx, tiny_corpus)
+    full = list(retrieve(eq, idx))
     top = full[0].pid
-    without = retrieve(eq, idx, tiny_corpus, exclude={top})
+    without = retrieve(eq, idx, exclude={top})
     assert top not in {sp.pid for sp in without}
     # remaining order is unchanged
     assert [sp.pid for sp in without] == [sp.pid for sp in full if sp.pid != top]
@@ -63,7 +67,7 @@ def test_retrieve_excludes_pids(enc, tiny_corpus):
 def test_retrieve_exclude_everything_is_empty(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage"))
-    assert retrieve(eq, idx, tiny_corpus, exclude=set(tiny_corpus.pids)) == []
+    assert list(retrieve(eq, idx, exclude=set(tiny_corpus.pids))) == []
 
 
 @pytest.mark.parametrize("variant", ["flat", "ivf"])
@@ -74,27 +78,28 @@ def test_retrieve_rejects_query_of_another_dim(enc, tiny_corpus, variant):
     for text in ("carthage fought rome", ""):
         eq = wide.encode_query(_query(text))
         with pytest.raises(ValueError, match=r"query dim 128 .* index dim 64.*encoder\.dim"):
-            retrieve(eq, idx, tiny_corpus)
+            retrieve(eq, idx)
 
 
 def test_retrieve_errors_on_candidate_missing_from_corpus(enc, tiny_corpus):
+    # the corpus is checked once, when the retriever is built, not per call
     idx = build_index(tiny_corpus, enc)
     smaller = Corpus([tiny_corpus.get("p1")])
-    eq = enc.encode_query(_query("rome tiber weaving"))
-    with pytest.raises(KeyError):
-        retrieve(eq, idx, smaller)
+    with pytest.raises(KeyError, match="not in the corpus"):
+        Retriever(smaller, idx, enc)
 
 
 def test_missing_corpus_pid_raises_even_outside_the_band(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     eq = enc.encode_query(_query("carthage fought three wars against rome"))
-    ranked = retrieve(eq, idx, tiny_corpus, RetrievalConfig(k=len(tiny_corpus.pids)))
+    ranked = list(retrieve(eq, idx, RetrievalConfig(k=len(tiny_corpus.pids))))
     best, last = ranked[0], ranked[-1]
     # k = 1 screens (2k < 6 passages) and the last pid is far outside the band
     assert best.score - last.score > 4 * screen_error(eq, FocusParams(), idx.max_row_norm)
     smaller = Corpus([p for p in tiny_corpus if p.pid != last.pid])
-    with pytest.raises(KeyError, match=last.pid):
-        retrieve(eq, idx, smaller, RetrievalConfig(k=1))
+    for build in (Retriever, PipelineRunner):
+        with pytest.raises(KeyError, match=last.pid):
+            build(smaller, idx, enc)
 
 
 def _nudged(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -162,25 +167,86 @@ def planted_retrievals(draw):
     return index, eq, RetrievalConfig(k=k, results_per_vector=rpv, focus=focus), exclude
 
 
+def _solo(eq: EncodedQuery, index: TokenIndex, positions, focus: FocusParams) -> list:
+    """Each passage at `positions` scored alone with `flipr_score`."""
+    out = []
+    for i in positions:
+        lo, hi = index.rows_for(index.pids[i])
+        out.append(flipr_score(eq, index.storage[lo:hi], focus, pid=index.pids[i]))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(planted_retrievals())
 def test_screen_and_rescore_ranks_as_one_float64_pass(case):
     index, eq, cfg, exclude = case
-    corpus = Corpus([Passage(pid=pid, title="", sentences=("x",)) for pid in index.pids])
-    got = retrieve(eq, index, corpus, cfg, exclude)
+    got = list(retrieve(eq, index, cfg, exclude))
 
     pool = np.flatnonzero(index.row_counts()) if index.ivf is None else candidates_for(
         eq, index, cfg.results_per_vector
     )
     pool = pool[~np.isin(pool, index.positions_of(exclude))]
-    rows, starts = index.stacked_rows(pool)
-    s_query, s_fact = score_segments(eq, rows, starts, cfg.focus)
-    want = rank_scored([index.pids[i] for i in pool.tolist()], s_query, s_fact, cfg.k)
+    solo = _solo(eq, index, pool.tolist(), cfg.focus)
+    want = sorted(solo, key=lambda sp: (-sp.score, sp.pid))[: cfg.k]
 
     assert [sp.pid for sp in got] == [sp.pid for sp in want]
-    for a, b in zip(got, want):
-        assert abs(a.score - b.score) <= 1e-12
-        assert abs(a.s_query - b.s_query) <= 1e-12
+    assert got == want  # scores to the bit
+
+
+@st.composite
+def off_grid_indexes(draw):
+    """A flat and an IVF index over the same random float32 passages, some of
+    them exact copies, and a float32 or float64 query; no row is on a grid,
+    so BLAS rounds every dot product."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(4, 128))
+    passages = [rng.standard_normal((int(rng.integers(1, 12)), dim)).astype(np.float32)
+                for _ in range(draw(st.integers(1, 40)))]
+    passages += [passages[i].copy() for i in rng.integers(0, len(passages), 4)]
+    passages = [passages[i] for i in rng.permutation(len(passages))]
+    pids = [f"p{i}" for i in range(len(passages))]  # p10 sorts before p2
+    storage = np.concatenate(passages)
+    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+    flat = TokenIndex(pids, vec_to_pid, storage)
+    n_c = int(rng.integers(1, 6))
+    centroids = unit_rows(rng, n_c, dim)
+    assign = np.argmax(storage @ centroids.T, axis=1)
+    ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    eq = EncodedQuery(
+        rng.standard_normal((draw(st.integers(1, 12)), dim)).astype(dtype),
+        rng.standard_normal((draw(st.integers(0, 6)), dim)).astype(dtype),
+    )
+    focus = FocusParams(n_hat=draw(st.integers(1, 12)), l_hat=draw(st.integers(0, 6)))
+    cfg = RetrievalConfig(
+        k=draw(st.integers(1, len(pids))),
+        results_per_vector=int(rng.integers(1, storage.shape[0] + 1)),
+        focus=focus,
+    )
+    exclude = {pid for pid in pids if rng.random() < 0.2}
+    return flat, TokenIndex(pids, vec_to_pid, storage, ivf), eq, cfg, exclude
+
+
+@settings(max_examples=200, deadline=None)
+@given(off_grid_indexes(), st.sampled_from([1, 2048, index_module.STACK_BYTES]))
+def test_scores_do_not_depend_on_the_pool(case, stack_bytes):
+    flat, ivf, eq, cfg, exclude = case
+    solo = {sp.pid: sp for sp in _solo(eq, flat, range(len(flat.pids)), cfg.focus)}
+    everything = RetrievalConfig(k=len(flat.pids), focus=cfg.focus)
+    runs = ((flat, everything, set()), (flat, cfg, exclude), (ivf, cfg, exclude))
+    for index, rcfg, skip in runs:
+        # stacks of one passage each, of a few, or of the default size
+        with patch.object(index_module, "STACK_BYTES", stack_bytes):
+            ranked = list(retrieve(eq, index, rcfg, skip))
+        # the same bits alone as in any pool, flat or IVF, screened or not
+        assert ranked == [solo[sp.pid] for sp in ranked]
+        # exact copies tie, and every tie breaks by ascending pid
+        assert ranked == sorted(ranked, key=lambda sp: (-sp.score, sp.pid))
+    full = list(retrieve(eq, flat, everything))
+    rows = {pid: flat.storage[slice(*flat.rows_for(pid))].tobytes() for pid in flat.pids}
+    for a, b in zip(full, full[1:]):
+        if rows[a.pid] == rows[b.pid]:
+            assert a.score == b.score and a.pid < b.pid
 
 
 def test_retriever_wrapper_equals_free_function(enc, tiny_corpus):
@@ -188,7 +254,7 @@ def test_retriever_wrapper_equals_free_function(enc, tiny_corpus):
     r = Retriever(tiny_corpus, idx, enc)
     q = _query("carthage fought rome")
     got = r.retrieve(q)
-    want = retrieve(enc.encode_query(q), idx, tiny_corpus, r.cfg)
+    want = retrieve(enc.encode_query(q), idx, r.cfg)
     assert [(sp.pid, sp.score) for sp in got] == [(sp.pid, sp.score) for sp in want]
 
 
@@ -204,12 +270,12 @@ def test_with_query_weights_boosts_token(enc, tiny_corpus):
     r = Retriever(tiny_corpus, idx, enc)
     q = _query("weaving carthage")
     boosted = r.with_query_weights({"weaving": 10.0})
-    base_top = r.retrieve(q)[0].pid
-    new_top = boosted.retrieve(q)[0].pid
+    base_top = r.retrieve(q).pids[0]
+    new_top = boosted.retrieve(q).pids[0]
     assert new_top == "f1"  # the looms passage wins once its token dominates
     assert boosted.encoder.query_weights == {"weaving": 10.0}
     # base retriever is untouched
-    assert r.retrieve(q)[0].pid == base_top
+    assert r.retrieve(q).pids[0] == base_top
 
 
 def test_with_query_weights_compose_multiplicatively(enc, tiny_corpus):
@@ -236,7 +302,7 @@ def test_candidate_pool_never_truncated_before_scoring(enc, tiny_corpus):
         cfg = IndexConfig(variant=variant, centroid_count=3, nprobe=3)
         idx = build_index(tiny_corpus, enc, cfg)
         rcfg = RetrievalConfig(k=len(tiny_corpus.pids), results_per_vector=idx.n_vectors)
-        got = retrieve(eq, idx, tiny_corpus, rcfg)
+        got = retrieve(eq, idx, rcfg)
         assert {sp.pid for sp in got} == set(tiny_corpus.pids)
         scores = [sp.score for sp in got]
         assert scores == sorted(scores, reverse=True)

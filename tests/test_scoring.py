@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from hoplite.encoder import EncodedQuery
 from hoplite.scoring import (
     FocusParams,
+    Ranking,
+    ScoredPassage,
     colbert_score,
     flipr_score,
+    focused_sums,
     maxsim_rows,
     rank_scored,
-    score_segments,
+    row_maxima,
+    source_columns,
 )
 
 
@@ -136,9 +140,11 @@ def test_empty_query_rows_score_zero():
 
 def test_rank_scored_orders_by_score_then_pid():
     pids = ["b", "a", "c", "d"]
+    pid_rank = np.array([1, 0, 2, 3])  # string order of the pids
     s_query = np.array([1.0, 1.0, 2.0, 0.5])
     s_fact = np.array([0.0, 0.0, 0.0, 0.25])
-    ranked = rank_scored(pids, s_query, s_fact, 3)
+    order = rank_scored(s_query + s_fact, pid_rank, 3)
+    ranked = list(Ranking(tuple(pids[i] for i in order), s_query[order], s_fact[order]))
     assert [r.pid for r in ranked] == ["c", "a", "b"]
     assert [(r.score, r.s_query, r.s_fact) for r in ranked] == [
         (2.0, 2.0, 0.0),
@@ -146,19 +152,31 @@ def test_rank_scored_orders_by_score_then_pid():
         (1.0, 1.0, 0.0),
     ]
     # a tie at the k-th score is settled by pid, not by input position
-    assert [r.pid for r in rank_scored(pids, s_query, s_fact, 2)] == ["c", "a"]
+    assert [pids[i] for i in rank_scored(s_query + s_fact, pid_rank, 2)] == ["c", "a"]
 
 
-def test_score_segments_of_nothing_is_empty():
+def test_ranking_is_arrays_until_iterated():
+    ranking = Ranking(("x", "y"), np.array([1.5, 0.25]), np.array([0.5, 0.0]))
+    assert len(ranking) == 2 and len(Ranking()) == 0
+    assert list(ranking) == [
+        ScoredPassage("x", 2.0, 1.5, 0.5),
+        ScoredPassage("y", 0.25, 0.25, 0.0),
+    ]
+    assert list(Ranking()) == []
+
+
+def test_kernel_of_no_passages_is_empty():
     eq = EncodedQuery(np.ones((2, 4), np.float32), np.ones((1, 4), np.float32))
-    s_query, s_fact = score_segments(eq, np.zeros((0, 4)), np.zeros(0, dtype=np.intp))
+    maxima = row_maxima(np.zeros((0, 3, 4)), source_columns(eq))
+    s_query, s_fact = focused_sums(eq, maxima, FocusParams())
+    assert maxima.shape == (0, 3)
     assert s_query.shape == s_fact.shape == (0,)
 
 
-def test_score_segments_rejects_empty_segment():
+def test_kernel_rejects_empty_passage():
     eq = EncodedQuery(np.ones((2, 4), np.float32), np.zeros((0, 4), np.float32))
     with pytest.raises(ValueError):
-        score_segments(eq, np.ones((3, 4)), np.array([0, 2, 2]))
+        row_maxima(np.ones((3, 0, 4)), source_columns(eq))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +239,8 @@ def test_flipr_never_exceeds_colbert_on_nonnegative_maxima(q, f, d):
 
 
 # Small multiples of 1/4 make every dot product and partial sum exact, so
-# the batched kernel and the per-passage calls must agree to the bit and
-# ties (common here) are settled by pid alone.
+# ties (common here) are settled by pid alone; the batched kernel and the
+# per-passage calls must agree to the bit.
 quarter = st.integers(-4, 4).map(lambda v: v / 4)
 
 
@@ -236,23 +254,26 @@ def quarter_rows(n_rows, dim=3):
 @given(
     q=st.integers(1, 5).flatmap(quarter_rows),
     f=st.integers(0, 3).flatmap(quarter_rows),
-    segments=st.lists(st.integers(1, 4).flatmap(quarter_rows), min_size=1, max_size=7),
+    passages=st.lists(st.integers(1, 4).flatmap(quarter_rows), min_size=1, max_size=7),
     n_hat=st.integers(1, 8),
     l_hat=st.integers(0, 4),
 )
-def test_score_segments_matches_per_segment_flipr(q, f, segments, n_hat, l_hat):
+def test_kernel_matches_per_passage_flipr(q, f, passages, n_hat, l_hat):
     eq = EncodedQuery(q, f)
     focus = FocusParams(n_hat=n_hat, l_hat=l_hat)
-    pids = [f"p{i}" for i in range(len(segments))]
-    counts = np.array([m.shape[0] for m in segments])
-    rows = np.concatenate(segments, dtype=np.float64)
-    s_query, s_fact = score_segments(eq, rows, np.cumsum(counts) - counts, focus)
-    solo = [flipr_score(eq, m, focus, pid=pid) for pid, m in zip(pids, segments)]
+    pids = [f"p{i}" for i in range(len(passages))]
+    maxima = np.empty((len(passages), q.shape[0] + f.shape[0]))
+    for length in {m.shape[0] for m in passages}:
+        at = [i for i, m in enumerate(passages) if m.shape[0] == length]
+        stack = np.stack([passages[i] for i in at])
+        maxima[at] = row_maxima(stack, source_columns(eq))
+    s_query, s_fact = focused_sums(eq, maxima, focus)
+    solo = [flipr_score(eq, m, focus, pid=pid) for pid, m in zip(pids, passages)]
     for i, sp in enumerate(solo):
         assert s_query[i] == sp.s_query
         assert s_fact[i] == sp.s_fact
-    batch = rank_scored(pids, s_query, s_fact, len(pids))
-    assert [sp.pid for sp in batch] == [
+    order = rank_scored(s_query + s_fact, np.arange(len(pids)), len(pids))
+    assert [pids[i] for i in order] == [
         sp.pid for sp in sorted(solo, key=lambda sp: (-sp.score, sp.pid))
     ]
     if l_hat == 0 or f.shape[0] == 0:

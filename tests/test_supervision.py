@@ -2,12 +2,13 @@ import json
 import logging
 import time
 
+import numpy as np
 import pytest
 
 from hoplite.corpus import Corpus, Passage, QueryRecord
 from hoplite.index import build_index
 from hoplite.retriever import RetrievalConfig, Retriever
-from hoplite.scoring import ScoredPassage
+from hoplite.scoring import Ranking
 from hoplite.supervision import (
     HopSupervision,
     LhoConfig,
@@ -35,11 +36,8 @@ class StubRetriever:
         self.ranking = list(ranking)
 
     def retrieve(self, state, k=None):
-        pids = self.ranking if k is None else self.ranking[:k]
-        return [
-            ScoredPassage(pid=p, score=float(len(pids) - i), s_query=0.0, s_fact=0.0)
-            for i, p in enumerate(pids)
-        ]
+        pids = tuple(self.ranking if k is None else self.ranking[:k])
+        return Ranking(pids, np.arange(len(pids), 0, -1, dtype=np.float64), np.zeros(len(pids)))
 
 
 def _qrec(qid, text, gold=(), facts=(), answer=None):
