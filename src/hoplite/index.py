@@ -6,7 +6,11 @@ variant is exact: retrieval scores every passage. The IVF variant buckets
 vectors under k-means centroids; `candidates_for` probes the nearest few
 lists per source vector and keeps each vector's top results_per_vector
 hits, and retrieval scores only those candidate passages, whole.
-results_per_vector therefore applies to IVF indexes only.
+results_per_vector therefore applies to IVF indexes only. A `RowCache`
+keeps, for the calls of one query, each distinct source row's candidates
+and its screened maxima over every passage (distinct rows x passages x 4
+bytes), so a row is probed and screened once per query; neither depends on
+anything but the index, the row and the depth, so no ranking changes.
 
 On-disk layout (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -204,17 +208,75 @@ class TokenIndex:
             for at in (pick[i : i + step] for i in range(0, pick.size, step)):
                 yield bucket[at], self.storage[first_rows[at, None] + np.arange(length)]
 
-    def screen_maxima(self, src: np.ndarray) -> np.ndarray:
-        """Float32 (n_pids, len(src)): each passage's best float32 dot product per
-        source row. One GEMM reads storage in place; rows of empty passages are unset."""
+    def screen_maxima(self, src: np.ndarray, out: np.ndarray) -> None:
+        """Into float32 `out` (n_pids, len(src)): each passage's best float32 dot
+        product per source row. One GEMM reads storage in place; rows of empty
+        passages are left as they were."""
         sims = self.storage @ np.ascontiguousarray(src, dtype=np.float32).T
-        out = np.empty((len(self.pids), sims.shape[1]), dtype=np.float32)
         for positions, first_rows, length in self._length_buckets:
             best = sims[first_rows]
             for j in range(1, length):
                 np.maximum(best, sims[first_rows + j], out=best)
             out[positions] = best
-        return out
+
+
+class RowCache:
+    """What each distinct source row alone determines, kept for one query.
+
+    Each MaxSim term depends on one source row, and a multi-hop query repeats
+    its rows: hop t+1 re-encodes hop t's rows before the new facts', and the
+    hybrid rerank arm starts from the condensed arm's q0. Keyed by a row's
+    float64 bits, the cache holds the row's IVF candidates (the pid positions
+    `candidates_for` finds for it) and its screened maxima (every passage's
+    best float32 dot product with it, one column of a float32 table). Both
+    are functions of the index, the row's bits and results_per_vector alone,
+    and the screen's error bound holds for any float32 summation order, so a
+    cache saves work and cannot change a ranking. The table takes distinct
+    screened rows x passages x 4 bytes; the token caps allow a query about
+    1,000 distinct rows (512 per arm, q0 shared). One cache serves one query
+    on one thread; `row_cache` refuses it for another index or another
+    results_per_vector.
+    """
+
+    def __init__(
+        self, index: TokenIndex, results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR
+    ):
+        self.index = index
+        self.results_per_vector = results_per_vector
+        self.candidates: dict[bytes, np.ndarray] = {}
+        self._columns: dict[bytes, int] = {}
+        self._maxima = np.empty((len(index.pids), 0), dtype=np.float32)
+
+    def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
+        """Float32 (len(pool), len(rows)): the screened maxima of the passages at
+        `pool` for each float64 source row, screening only the rows not seen yet."""
+        keys = [row.tobytes() for row in rows]
+        new = {key: row for key, row in zip(keys, rows) if key not in self._columns}
+        if new:
+            start = len(self._columns)
+            grown = np.empty((len(self.index.pids), start + len(new)), dtype=np.float32)
+            grown[:, :start] = self._maxima
+            self.index.screen_maxima(np.array(list(new.values())), grown[:, start:])
+            self._maxima = grown
+            self._columns.update((key, start + j) for j, key in enumerate(new))
+        return self._maxima.take([self._columns[key] for key in keys], axis=1)[pool]
+
+
+def row_cache(
+    cache: RowCache | None, index: TokenIndex, results_per_vector: int | None = None
+) -> RowCache:
+    """`cache`, or a fresh one when None. ValueError, naming the field, for a
+    cache made for another index or (when given) another results_per_vector."""
+    if cache is None:
+        return RowCache(index, results_per_vector or INFERENCE_RESULTS_PER_VECTOR)
+    if cache.index is not index:
+        raise ValueError("RowCache index: the cache was filled from another index")
+    if results_per_vector not in (None, cache.results_per_vector):
+        raise ValueError(
+            f"RowCache results_per_vector: the cache holds candidates at depth "
+            f"{cache.results_per_vector}, not {results_per_vector}"
+        )
+    return cache
 
 
 def _cluster_sums(vectors: np.ndarray, assign: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -332,45 +394,59 @@ def candidates_for(
     eq: EncodedQuery,
     index: TokenIndex,
     results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR,
+    cache: RowCache | None = None,
 ) -> np.ndarray:
     """Union of per-source-row nearest vectors on an IVF index, as ascending pid positions.
 
     Every query row and fact row is a source row. Each scans its nprobe
     nearest centroid lists and contributes its top results_per_vector
     vectors there by dot product. A flat index has no candidate stage.
+    Each distinct row is probed once per `cache` (a fresh one per call
+    by default), which keeps every row's pid positions.
     """
     if index.ivf is None:
         raise ValueError("candidates_for needs an IVF index; flat search scores every passage")
     if results_per_vector < 1:
         raise ValueError("results_per_vector must be positive")
+    cache = row_cache(cache, index, results_per_vector)
     hit = np.zeros(len(index.pids), dtype=bool)
     ivf = index.ivf
     cent64 = ivf.centroids.astype(np.float64)
     # matmul raises ValueError on a dim mismatch
     for row in np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64):
-        probe = np.argsort(-(cent64 @ row), kind="stable")[: ivf.nprobe]
-        cand = np.concatenate([ivf.lists[c] for c in probe])
-        if results_per_vector < cand.size:
-            ds = index.storage[cand].astype(np.float64) @ row
-            keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
-            cand = cand[keep]
-        hit[index.vec_to_pid[cand]] = True
+        key = row.tobytes()
+        if key not in cache.candidates:
+            probe = np.argsort(-(cent64 @ row), kind="stable")[: ivf.nprobe]
+            cand = np.concatenate([ivf.lists[c] for c in probe])
+            if results_per_vector < cand.size:
+                ds = index.storage[cand].astype(np.float64) @ row
+                keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
+                cand = cand[keep]
+            cache.candidates[key] = index.vec_to_pid[cand]
+        hit[cache.candidates[key]] = True
     return np.flatnonzero(hit)
 
 
 def rank_pool(
-    eq: EncodedQuery, index: TokenIndex, pool: np.ndarray, k: int, focus: FocusParams
+    eq: EncodedQuery,
+    index: TokenIndex,
+    pool: np.ndarray,
+    k: int,
+    focus: FocusParams,
+    cache: RowCache | None = None,
 ) -> Ranking:
     """The float64 top-k of the passages at `pool` (distinct, ascending, none empty).
 
     Unless the band could not prune (2k >= pool size), a float32 screen
     scores every passage and only the pool passages screened within twice
     the error bound of the k-th best are rescored in float64; the rest
-    cannot reach the top k (see `scoring`).
+    cannot reach the top k (see `scoring`). The screen runs only for the
+    source rows `cache` (a fresh one per call by default) has not seen.
     """
     cols = source_columns(eq)
     if 2 * k < pool.size:
-        s_query, s_fact = focused_sums(eq, index.screen_maxima(cols.T)[pool].astype(float), focus)
+        maxima = row_cache(cache, index).screened(cols.T, pool)
+        s_query, s_fact = focused_sums(eq, maxima.astype(float), focus)
         approx = s_query + s_fact
         kth = np.partition(approx, -k)[-k]
         pool = pool[approx >= kth - 2 * screen_error(eq, focus, index.max_row_norm)]

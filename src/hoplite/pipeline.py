@@ -9,6 +9,13 @@ Three inference variants share one hop loop:
 Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
 concatenation (the trace union) has no duplicates.
+
+Each query gets one `index.RowCache`, shared by all of its hops and both
+hybrid arms and by no other query: a hop's rows repeat the earlier hops'
+rows, and each distinct row is probed and screened once. The cache holds
+distinct rows x passages x 4 bytes of screened maxima (about 1,000 rows at
+most under the token caps) and cannot change a ranking, so traces are the
+bytes a fresh cache per retrieval writes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
-from .index import TokenIndex
+from .index import RowCache, TokenIndex
 from .retriever import RetrievalConfig, check_corpus_covers, retrieve
 from .scoring import ScoredPassage
 from .util import read_jsonl, write_jsonl
@@ -115,10 +122,15 @@ class PipelineRunner:
         self.idf = IdfTable.from_corpus(corpus)
 
     def _hop_loop(
-        self, query: QueryRecord, rerank: bool, hop1: Sequence[ScoredPassage] | None = None
+        self,
+        query: QueryRecord,
+        cache: RowCache,
+        rerank: bool,
+        hop1: Sequence[ScoredPassage] | None = None,
     ) -> HopTrace:
-        """One variant's hops. `hop1`, when given, is the hop-1 ranking: every
-        variant retrieves hop 1 from q0 alone with nothing excluded."""
+        """One variant's hops, every retrieval through the query's `cache`. `hop1`,
+        when given, is the hop-1 ranking: every variant retrieves hop 1 from q0
+        alone with nothing excluded."""
         cfg = self.cfg
         state = MultiHopQuery(qid=query.qid, q0_text=query.text)
         excluded: set[str] = set()
@@ -129,7 +141,9 @@ class PipelineRunner:
             else:
                 eq = self.encoder.encode_query(state)
                 step = replace(cfg.retrieval, k=k)
-                ranked = tuple(retrieve(eq, self.index, step, exclude=frozenset(excluded)))
+                ranked = tuple(
+                    retrieve(eq, self.index, step, exclude=frozenset(excluded), cache=cache)
+                )
             kept: list[Fact] = []
             context_pid: str | None = None
             new_facts: list[Fact] = []
@@ -164,11 +178,13 @@ class PipelineRunner:
         )
 
     def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
-        """One query through the configured variant."""
+        """One query through the configured variant, with one `RowCache` for
+        every hop of it (both arms of hybrid) and for no other query."""
+        cache = RowCache(self.index, self.cfg.retrieval.results_per_vector)
         if self.cfg.variant != VARIANT_HYBRID:
-            return self._hop_loop(query, rerank=self.cfg.variant == VARIANT_RERANK)
-        condensed = self._hop_loop(query, rerank=False)
-        reranked = self._hop_loop(query, rerank=True, hop1=condensed.hops[0].ranked)
+            return self._hop_loop(query, cache, rerank=self.cfg.variant == VARIANT_RERANK)
+        condensed = self._hop_loop(query, cache, rerank=False)
+        reranked = self._hop_loop(query, cache, rerank=True, hop1=condensed.hops[0].ranked)
         merged = merge_hybrid(condensed, reranked, total=self.cfg.hybrid_total)
         return HybridTrace(
             qid=query.qid, merged=tuple(merged), condensed=condensed, rerank=reranked

@@ -8,6 +8,15 @@ when k is at least half the pool). A passage's scores are the bits
 `flipr_score` gives it alone, so rankings are the float64 rankings of the
 whole pool. The corpus is checked once, when a `Retriever` or
 `pipeline.PipelineRunner` is built, not per call.
+
+A source row's IVF candidates and its screened maxima depend on that row
+alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
+for the calls of one query (the pipeline passes one per query, to every hop
+of both hybrid arms). Its table takes distinct rows x passages x 4 bytes,
+about 1,000 rows at most under the token caps. It cannot change a ranking:
+candidates are a function of the index, the row and the depth, the screen's
+error bound holds for any float32 summation order, and the band is still
+rescored exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +27,14 @@ import numpy as np
 
 from .corpus import Corpus, MultiHopQuery
 from .encoder import EncodedQuery, LexicalEncoder
-from .index import INFERENCE_RESULTS_PER_VECTOR, TokenIndex, candidates_for, rank_pool
+from .index import (
+    INFERENCE_RESULTS_PER_VECTOR,
+    RowCache,
+    TokenIndex,
+    candidates_for,
+    rank_pool,
+    row_cache,
+)
 from .scoring import FocusParams, Ranking
 
 # perfbench/spans.py patches `candidates_for` and `flipr_score` on this module
@@ -51,13 +67,17 @@ def retrieve(
     index: TokenIndex,
     cfg: RetrievalConfig | None = None,
     exclude: frozenset[str] | set[str] = frozenset(),
+    cache: RowCache | None = None,
 ) -> Ranking:
     """Top-k passages for an encoded query, ties broken by ascending pid.
 
     A flat index scores every passage; an IVF index scores the candidates
     from `candidates_for`, each whole. Excluded pids are dropped first and
     `rank_pool` ranks the rest. A query with no rows retrieves nothing; one
-    whose dim differs from the index's raises ValueError.
+    whose dim differs from the index's raises ValueError. Both stages fill
+    `cache` (a fresh `RowCache` per call by default); pass one cache to
+    every call of one query so that each distinct row is probed and
+    screened once.
     """
     cfg = cfg or RetrievalConfig()
     if eq.dim != index.dim:
@@ -65,15 +85,16 @@ def retrieve(
             f"query dim {eq.dim} does not match index dim {index.dim}; "
             "set encoder.dim to the dim the index was built with"
         )
+    cache = row_cache(cache, index, cfg.results_per_vector)
     if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
         return Ranking()
     if index.ivf is None:
         pool = np.flatnonzero(index.row_counts())
     else:
-        pool = candidates_for(eq, index, cfg.results_per_vector)
+        pool = candidates_for(eq, index, cfg.results_per_vector, cache)
     if exclude:
         pool = pool[~np.isin(pool, index.positions_of(exclude))]
-    return rank_pool(eq, index, pool, cfg.k, cfg.focus)
+    return rank_pool(eq, index, pool, cfg.k, cfg.focus, cache)
 
 
 class Retriever:

@@ -1,6 +1,9 @@
-"""Every name the package and the tests import is referenced where it is imported."""
+"""Every name the package and the tests import is referenced where it is imported,
+and every name the benchmark's tracer binds by name still exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,40 @@ def _unused_imports(path: Path, module: str) -> list[str]:
 def test_no_unused_imports(path):
     package = "hoplite" if path.parent.name == "hoplite" else "tests"
     assert _unused_imports(path, f"{package}.{path.stem}") == []
+
+
+# What perfbench/spans.py looks up by name: (module, attribute, parameters the
+# tracer reads, each with the position it reads it from).
+TRACED = [
+    ("corpus", "load_corpus", {}),
+    ("corpus", "load_queryset", {}),
+    ("index", "build_index", {}),
+    ("index", "save_index", {}),
+    ("index", "load_index", {}),
+    ("retriever", "candidates_for", {"index": 1}),
+    ("retriever", "flipr_score", {"eq": 0, "passage_rows": 1}),
+    ("retriever", "retrieve", {"eq": 0, "exclude": 3}),
+    ("pipeline", "retrieve", {"eq": 0, "exclude": 3}),
+    ("pipeline", "condense", {"passages": 1}),
+    ("pipeline", "merge_hybrid", {}),
+    ("pipeline", "run_queries", {}),
+    ("pipeline", "write_traces", {"path": 0}),
+    ("supervision", "latent_hop_ordering", {}),
+    ("supervision", "discover_positives", {}),
+    ("supervision", "write_supervision", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, params", [pytest.param(*t, id=f"{t[0]}.{t[1]}") for t in TRACED]
+)
+def test_names_the_benchmark_tracer_binds(module, name, params):
+    fn = getattr(importlib.import_module(f"hoplite.{module}"), name)
+    names = list(inspect.signature(fn).parameters)
+    assert {p: names.index(p) for p in params if p in names} == params
+
+
+def test_idf_table_from_corpus_stays_a_classmethod():
+    from hoplite.condenser import IdfTable
+
+    assert isinstance(IdfTable.__dict__["from_corpus"], classmethod)

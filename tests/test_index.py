@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
-from hoplite.encoder import EncoderConfig, LexicalEncoder
+from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
 from hoplite.index import (
     STORAGE_ALIGN,
     IndexConfig,
     IndexFormatError,
+    IvfData,
+    RowCache,
     TokenIndex,
     _cluster_sums,
     build_index,
@@ -176,6 +178,40 @@ def test_ivf_probe_all_equals_flat():
     )
     rpv = 9
     assert _hits(ivf, candidates_for(eq, ivf, rpv)) == _brute_force_hits(eq, ivf, rpv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 64), st.integers(2, 5))
+def test_cached_candidates_are_the_brute_force_hits(seed, dim, n_calls):
+    # Every list probed, so only the depth prunes. A sequence of queries shares
+    # one cache; their rows repeat within a query, recur across queries, differ
+    # in one entry, and include float64 twins of float32 rows; each query may
+    # add fresh rows.
+    rng = np.random.default_rng(seed)
+    n_passages = int(rng.integers(2, 30))
+    counts = rng.integers(1, 8, n_passages)
+    storage = rng.standard_normal((int(counts.sum()), dim)).astype(np.float32)
+    n_c = int(rng.integers(1, 6))
+    centroids = rng.standard_normal((n_c, dim)).astype(np.float32)
+    ivf = IvfData(centroids, np.argmax(storage @ centroids.T, axis=1), nprobe=n_c)
+    idx = TokenIndex([f"p{i}" for i in range(n_passages)],
+                     np.repeat(np.arange(n_passages), counts), storage, ivf)
+    rpv = int(rng.integers(1, storage.shape[0] + 1))
+    base = rng.standard_normal((6, dim)).astype(np.float32)
+    base[3:, :-1] = base[:3, :-1]  # rows that differ in their last entry only
+    twins = base.astype(np.float64) * (1 + 2.0**-40)
+    cache = RowCache(idx, rpv)
+    for _ in range(n_calls):
+        parts = []
+        for n in rng.integers(0, 8, 2):
+            pick = rng.integers(0, len(base), n)
+            rows = np.concatenate([base[pick], twins[pick][: n // 2],
+                                   rng.standard_normal((int(rng.integers(0, 2)), dim))])
+            parts.append(rows[rng.permutation(len(rows))])
+        eq = EncodedQuery(*parts)
+        got = candidates_for(eq, idx, rpv, cache)
+        assert np.array_equal(got, candidates_for(eq, idx, rpv))  # a fresh cache per call
+        assert _hits(idx, got) == _brute_force_hits(eq, idx, rpv)
 
 
 def test_ivf_default_centroids_and_nprobe():

@@ -22,6 +22,7 @@ from hoplite.pipeline import (
 )
 from hoplite.retriever import retrieve
 from hoplite.scoring import ScoredPassage
+from hoplite.synth import PlantSpec, generate
 
 
 def _qrec(qid, text):
@@ -219,6 +220,35 @@ def test_run_queries_thread_count_is_invisible(enc, tiny_corpus):
     par = run_queries(runner, queries, threads=4)
     assert [t.qid for t in par] == ["q1", "q2", "q3"]
     assert [trace_record(a) for a in seq] == [trace_record(b) for b in par]
+
+
+@pytest.mark.parametrize("variant", ["condensed", "rerank", "hybrid"])
+@pytest.mark.parametrize("index_variant", ["flat", "ivf"])
+def test_one_row_cache_per_query_changes_no_trace(enc, monkeypatch, variant, index_variant):
+    planted = generate(PlantSpec(hops=3, queries=6, corpus_size=120, distractors_per_query=3,
+                                 seed=5))
+    idx = build_index(planted.corpus, enc, IndexConfig(variant=index_variant))
+    cfg = PipelineConfig(per_hop_k=(5, 5, 5), variant=variant)  # 2k < pool: hops screen
+    runner = PipelineRunner(planted.corpus, idx, enc, cfg)
+    queries = planted.queries
+    q0_rows = {}  # id(cache) -> (cache, the q0 rows of its calls); holding it keeps ids unique
+
+    def recording(eq, *args, cache, **kwargs):
+        q0_rows.setdefault(id(cache), (cache, set()))[1].add(eq.query_part.tobytes())
+        return retrieve(eq, *args, cache=cache, **kwargs)
+
+    def fresh(*args, cache, **kwargs):
+        return retrieve(*args, **kwargs)
+
+    for threads in (1, 4):
+        monkeypatch.setattr("hoplite.pipeline.retrieve", recording)
+        shared = [trace_record(t) for t in run_queries(runner, queries, threads)]
+        monkeypatch.setattr("hoplite.pipeline.retrieve", fresh)
+        alone = [trace_record(t) for t in run_queries(runner, queries, threads)]
+        assert shared == alone
+    # one cache per query and run, serving that query alone
+    assert len(q0_rows) == 2 * len(queries)
+    assert all(len(rows) == 1 for _, rows in q0_rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hoplite.index as index_module
@@ -11,10 +11,12 @@ from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
 from hoplite.index import (
     IndexConfig,
     IvfData,
+    RowCache,
     TokenIndex,
     build_index,
     candidates_for,
     exact_topk_oracle,
+    rank_pool,
 )
 from hoplite.pipeline import PipelineRunner
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
@@ -247,6 +249,120 @@ def test_scores_do_not_depend_on_the_pool(case, stack_bytes):
     for a, b in zip(full, full[1:]):
         if rows[a.pid] == rows[b.pid]:
             assert a.score == b.score and a.pid < b.pid
+
+
+@st.composite
+def cached_call_sequences(draw):
+    """A flat or IVF index over random float32 passages, and 2 to 5 retrieve
+    calls whose rows come from one small set: rows repeat within a call and
+    recur across calls, some differ from another in their last entry only,
+    float64 rows that round to the same float32 as another row sit beside
+    it, and each call may bring rows not seen before, so a shared cache
+    grows past its first allocation. Each call has its own k, on either side
+    of the 2k < pool size rule, and its own exclusions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(4, 96))
+    passages = [rng.standard_normal((int(rng.integers(1, 9)), dim)).astype(np.float32)
+                for _ in range(draw(st.integers(2, 40)))]
+    passages.append(passages[0].copy())
+    pids = [f"p{i}" for i in range(len(passages))]
+    storage = np.concatenate(passages)
+    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+    ivf = None
+    rpv = storage.shape[0]
+    if draw(st.booleans()):
+        n_c = int(rng.integers(1, 6))
+        centroids = unit_rows(rng, n_c, dim)
+        assign = np.argmax(storage @ centroids.T, axis=1)
+        ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
+        rpv = int(rng.integers(1, storage.shape[0] + 1))
+    index = TokenIndex(pids, vec_to_pid, storage, ivf)
+
+    base = rng.standard_normal((int(rng.integers(2, 12)), dim)).astype(np.float32)
+    base[1::2, :-1] = base[::2, :-1][: len(base) // 2]  # pairs differing in one entry
+    # float64 twins: a few float64 ulps off a base row, the same row in float32
+    twins = base.astype(np.float64) * (1 + rng.choice([-1, 1], base.shape) * 2.0**-40)
+    assert np.array_equal(twins.astype(np.float32), base)
+
+    def part(n, dtype):
+        fresh = rng.standard_normal((int(rng.integers(0, 3)), dim))
+        if dtype == np.float32:
+            rows = np.concatenate([base[rng.integers(0, len(base), n)], fresh])
+        else:
+            pick = rng.integers(0, len(base), n)
+            rows = np.concatenate([np.where(rng.random((n, 1)) < 0.5, base[pick], twins[pick]),
+                                   fresh])
+        return rows[rng.permutation(len(rows))].astype(dtype)
+
+    calls = []
+    for _ in range(draw(st.integers(2, 5))):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        eq = EncodedQuery(part(draw(st.integers(1, 10)), dtype),
+                          part(draw(st.integers(0, 6)), dtype))
+        cfg = RetrievalConfig(
+            k=draw(st.integers(1, len(pids))),
+            results_per_vector=rpv,
+            focus=FocusParams(n_hat=draw(st.integers(1, 8)), l_hat=draw(st.integers(0, 4))),
+        )
+        calls.append((eq, cfg, {pid for pid in pids if rng.random() < 0.15}))
+    return index, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(cached_call_sequences())
+def test_a_shared_row_cache_changes_no_ranking(case):
+    index, calls = case
+    cache = RowCache(index, calls[0][1].results_per_vector)
+    widths = []
+    for eq, cfg, exclude in calls:
+        got = list(retrieve(eq, index, cfg, exclude, cache=cache))
+        assert got == list(retrieve(eq, index, cfg, exclude))  # a fresh cache per call
+        widths.append(cache._maxima.shape[1])
+    if len(set(widths) - {0}) > 1:
+        event("the shared table grew past its first allocation")
+
+
+def test_row_cache_screens_each_distinct_row_once(enc, tiny_corpus):
+    idx = build_index(tiny_corpus, enc)
+    cache = RowCache(idx)
+    screened = []
+    screen = idx.screen_maxima
+    with patch.object(idx, "screen_maxima",
+                      lambda src, out: screened.append(len(src)) or screen(src, out)):
+        for text in ("carthage rome carthage", "rome carthage tiber", "carthage tiber sea"):
+            eq = enc.encode_query(_query(text))
+            cfg = RetrievalConfig(k=1)  # 2k < 6 passages: every call screens
+            assert list(retrieve(eq, idx, cfg, cache=cache)) == list(retrieve(eq, idx, cfg))
+    # carthage and rome, then tiber, then sea; the repeated carthage is screened once
+    assert screened[::2] == [2, 1, 1]
+    assert cache._maxima.shape == (len(idx.pids), 4)  # one column per distinct row
+
+
+def test_row_cache_refuses_another_index(enc, tiny_corpus):
+    idx = build_index(tiny_corpus, enc)
+    other = build_index(tiny_corpus, enc)
+    eq = enc.encode_query(_query("carthage fought rome"))
+    cache = RowCache(idx)
+    retrieve(eq, idx, RetrievalConfig(k=1), cache=cache)
+    with pytest.raises(ValueError, match="RowCache index"):
+        retrieve(eq, other, RetrievalConfig(k=1), cache=cache)
+    pool = np.flatnonzero(other.row_counts())
+    with pytest.raises(ValueError, match="RowCache index"):
+        rank_pool(eq, other, pool, 1, FocusParams(), cache)
+    ivf = build_index(tiny_corpus, enc, IndexConfig(variant="ivf", centroid_count=3))
+    with pytest.raises(ValueError, match="RowCache index"):
+        candidates_for(eq, ivf, cache=cache)
+
+
+def test_row_cache_refuses_another_results_per_vector(enc, tiny_corpus):
+    idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf", centroid_count=3))
+    eq = enc.encode_query(_query("carthage fought rome"))
+    cache = RowCache(idx, results_per_vector=4)
+    candidates_for(eq, idx, 4, cache)
+    with pytest.raises(ValueError, match="RowCache results_per_vector"):
+        candidates_for(eq, idx, 5, cache)
+    with pytest.raises(ValueError, match="RowCache results_per_vector"):
+        retrieve(eq, idx, RetrievalConfig(results_per_vector=5), cache=cache)
 
 
 def test_retriever_wrapper_equals_free_function(enc, tiny_corpus):
