@@ -11,6 +11,11 @@ keeps, for the calls of one query, each distinct source row's candidates
 and its screened maxima over every passage (distinct rows x passages x 4
 bytes), so a row is probed and screened once per query; neither depends on
 anything but the index, the row and the depth, so no ranking changes.
+`screen_caches` screens the new rows of several queries' caches with one
+`screen_maxima` call, as the pipeline does for each hop of a batch; the
+screen runs in blocks of source rows whose similarity matrix stays under
+SCREEN_BYTES, and a stacked screen gives each row the maxima it gets alone
+up to float32 summation order, which the screen's error bound covers.
 
 On-disk layout (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -48,6 +53,7 @@ from .scoring import (
     rank_scored,
     row_maxima,
     screen_error,
+    screen_sums,
     source_columns,
 )
 
@@ -74,6 +80,10 @@ STORAGE_ALIGN = 64
 # glibc's default 128 KiB mmap threshold, so a stack reuses heap memory instead of
 # being mapped and faulted in anew, and it stays in cache for its GEMM.
 STACK_BYTES = 120 * 1024
+
+# Bytes of the screen's float32 similarity matrix (storage rows x source rows):
+# a stacked screen of many queries' rows runs in blocks of rows under this cap.
+SCREEN_BYTES = 8 * 1024 * 1024
 
 _INDEX_MAGIC = b"HLTI"
 _INDEX_VERSION = 1
@@ -104,6 +114,7 @@ class IvfData:
 
     def __init__(self, centroids: np.ndarray, assignments: np.ndarray, nprobe: int):
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
+        self.centroids64 = self.centroids.astype(np.float64)  # probes rank them in float64
         self.assignments = np.ascontiguousarray(assignments, dtype=np.int32)
         if nprobe < 1 or nprobe > self.centroids.shape[0]:
             raise ValueError(
@@ -210,14 +221,19 @@ class TokenIndex:
 
     def screen_maxima(self, src: np.ndarray, out: np.ndarray) -> None:
         """Into float32 `out` (n_pids, len(src)): each passage's best float32 dot
-        product per source row. One GEMM reads storage in place; rows of empty
-        passages are left as they were."""
-        sims = self.storage @ np.ascontiguousarray(src, dtype=np.float32).T
-        for positions, first_rows, length in self._length_buckets:
-            best = sims[first_rows]
-            for j in range(1, length):
-                np.maximum(best, sims[first_rows + j], out=best)
-            out[positions] = best
+        product per source row. One GEMM per block of source rows reads storage
+        in place, each block's similarity matrix under SCREEN_BYTES; rows of
+        empty passages are left as they were."""
+        src = np.ascontiguousarray(src, dtype=np.float32)
+        step = max(1, SCREEN_BYTES // (4 * max(1, self.n_vectors)))
+        for at in range(0, src.shape[0], step):
+            sims = self.storage @ src[at : at + step].T
+            block = out[:, at : at + step]
+            for positions, first_rows, length in self._length_buckets:
+                best = sims[first_rows]
+                for j in range(1, length):
+                    np.maximum(best, sims[first_rows + j], out=best)
+                block[positions] = best
 
 
 class RowCache:
@@ -233,9 +249,9 @@ class RowCache:
     and the screen's error bound holds for any float32 summation order, so a
     cache saves work and cannot change a ranking. The table takes distinct
     screened rows x passages x 4 bytes; the token caps allow a query about
-    1,000 distinct rows (512 per arm, q0 shared). One cache serves one query
-    on one thread; `row_cache` refuses it for another index or another
-    results_per_vector.
+    1,000 distinct rows (512 per arm, q0 shared). One cache serves one query,
+    used by one thread at a time; `row_cache` refuses it for another index or
+    another results_per_vector.
     """
 
     def __init__(
@@ -247,19 +263,48 @@ class RowCache:
         self._columns: dict[bytes, int] = {}
         self._maxima = np.empty((len(index.pids), 0), dtype=np.float32)
 
+    def unseen(self, rows: np.ndarray) -> dict[bytes, np.ndarray]:
+        """The float64 source rows not screened into this cache yet, one per
+        distinct row, keyed by their bits."""
+        return {
+            key: row for key, row in zip(map(np.ndarray.tobytes, rows), rows)
+            if key not in self._columns
+        }
+
+    def add(self, keys: Sequence[bytes], maxima: np.ndarray) -> None:
+        """Keep float32 `maxima` (n_pids, len(keys)) as the columns of `keys`."""
+        start = len(self._columns)
+        grown = np.empty((len(self.index.pids), start + len(keys)), dtype=np.float32)
+        grown[:, :start] = self._maxima
+        grown[:, start:] = maxima
+        self._maxima = grown
+        self._columns.update((key, start + j) for j, key in enumerate(keys))
+
     def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Float32 (len(pool), len(rows)): the screened maxima of the passages at
         `pool` for each float64 source row, screening only the rows not seen yet."""
         keys = [row.tobytes() for row in rows]
-        new = {key: row for key, row in zip(keys, rows) if key not in self._columns}
-        if new:
-            start = len(self._columns)
-            grown = np.empty((len(self.index.pids), start + len(new)), dtype=np.float32)
-            grown[:, :start] = self._maxima
-            self.index.screen_maxima(np.array(list(new.values())), grown[:, start:])
-            self._maxima = grown
-            self._columns.update((key, start + j) for j, key in enumerate(new))
+        if not all(key in self._columns for key in keys):
+            screen_caches(self.index, [(self, rows)])
         return self._maxima.take([self._columns[key] for key in keys], axis=1)[pool]
+
+
+def screen_caches(index: TokenIndex, work: Sequence[tuple[RowCache, np.ndarray]]) -> None:
+    """Screen each cache's float64 source rows that it has not seen, the rows
+    of all caches stacked into one `screen_maxima` call, and keep each cache's
+    columns in it. A row's maxima are the same alone and stacked up to float32
+    summation order, which the screen's error bound covers."""
+    fresh = [(row_cache(cache, index), cache.unseen(rows)) for cache, rows in work]
+    fresh = [(cache, new) for cache, new in fresh if new]
+    if not fresh:
+        return
+    src = np.array([row for _, new in fresh for row in new.values()])
+    out = np.empty((len(index.pids), src.shape[0]), dtype=np.float32)
+    index.screen_maxima(src, out)
+    at = 0
+    for cache, new in fresh:
+        cache.add(list(new), out[:, at : at + len(new)])
+        at += len(new)
 
 
 def row_cache(
@@ -411,12 +456,11 @@ def candidates_for(
     cache = row_cache(cache, index, results_per_vector)
     hit = np.zeros(len(index.pids), dtype=bool)
     ivf = index.ivf
-    cent64 = ivf.centroids.astype(np.float64)
     # matmul raises ValueError on a dim mismatch
     for row in np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64):
         key = row.tobytes()
         if key not in cache.candidates:
-            probe = np.argsort(-(cent64 @ row), kind="stable")[: ivf.nprobe]
+            probe = np.argsort(-(ivf.centroids64 @ row), kind="stable")[: ivf.nprobe]
             cand = np.concatenate([ivf.lists[c] for c in probe])
             if results_per_vector < cand.size:
                 ds = index.storage[cand].astype(np.float64) @ row
@@ -425,6 +469,12 @@ def candidates_for(
             cache.candidates[key] = index.vec_to_pid[cand]
         hit[cache.candidates[key]] = True
     return np.flatnonzero(hit)
+
+
+def screens(pool: np.ndarray, k: int) -> bool:
+    """Whether `rank_pool` screens `pool` for a top k: unless the band could not
+    prune (2k >= pool size), when it scores the whole pool in one pass."""
+    return 2 * k < pool.size
 
 
 def rank_pool(
@@ -444,10 +494,9 @@ def rank_pool(
     source rows `cache` (a fresh one per call by default) has not seen.
     """
     cols = source_columns(eq)
-    if 2 * k < pool.size:
+    if screens(pool, k):
         maxima = row_cache(cache, index).screened(cols.T, pool)
-        s_query, s_fact = focused_sums(eq, maxima.astype(float), focus)
-        approx = s_query + s_fact
+        approx = screen_sums(eq, maxima, focus)
         kth = np.partition(approx, -k)[-k]
         pool = pool[approx >= kth - 2 * screen_error(eq, focus, index.max_row_norm)]
     max_rows = STACK_BYTES // (8 * max(cols.shape))

@@ -16,6 +16,19 @@ rows, and each distinct row is probed and screened once. The cache holds
 distinct rows x passages x 4 bytes of screened maxima (about 1,000 rows at
 most under the token caps) and cannot change a ranking, so traces are the
 bytes a fresh cache per retrieval writes.
+
+Every query runs the same hop schedule, so `run_queries` drives the hop
+loops of LOCKSTEP_QUERIES queries at a time in lockstep. Each loop stops
+before each retrieval; the rows that the stopped retrievals would screen and
+that their caches have not seen are screened together, one
+`TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`,
+each query's columns written into its own cache. Then every loop runs its
+retrieval (band and float64 rescore), condensing and next encoding, across
+the thread pool when threads > 1. A hop scored in one pass (2k >= pool)
+screens nothing. Neither the window nor the stacked screen can change a
+ranking: each query keeps its own cache, the screen's error bound holds for
+any float32 summation order, and the band is rescored by the kernel whose
+scores do not depend on batch shape. At most one window's caches are alive.
 """
 
 from __future__ import annotations
@@ -27,14 +40,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
-from .index import RowCache, TokenIndex
-from .retriever import RetrievalConfig, check_corpus_covers, retrieve
-from .scoring import ScoredPassage
+from .index import RowCache, TokenIndex, screen_caches, screens
+from .retriever import RetrievalConfig, check_corpus_covers, retrieval_pool, retrieve
+from .scoring import ScoredPassage, source_columns
 from .util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -44,6 +59,14 @@ VARIANT_RERANK = "rerank"
 VARIANT_HYBRID = "hybrid"
 
 HYBRID_MERGE_TOTAL = 100
+
+# Queries whose hop loops `run_queries` drives in lockstep at a time. Each holds
+# its RowCache (distinct rows x passages x 4 bytes) until its trace is done.
+LOCKSTEP_QUERIES = 16
+
+# A hop loop: it yields, before each retrieval round, the float64 source rows
+# (arrays of rows) that round screens, and returns its trace.
+Steps = Generator[list[np.ndarray], None, Any]
 
 
 @dataclass(frozen=True)
@@ -121,16 +144,31 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.idf = IdfTable.from_corpus(corpus)
 
+    def _retrieval(
+        self, state: MultiHopQuery, k: int, excluded: frozenset[str], cache: RowCache
+    ) -> Steps:
+        """One retrieval of `state`'s query at depth k through `cache`. It stops
+        once before the retrieval, yielding the source rows the retrieval
+        screens (none when 2k >= pool, where it scores the pool in one pass),
+        and returns the ranking."""
+        eq = self.encoder.encode_query(state)
+        step = replace(self.cfg.retrieval, k=k)
+        pool = retrieval_pool(eq, self.index, step, excluded, cache)
+        yield [source_columns(eq).T] if screens(pool, k) else []
+        ranked = retrieve(eq, self.index, step, exclude=excluded, cache=cache, pool=pool)
+        return tuple(ranked)
+
     def _hop_loop(
         self,
         query: QueryRecord,
         cache: RowCache,
         rerank: bool,
         hop1: Sequence[ScoredPassage] | None = None,
-    ) -> HopTrace:
-        """One variant's hops, every retrieval through the query's `cache`. `hop1`,
-        when given, is the hop-1 ranking: every variant retrieves hop 1 from q0
-        alone with nothing excluded."""
+    ) -> Steps:
+        """One variant's hops, every retrieval through the query's `cache`,
+        stopping before each retrieval as `_retrieval` does; returns the trace.
+        `hop1`, when given, is the hop-1 ranking: every variant retrieves hop 1
+        from q0 alone with nothing excluded."""
         cfg = self.cfg
         state = MultiHopQuery(qid=query.qid, q0_text=query.text)
         excluded: set[str] = set()
@@ -139,11 +177,7 @@ class PipelineRunner:
             if t == 1 and hop1 is not None:
                 ranked = tuple(hop1)
             else:
-                eq = self.encoder.encode_query(state)
-                step = replace(cfg.retrieval, k=k)
-                ranked = tuple(
-                    retrieve(eq, self.index, step, exclude=frozenset(excluded), cache=cache)
-                )
+                ranked = yield from self._retrieval(state, k, frozenset(excluded), cache)
             kept: list[Fact] = []
             context_pid: str | None = None
             new_facts: list[Fact] = []
@@ -177,28 +211,87 @@ class PipelineRunner:
             verdict=verdict,
         )
 
-    def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
-        """One query through the configured variant, with one `RowCache` for
-        every hop of it (both arms of hybrid) and for no other query."""
-        cache = RowCache(self.index, self.cfg.retrieval.results_per_vector)
+    def _query(self, query: QueryRecord, cache: RowCache) -> Steps:
+        """The configured variant for one query, every retrieval through its
+        `cache`: one stop per hop, yielding the source rows that hop's
+        retrievals screen. Hybrid retrieves hop 1 once, then steps both arms
+        together from hop 2 on."""
         if self.cfg.variant != VARIANT_HYBRID:
-            return self._hop_loop(query, cache, rerank=self.cfg.variant == VARIANT_RERANK)
-        condensed = self._hop_loop(query, cache, rerank=False)
-        reranked = self._hop_loop(query, cache, rerank=True, hop1=condensed.hops[0].ranked)
+            return (yield from self._hop_loop(query, cache, self.cfg.variant == VARIANT_RERANK))
+        q0 = MultiHopQuery(qid=query.qid, q0_text=query.text)
+        hop1 = yield from self._retrieval(q0, self.cfg.per_hop_k[0], frozenset(), cache)
+        arms = [self._hop_loop(query, cache, rerank, hop1) for rerank in (False, True)]
+        while True:
+            steps = [_step(arm) for arm in arms]
+            # both arms run the same hops, so they end in the same round
+            if all(done for done, _ in steps):
+                break
+            yield [rows for _, request in steps for rows in request]
+        (_, condensed), (_, reranked) = steps
         merged = merge_hybrid(condensed, reranked, total=self.cfg.hybrid_total)
         return HybridTrace(
             qid=query.qid, merged=tuple(merged), condensed=condensed, rerank=reranked
         )
 
+    def _lockstep(
+        self, queries: Sequence[QueryRecord], map_steps: Callable = map
+    ) -> list[HopTrace | HybridTrace]:
+        """Traces of `queries`, their hop loops driven in lockstep.
+
+        Each query has its own `RowCache`. Every round advances each unfinished
+        query to its next stop (through `map_steps`, a thread pool's `map` in
+        `run_queries`), then screens the rows all of them stopped for in one
+        `screen_caches` call, each query's columns into its own cache; the
+        retrievals of the next round find their rows screened.
+        """
+        caches = [RowCache(self.index, self.cfg.retrieval.results_per_vector) for _ in queries]
+        loops = [self._query(q, cache) for q, cache in zip(queries, caches)]
+        traces: list = [None] * len(queries)
+        live = list(range(len(queries)))
+        while live:
+            steps = list(map_steps(_step, [loops[i] for i in live]))
+            work = []
+            for i, (done, value) in zip(live, steps):
+                if done:
+                    traces[i] = value
+                elif value:
+                    work.append((caches[i], np.concatenate(value)))
+            screen_caches(self.index, work)
+            live = [i for i, (done, _) in zip(live, steps) if not done]
+        return traces
+
+    def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
+        """One query through the configured variant: a batch of one, with one
+        `RowCache` for every hop of it (both arms of hybrid)."""
+        return self._lockstep([query])[0]
+
+
+def _step(loop: Steps) -> tuple[bool, object]:
+    """Advance a hop loop to its next stop: (False, what it yields there), or
+    (True, what it returns) once it is done."""
+    try:
+        return False, next(loop)
+    except StopIteration as stop:
+        return True, stop.value
+
 
 def run_queries(
     runner: PipelineRunner, queries: Sequence[QueryRecord], threads: int = 1
 ) -> list[HopTrace | HybridTrace]:
-    """Parallel map over independent queries; output keeps input order."""
+    """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time.
+
+    Within a window the queries' hop loops run in lockstep: each hop's new
+    source rows, of every query, are screened by one `screen_maxima` call,
+    and with threads > 1 each round's per-query work (rescoring, condensing,
+    encoding) is split across a thread pool. Traces do not depend on the
+    window or the thread count.
+    """
+    windows = [queries[at : at + LOCKSTEP_QUERIES]
+               for at in range(0, len(queries), LOCKSTEP_QUERIES)]
     if threads <= 1:
-        return [runner.run(q) for q in queries]
+        return [trace for window in windows for trace in runner._lockstep(window)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(runner.run, queries))
+        return [trace for window in windows for trace in runner._lockstep(window, pool.map)]
 
 
 def merge_hybrid(

@@ -12,7 +12,8 @@ whole pool. The corpus is checked once, when a `Retriever` or
 A source row's IVF candidates and its screened maxima depend on that row
 alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
 for the calls of one query (the pipeline passes one per query, to every hop
-of both hybrid arms). Its table takes distinct rows x passages x 4 bytes,
+of both hybrid arms, and screens a batch's new rows of each hop into them
+before it calls `retrieve`). Its table takes distinct rows x passages x 4 bytes,
 about 1,000 rows at most under the token caps. It cannot change a ranking:
 candidates are a function of the index, the row and the depth, the screen's
 error bound holds for any float32 summation order, and the band is still
@@ -62,12 +63,40 @@ def check_corpus_covers(index: TokenIndex, corpus: Corpus) -> None:
         raise KeyError(f"index pid {missing[0]!r} is not in the corpus")
 
 
+def retrieval_pool(
+    eq: EncodedQuery,
+    index: TokenIndex,
+    cfg: RetrievalConfig,
+    exclude: frozenset[str] | set[str] = frozenset(),
+    cache: RowCache | None = None,
+) -> np.ndarray:
+    """Ascending positions of the passages `retrieve` ranks: every non-empty
+    passage of a flat index, or the IVF candidates through `cache`, less the
+    excluded pids; none for a query with no rows. ValueError when the query's
+    dim differs from the index's."""
+    if eq.dim != index.dim:
+        raise ValueError(
+            f"query dim {eq.dim} does not match index dim {index.dim}; "
+            "set encoder.dim to the dim the index was built with"
+        )
+    if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp)
+    if index.ivf is None:
+        pool = np.flatnonzero(index.row_counts())
+    else:
+        pool = candidates_for(eq, index, cfg.results_per_vector, cache)
+    if exclude:
+        pool = pool[~np.isin(pool, index.positions_of(exclude))]
+    return pool
+
+
 def retrieve(
     eq: EncodedQuery,
     index: TokenIndex,
     cfg: RetrievalConfig | None = None,
     exclude: frozenset[str] | set[str] = frozenset(),
     cache: RowCache | None = None,
+    pool: np.ndarray | None = None,
 ) -> Ranking:
     """Top-k passages for an encoded query, ties broken by ascending pid.
 
@@ -77,23 +106,13 @@ def retrieve(
     whose dim differs from the index's raises ValueError. Both stages fill
     `cache` (a fresh `RowCache` per call by default); pass one cache to
     every call of one query so that each distinct row is probed and
-    screened once.
+    screened once. `pool`, when given, is `retrieval_pool` of the same
+    arguments, which a caller that screens ahead (the pipeline) has already.
     """
     cfg = cfg or RetrievalConfig()
-    if eq.dim != index.dim:
-        raise ValueError(
-            f"query dim {eq.dim} does not match index dim {index.dim}; "
-            "set encoder.dim to the dim the index was built with"
-        )
+    if pool is None:
+        pool = retrieval_pool(eq, index, cfg, exclude, cache)
     cache = row_cache(cache, index, cfg.results_per_vector)
-    if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
-        return Ranking()
-    if index.ivf is None:
-        pool = np.flatnonzero(index.row_counts())
-    else:
-        pool = candidates_for(eq, index, cfg.results_per_vector, cache)
-    if exclude:
-        pool = pool[~np.isin(pool, index.positions_of(exclude))]
     return rank_pool(eq, index, pool, cfg.k, cfg.focus, cache)
 
 

@@ -25,9 +25,11 @@ gamma_d * |src_i| * |p| with gamma_d = d*u / (1 - d*u) and u = 2**-24,
 under any summation order; casting float64 query rows down adds
 u * |src_i| * |p|. Maxima and top-k sums move a score by no more than the
 sum of the k largest row errors, so every screened score is within E of
-its float64 score. Every passage that can still reach the top k scores
-within 2E of the k-th best screened score; only that band is rescored
-exactly by the kernel, so the ranking is the float64 ranking.
+its float64 score; the screen therefore picks each part's top k by
+partition and sums it in float64 in no set order (`screen_sums`). Every
+passage that can still reach the top k scores within 2E of the k-th best
+screened score; only that band is rescored exactly by the kernel, so the
+ranking is the float64 ranking.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ def _top_sums(maxima: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(np.sort(maxima, axis=1)[:, ::-1][:, :k]).sum(axis=1)
 
 
+def _partition_sums(maxima: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the float64 sum of its k largest values, in no set order."""
+    n = maxima.shape[1]
+    if k <= 0:
+        return np.zeros(maxima.shape[0])
+    if k < n:
+        maxima = np.partition(maxima, n - k, axis=1)[:, n - k :]
+    return maxima.sum(axis=1, dtype=np.float64)
+
+
 def gamma(n: int, unit: float) -> float:
     """Relative error bound of an n-term dot product in a format with this unit roundoff."""
     return n * unit / (1 - n * unit)
@@ -134,6 +146,16 @@ def focused_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> tu
     """Focused scores (s_query, s_fact) from per-passage maxima, one column per source row."""
     nq = eq.query_part.shape[0]
     return _top_sums(maxima[:, :nq], focus.n_hat), _top_sums(maxima[:, nq:], focus.l_hat)
+
+
+def screen_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> np.ndarray:
+    """Screened scores s_query + s_fact from float32 maxima, one column per
+    source row: each part's top k picked by partition and summed in float64 in
+    no set order, which `screen_error` covers."""
+    nq = eq.query_part.shape[0]
+    return _partition_sums(maxima[:, :nq], focus.n_hat) + _partition_sums(
+        maxima[:, nq:], focus.l_hat
+    )
 
 
 def maxsim_rows(query_rows: np.ndarray, passage_rows: np.ndarray) -> np.ndarray:

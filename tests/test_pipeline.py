@@ -1,14 +1,20 @@
 import json
+import sys
+import weakref
 from dataclasses import replace
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hoplite.condenser import CondenserConfig, IdfTable, condense
 from hoplite.corpus import MultiHopQuery, QueryRecord
-from hoplite.index import IndexConfig, build_index
+from hoplite.encoder import EncoderConfig, LexicalEncoder
+from hoplite.index import SCREEN_BYTES, IndexConfig, RowCache, build_index
 from hoplite.pipeline import (
+    LOCKSTEP_QUERIES,
     HopRecord,
     HopTrace,
     HybridTrace,
@@ -249,6 +255,99 @@ def test_one_row_cache_per_query_changes_no_trace(enc, monkeypatch, variant, ind
     # one cache per query and run, serving that query alone
     assert len(q0_rows) == 2 * len(queries)
     assert all(len(rows) == 1 for _, rows in q0_rows.values())
+
+
+@lru_cache(maxsize=None)
+def _planted(index_variant):
+    """An encoder, a 120-passage planted corpus with 10 queries, and its index."""
+    enc = LexicalEncoder(EncoderConfig(dim=64, seed=3))
+    planted = generate(PlantSpec(hops=3, queries=10, corpus_size=120, distractors_per_query=3,
+                                 seed=5))
+    return enc, planted, build_index(planted.corpus, enc, IndexConfig(variant=index_variant))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    picks=st.integers(1, LOCKSTEP_QUERIES + 3).flatmap(
+        lambda n: st.lists(st.integers(0, 10), min_size=n, max_size=n)),
+    # a 120-passage pool screens at k <= 59 and is scored in one pass from k = 60
+    per_hop_k=st.lists(st.sampled_from([1, 4, 59, 61, 80]), min_size=1, max_size=3),
+    variant=st.sampled_from(["condensed", "rerank", "hybrid"]),
+    index_variant=st.sampled_from(["flat", "ivf"]),
+    threads=st.sampled_from([1, 4]),
+    screen_bytes=st.sampled_from([1, 64 * 1024, SCREEN_BYTES]),
+)
+@example(  # 22 queries: a full window, then six
+    picks=list(range(11)) * 2, per_hop_k=[4, 4], variant="hybrid", index_variant="ivf",
+    threads=4, screen_bytes=SCREEN_BYTES,
+)
+def test_lockstep_batches_write_the_traces_of_queries_run_alone(
+    picks, per_hop_k, variant, index_variant, threads, screen_bytes
+):
+    """`run_queries` over a batch (up to past one window, repeats and a query
+    that encodes to no rows included) writes the traces each query gets run
+    alone with a fresh cache per retrieval, and each query's cache serves that
+    query alone, with at most one window's caches alive at a time."""
+    enc, planted, idx = _planted(index_variant)
+    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
+    runner = PipelineRunner(planted.corpus, idx, enc, cfg)
+    queries = [(planted.queries + [_qrec("blank", "--")])[i] for i in picks]
+    q0_rows = {}  # serial number of a cache -> the q0 rows of its calls
+    alive = weakref.WeakSet()  # caches not yet freed
+    most_alive = []
+
+    class Tracked(RowCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.serial = len(q0_rows)
+            q0_rows[self.serial] = set()
+            alive.add(self)
+
+    def recording(eq, *args, cache, **kwargs):
+        q0_rows[cache.serial].add(eq.query_part.tobytes())
+        most_alive.append(len(alive))
+        return retrieve(eq, *args, cache=cache, **kwargs)
+
+    def fresh(*args, cache, **kwargs):
+        return retrieve(*args, **kwargs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads hand over often, so a race would show
+    try:
+        with patch("hoplite.index.SCREEN_BYTES", screen_bytes), \
+                patch("hoplite.pipeline.RowCache", Tracked), \
+                patch("hoplite.pipeline.retrieve", recording):
+            batch = [trace_record(t) for t in run_queries(runner, queries, threads)]
+    finally:
+        sys.setswitchinterval(interval)
+    with patch("hoplite.pipeline.retrieve", fresh):
+        alone = [trace_record(runner.run(q)) for q in queries]
+    assert batch == alone
+    assert [len(rows) for rows in q0_rows.values()] == [1] * len(queries)
+    assert max(most_alive) <= LOCKSTEP_QUERIES
+
+
+@pytest.mark.parametrize("per_hop_k, screened_hops", [((5, 5, 5), 3), ((5, 70, 5), 2)])
+def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
+    """A flat condensed batch of 10 screens each hop with one `screen_maxima`
+    call, and screens the rows its queries screen alone: none at a hop scored
+    in one pass (2k >= pool)."""
+    enc, planted, idx = _planted("flat")
+    runner = PipelineRunner(planted.corpus, idx, enc, PipelineConfig(per_hop_k=per_hop_k))
+    queries = planted.queries
+    assert len(queries) == 10
+    sizes = []
+    screen = idx.screen_maxima
+    with patch.object(idx, "screen_maxima",
+                      lambda src, out: sizes.append(len(src)) or screen(src, out)):
+        batch = [trace_record(t) for t in run_queries(runner, queries)]
+        stacked = sizes[:]
+        sizes.clear()
+        alone = [trace_record(runner.run(q)) for q in queries]
+    assert batch == alone
+    assert len(stacked) == screened_hops
+    assert len(sizes) == screened_hops * len(queries)
+    assert sum(stacked) == sum(sizes)
 
 
 # ---------------------------------------------------------------------------

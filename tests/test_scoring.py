@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoplite.encoder import EncodedQuery
+from hoplite.index import TokenIndex
 from hoplite.scoring import (
     FocusParams,
     Ranking,
@@ -14,6 +15,8 @@ from hoplite.scoring import (
     maxsim_rows,
     rank_scored,
     row_maxima,
+    screen_error,
+    screen_sums,
     source_columns,
 )
 
@@ -278,3 +281,59 @@ def test_kernel_matches_per_passage_flipr(q, f, passages, n_hat, l_hat):
     ]
     if l_hat == 0 or f.shape[0] == 0:
         assert not s_fact.any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(4, 64),
+    n_query=st.integers(1, 10),
+    n_fact=st.integers(0, 6),
+    n_hat=st.integers(1, 12),
+    l_hat=st.integers(0, 8),
+    float64_query=st.booleans(),
+)
+def test_partitioned_screen_sums_stay_within_the_screen_bound(
+    seed, dim, n_query, n_fact, n_hat, l_hat, float64_query
+):
+    """The screen's top-k sums, picked by partition and added in no set order,
+    lie within `screen_error` of the float64 focused sums, for k = 0 and k at
+    or past the part's column count too."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 7, int(rng.integers(1, 21)))
+    storage = rng.standard_normal((int(counts.sum()), dim)).astype(np.float32)
+    idx = TokenIndex([f"p{i}" for i in range(counts.size)],
+                     np.repeat(np.arange(counts.size), counts), storage)
+    dtype = np.float64 if float64_query else np.float32
+    scale = rng.uniform(0.25, 4.0, (n_query, 1))
+    eq = EncodedQuery((rng.standard_normal((n_query, dim)) * scale).astype(dtype),
+                      rng.standard_normal((n_fact, dim)).astype(dtype))
+    focus = FocusParams(n_hat=n_hat, l_hat=l_hat)
+    cols = source_columns(eq)
+    screened = np.empty((counts.size, cols.shape[1]), dtype=np.float32)
+    idx.screen_maxima(cols.T, screened)
+    approx = screen_sums(eq, screened, focus)
+
+    exact = np.concatenate([row_maxima(stack, cols) for _, stack in idx.stacks(
+        np.arange(counts.size), max_rows=1)])
+    order = np.concatenate([at for at, _ in idx.stacks(np.arange(counts.size), max_rows=1)])
+    s_query, s_fact = focused_sums(eq, exact, focus)
+    bound = screen_error(eq, focus, idx.max_row_norm)
+    assert np.all(np.abs(approx[order] - (s_query + s_fact)) <= bound)
+    # the same float32 maxima summed in descending order, as the rescore adds them
+    sorted_q, sorted_f = focused_sums(eq, screened.astype(np.float64), focus)
+    assert np.all(np.abs(approx - (sorted_q + sorted_f)) <= bound)
+    if l_hat == 0 or n_fact == 0:
+        assert np.array_equal(approx, screen_sums(eq, screened[:, :n_query], focus))
+    if n_hat >= n_query and l_hat >= n_fact:  # every column kept
+        assert np.allclose(approx, screened.astype(np.float64).sum(axis=1), rtol=0, atol=bound)
+
+
+def test_screen_sums_keep_each_part_top_k():
+    eq = _eq([1, 0, 0, 1, 1, 1], [1, 0, 0, 1], dim=2)
+    maxima = np.array([[3, 1, 2, 7, 5], [-1, -2, -3, 0, 0]], dtype=np.float32)
+    assert screen_sums(eq, maxima, FocusParams(n_hat=2, l_hat=1)).tolist() == [12.0, -3.0]
+    assert screen_sums(eq, maxima, FocusParams(n_hat=9, l_hat=0)).tolist() == [6.0, -6.0]
+    assert screen_sums(eq, maxima, FocusParams(n_hat=3, l_hat=9)).tolist() == [18.0, -6.0]
+    no_facts = _eq([1, 0, 0, 1, 1, 1], [], dim=2)
+    assert screen_sums(no_facts, maxima[:, :3], FocusParams(n_hat=1)).tolist() == [3.0, -1.0]
