@@ -7,15 +7,16 @@ vectors under k-means centroids; `candidates_for` probes the nearest few
 lists per source vector and keeps each vector's top results_per_vector
 hits, and retrieval scores only those candidate passages, whole.
 results_per_vector therefore applies to IVF indexes only. A `RowCache`
-keeps, for the calls of one query, each distinct source row's candidates
-and its screened maxima over every passage (distinct rows x passages x 4
-bytes), so a row is probed and screened once per query; neither depends on
-anything but the index, the row and the depth, so no ranking changes.
-`screen_caches` screens the new rows of several queries' caches with one
-`screen_maxima` call, as the pipeline does for each hop of a batch; the
-screen runs in blocks of source rows whose similarity matrix stays under
-SCREEN_BYTES, and a stacked screen gives each row the maxima it gets alone
-up to float32 summation order, which the screen's error bound covers.
+keeps, for the calls it serves, each distinct source row's candidates per
+depth and its screened maxima over every passage (distinct rows x passages
+x 4 bytes), so a row is probed and screened once per cache; neither depends
+on anything but the index, the row and the depth, so no ranking changes.
+`RowCache.screen` screens the rows it has not seen with one `screen_maxima`
+call, as the pipeline does for each hop of a batch of queries sharing one
+cache; the screen runs in blocks of source rows whose similarity matrix
+stays under SCREEN_BYTES, and a stacked screen gives each row the maxima it
+gets alone up to float32 summation order, which the screen's error bound
+covers.
 
 On-disk layout (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -219,108 +220,70 @@ class TokenIndex:
             for at in (pick[i : i + step] for i in range(0, pick.size, step)):
                 yield bucket[at], self.storage[first_rows[at, None] + np.arange(length)]
 
-    def screen_maxima(self, src: np.ndarray, out: np.ndarray) -> None:
-        """Into float32 `out` (n_pids, len(src)): each passage's best float32 dot
-        product per source row. One GEMM per block of source rows reads storage
-        in place, each block's similarity matrix under SCREEN_BYTES; rows of
-        empty passages are left as they were."""
+    def screen_maxima(self, src: np.ndarray) -> np.ndarray:
+        """Float32 (len(src), n_pids): each passage's best float32 dot product per
+        source row. One GEMM per block of source rows reads storage in place,
+        each block's similarity matrix under SCREEN_BYTES; entries of empty
+        passages are unset."""
         src = np.ascontiguousarray(src, dtype=np.float32)
+        out = np.empty((src.shape[0], len(self.pids)), dtype=np.float32)
         step = max(1, SCREEN_BYTES // (4 * max(1, self.n_vectors)))
         for at in range(0, src.shape[0], step):
             sims = self.storage @ src[at : at + step].T
-            block = out[:, at : at + step]
+            block = out[at : at + step].T
             for positions, first_rows, length in self._length_buckets:
                 best = sims[first_rows]
                 for j in range(1, length):
                     np.maximum(best, sims[first_rows + j], out=best)
                 block[positions] = best
+        return out
 
 
 class RowCache:
-    """What each distinct source row alone determines, kept for one query.
+    """What each distinct source row alone determines, kept for many calls.
 
     Each MaxSim term depends on one source row, and a multi-hop query repeats
     its rows: hop t+1 re-encodes hop t's rows before the new facts', and the
     hybrid rerank arm starts from the condensed arm's q0. Keyed by a row's
-    float64 bits, the cache holds the row's IVF candidates (the pid positions
-    `candidates_for` finds for it) and its screened maxima (every passage's
-    best float32 dot product with it, one column of a float32 table). Both
-    are functions of the index, the row's bits and results_per_vector alone,
-    and the screen's error bound holds for any float32 summation order, so a
-    cache saves work and cannot change a ranking. The table takes distinct
-    screened rows x passages x 4 bytes; the token caps allow a query about
-    1,000 distinct rows (512 per arm, q0 shared). One cache serves one query,
-    used by one thread at a time; `row_cache` refuses it for another index or
-    another results_per_vector.
+    float64 bits, `maxima` holds the row's screened maxima (every passage's
+    best float32 dot product with it) and `candidates`, per
+    results_per_vector, the pid positions `candidates_for` finds for it.
+    Both are functions of the index, the row's bits and the depth alone, and
+    the screen's error bound holds for any float32 summation order, so a
+    cache saves work and cannot change a ranking. It takes distinct screened
+    rows x passages x 4 bytes. Entries are only ever added, each the same
+    value whoever adds it, so threads may share a cache; `row_cache`
+    refuses it for another index.
     """
 
-    def __init__(
-        self, index: TokenIndex, results_per_vector: int = INFERENCE_RESULTS_PER_VECTOR
-    ):
+    def __init__(self, index: TokenIndex):
         self.index = index
-        self.results_per_vector = results_per_vector
-        self.candidates: dict[bytes, np.ndarray] = {}
-        self._columns: dict[bytes, int] = {}
-        self._maxima = np.empty((len(index.pids), 0), dtype=np.float32)
+        self.maxima: dict[bytes, np.ndarray] = {}
+        self.candidates: dict[int, dict[bytes, np.ndarray]] = {}
 
-    def unseen(self, rows: np.ndarray) -> dict[bytes, np.ndarray]:
-        """The float64 source rows not screened into this cache yet, one per
-        distinct row, keyed by their bits."""
-        return {
-            key: row for key, row in zip(map(np.ndarray.tobytes, rows), rows)
-            if key not in self._columns
-        }
-
-    def add(self, keys: Sequence[bytes], maxima: np.ndarray) -> None:
-        """Keep float32 `maxima` (n_pids, len(keys)) as the columns of `keys`."""
-        start = len(self._columns)
-        grown = np.empty((len(self.index.pids), start + len(keys)), dtype=np.float32)
-        grown[:, :start] = self._maxima
-        grown[:, start:] = maxima
-        self._maxima = grown
-        self._columns.update((key, start + j) for j, key in enumerate(keys))
+    def screen(self, rows: np.ndarray) -> None:
+        """Screen the distinct float64 source rows not screened yet, all in one
+        `screen_maxima` call."""
+        new = {key: row for key, row in zip(map(np.ndarray.tobytes, rows), rows)
+               if key not in self.maxima}
+        if new:
+            maxima = self.index.screen_maxima(np.array(list(new.values())))
+            self.maxima.update(zip(new, maxima))
 
     def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Float32 (len(pool), len(rows)): the screened maxima of the passages at
         `pool` for each float64 source row, screening only the rows not seen yet."""
-        keys = [row.tobytes() for row in rows]
-        if not all(key in self._columns for key in keys):
-            screen_caches(self.index, [(self, rows)])
-        return self._maxima.take([self._columns[key] for key in keys], axis=1)[pool]
+        self.screen(rows)
+        return np.array([self.maxima[row.tobytes()] for row in rows]).T[pool]
 
 
-def screen_caches(index: TokenIndex, work: Sequence[tuple[RowCache, np.ndarray]]) -> None:
-    """Screen each cache's float64 source rows that it has not seen, the rows
-    of all caches stacked into one `screen_maxima` call, and keep each cache's
-    columns in it. A row's maxima are the same alone and stacked up to float32
-    summation order, which the screen's error bound covers."""
-    fresh = [(row_cache(cache, index), cache.unseen(rows)) for cache, rows in work]
-    fresh = [(cache, new) for cache, new in fresh if new]
-    if not fresh:
-        return
-    src = np.array([row for _, new in fresh for row in new.values()])
-    out = np.empty((len(index.pids), src.shape[0]), dtype=np.float32)
-    index.screen_maxima(src, out)
-    at = 0
-    for cache, new in fresh:
-        cache.add(list(new), out[:, at : at + len(new)])
-        at += len(new)
-
-
-def row_cache(
-    cache: RowCache | None, index: TokenIndex, results_per_vector: int | None = None
-) -> RowCache:
+def row_cache(cache: RowCache | None, index: TokenIndex) -> RowCache:
     """`cache`, or a fresh one when None. ValueError, naming the field, for a
-    cache made for another index or (when given) another results_per_vector."""
+    cache made for another index."""
     if cache is None:
-        return RowCache(index, results_per_vector or INFERENCE_RESULTS_PER_VECTOR)
+        return RowCache(index)
     if cache.index is not index:
         raise ValueError("RowCache index: the cache was filled from another index")
-    if results_per_vector not in (None, cache.results_per_vector):
-        raise ValueError(
-            f"RowCache results_per_vector: the cache holds candidates at depth "
-            f"{cache.results_per_vector}, not {results_per_vector}"
-        )
     return cache
 
 
@@ -417,10 +380,7 @@ def build_index(
 
     ivf = None
     if cfg.variant == VARIANT_IVF:
-        n = storage.shape[0]
-        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(n))
-        if n_centroids > n:
-            raise ValueError(f"centroid_count {n_centroids} exceeds vector count {n}")
+        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(storage.shape[0]))
         centroids = _kmeans(storage, n_centroids, seed=cfg.seed)
         nprobe = cfg.nprobe or max(1, n_centroids // 64)
         ivf = IvfData(centroids, _assign_all(storage, centroids), nprobe)
@@ -453,21 +413,21 @@ def candidates_for(
         raise ValueError("candidates_for needs an IVF index; flat search scores every passage")
     if results_per_vector < 1:
         raise ValueError("results_per_vector must be positive")
-    cache = row_cache(cache, index, results_per_vector)
+    found = row_cache(cache, index).candidates.setdefault(results_per_vector, {})
     hit = np.zeros(len(index.pids), dtype=bool)
     ivf = index.ivf
     # matmul raises ValueError on a dim mismatch
     for row in np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64):
         key = row.tobytes()
-        if key not in cache.candidates:
+        if key not in found:
             probe = np.argsort(-(ivf.centroids64 @ row), kind="stable")[: ivf.nprobe]
             cand = np.concatenate([ivf.lists[c] for c in probe])
             if results_per_vector < cand.size:
                 ds = index.storage[cand].astype(np.float64) @ row
                 keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
                 cand = cand[keep]
-            cache.candidates[key] = index.vec_to_pid[cand]
-        hit[cache.candidates[key]] = True
+            found[key] = index.vec_to_pid[cand]
+        hit[found[key]] = True
     return np.flatnonzero(hit)
 
 

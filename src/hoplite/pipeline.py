@@ -10,25 +10,24 @@ Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
 concatenation (the trace union) has no duplicates.
 
-Each query gets one `index.RowCache`, shared by all of its hops and both
-hybrid arms and by no other query: a hop's rows repeat the earlier hops'
-rows, and each distinct row is probed and screened once. The cache holds
-distinct rows x passages x 4 bytes of screened maxima (about 1,000 rows at
-most under the token caps) and cannot change a ranking, so traces are the
-bytes a fresh cache per retrieval writes.
-
 Every query runs the same hop schedule, so `run_queries` drives the hop
-loops of LOCKSTEP_QUERIES queries at a time in lockstep. Each loop stops
-before each retrieval; the rows that the stopped retrievals would screen and
-that their caches have not seen are screened together, one
-`TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`,
-each query's columns written into its own cache. Then every loop runs its
-retrieval (band and float64 rescore), condensing and next encoding, across
-the thread pool when threads > 1. A hop scored in one pass (2k >= pool)
-screens nothing. Neither the window nor the stacked screen can change a
-ranking: each query keeps its own cache, the screen's error bound holds for
-any float32 summation order, and the band is rescored by the kernel whose
-scores do not depend on batch shape. At most one window's caches are alive.
+loops of LOCKSTEP_QUERIES queries at a time in lockstep, and the window's
+queries share one `index.RowCache` across all of their hops and both
+hybrid arms: a hop's rows repeat the earlier hops' rows, and each distinct
+row is probed and screened once per window. The cache holds at most one
+window's distinct rows x passages x 4 bytes of screened maxima. Each loop
+stops before each retrieval; the rows that the stopped retrievals would
+screen and that the cache has not seen are screened together, one
+`TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`.
+Then every loop runs its retrieval (band and float64 rescore), condensing
+and next encoding, across the thread pool when threads > 1. A hop scored in
+one pass (2k >= pool) screens nothing. Neither the window nor the shared
+cache can change a ranking or race: a row's candidates and maxima depend on
+the index, the row and the depth alone, every row is screened before the
+threaded phase, which only adds candidate entries equal to any it finds,
+the screen's error bound holds for any float32 summation order, and the
+band is rescored by the kernel whose scores do not depend on batch shape.
+Traces are the bytes a fresh cache per retrieval writes.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
-from .index import RowCache, TokenIndex, screen_caches, screens
+from .index import RowCache, TokenIndex, screens
 from .retriever import RetrievalConfig, check_corpus_covers, retrieval_pool, retrieve
 from .scoring import ScoredPassage, source_columns
 from .util import read_jsonl, write_jsonl
@@ -60,8 +59,8 @@ VARIANT_HYBRID = "hybrid"
 
 HYBRID_MERGE_TOTAL = 100
 
-# Queries whose hop loops `run_queries` drives in lockstep at a time. Each holds
-# its RowCache (distinct rows x passages x 4 bytes) until its trace is done.
+# Queries whose hop loops `run_queries` drives in lockstep at a time, sharing one
+# RowCache (distinct rows x passages x 4 bytes) until the last trace is done.
 LOCKSTEP_QUERIES = 16
 
 # A hop loop: it yields, before each retrieval round, the float64 source rows
@@ -165,7 +164,7 @@ class PipelineRunner:
         rerank: bool,
         hop1: Sequence[ScoredPassage] | None = None,
     ) -> Steps:
-        """One variant's hops, every retrieval through the query's `cache`,
+        """One variant's hops, every retrieval through `cache`,
         stopping before each retrieval as `_retrieval` does; returns the trace.
         `hop1`, when given, is the hop-1 ranking: every variant retrieves hop 1
         from q0 alone with nothing excluded."""
@@ -212,7 +211,7 @@ class PipelineRunner:
         )
 
     def _query(self, query: QueryRecord, cache: RowCache) -> Steps:
-        """The configured variant for one query, every retrieval through its
+        """The configured variant for one query, every retrieval through
         `cache`: one stop per hop, yielding the source rows that hop's
         retrievals screen. Hybrid retrieves hop 1 once, then steps both arms
         together from hop 2 on."""
@@ -238,25 +237,26 @@ class PipelineRunner:
     ) -> list[HopTrace | HybridTrace]:
         """Traces of `queries`, their hop loops driven in lockstep.
 
-        Each query has its own `RowCache`. Every round advances each unfinished
+        The queries share one `RowCache`. Every round advances each unfinished
         query to its next stop (through `map_steps`, a thread pool's `map` in
         `run_queries`), then screens the rows all of them stopped for in one
-        `screen_caches` call, each query's columns into its own cache; the
-        retrievals of the next round find their rows screened.
+        `RowCache.screen` call; the retrievals of the next round find their
+        rows screened.
         """
-        caches = [RowCache(self.index, self.cfg.retrieval.results_per_vector) for _ in queries]
-        loops = [self._query(q, cache) for q, cache in zip(queries, caches)]
+        cache = RowCache(self.index)
+        loops = [self._query(q, cache) for q in queries]
         traces: list = [None] * len(queries)
         live = list(range(len(queries)))
         while live:
             steps = list(map_steps(_step, [loops[i] for i in live]))
-            work = []
+            rows = []
             for i, (done, value) in zip(live, steps):
                 if done:
                     traces[i] = value
-                elif value:
-                    work.append((caches[i], np.concatenate(value)))
-            screen_caches(self.index, work)
+                else:
+                    rows.extend(value)
+            if rows:
+                cache.screen(np.concatenate(rows))
             live = [i for i, (done, _) in zip(live, steps) if not done]
         return traces
 
@@ -280,10 +280,10 @@ def run_queries(
 ) -> list[HopTrace | HybridTrace]:
     """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time.
 
-    Within a window the queries' hop loops run in lockstep: each hop's new
-    source rows, of every query, are screened by one `screen_maxima` call,
-    and with threads > 1 each round's per-query work (rescoring, condensing,
-    encoding) is split across a thread pool. Traces do not depend on the
+    Within a window the queries' hop loops run in lockstep and share one
+    `RowCache`: each hop's new source rows, of every query, are screened by
+    one `screen_maxima` call, and with threads > 1 each round's per-query
+    work (rescoring, condensing, encoding) is split across a thread pool. Traces do not depend on the
     window or the thread count.
     """
     windows = [queries[at : at + LOCKSTEP_QUERIES]

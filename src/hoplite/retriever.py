@@ -11,10 +11,10 @@ whole pool. The corpus is checked once, when a `Retriever` or
 
 A source row's IVF candidates and its screened maxima depend on that row
 alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
-for the calls of one query (the pipeline passes one per query, to every hop
-of both hybrid arms, and screens a batch's new rows of each hop into them
-before it calls `retrieve`). Its table takes distinct rows x passages x 4 bytes,
-about 1,000 rows at most under the token caps. It cannot change a ranking:
+for the calls it serves (the pipeline passes one per lockstep window, shared
+by every hop of both hybrid arms of its queries, and screens each hop's new
+rows into it before it calls `retrieve`). It takes distinct rows x passages
+x 4 bytes, at most one window's distinct rows. It cannot change a ranking:
 candidates are a function of the index, the row and the depth, the screen's
 error bound holds for any float32 summation order, and the band is still
 rescored exactly.
@@ -105,14 +105,14 @@ def retrieve(
     `rank_pool` ranks the rest. A query with no rows retrieves nothing; one
     whose dim differs from the index's raises ValueError. Both stages fill
     `cache` (a fresh `RowCache` per call by default); pass one cache to
-    every call of one query so that each distinct row is probed and
-    screened once. `pool`, when given, is `retrieval_pool` of the same
-    arguments, which a caller that screens ahead (the pipeline) has already.
+    many calls so that each distinct row is probed and screened once.
+    `pool`, when given, is `retrieval_pool` of the same arguments, which a
+    caller that screens ahead (the pipeline) has already.
     """
     cfg = cfg or RetrievalConfig()
+    cache = row_cache(cache, index)
     if pool is None:
         pool = retrieval_pool(eq, index, cfg, exclude, cache)
-    cache = row_cache(cache, index, cfg.results_per_vector)
     return rank_pool(eq, index, pool, cfg.k, cfg.focus, cache)
 
 

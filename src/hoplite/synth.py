@@ -205,11 +205,14 @@ def write_synth(result: SynthResult, out_dir: str | Path) -> dict[str, Path]:
 def read_truth(path: str | Path) -> dict[str, list[set[str]]]:
     truth: dict[str, list[set[str]]] = {}
     for lineno, obj in read_jsonl(path):
+        obj = obj if isinstance(obj, dict) else {}
         qid = obj.get("qid")
         hops = obj.get("hops")
         if not isinstance(qid, str) or not isinstance(hops, list):
             raise ValueError(f"{path}: line {lineno}: expected {{qid, hops}}")
         if not all(isinstance(g, list) and all(isinstance(p, str) for p in g) for g in hops):
             raise ValueError(f"{path}: line {lineno}: each hop must be a list of pids")
+        if qid in truth:
+            raise ValueError(f"{path}: line {lineno}: duplicate qid {qid!r}")
         truth[qid] = [set(group) for group in hops]
     return truth

@@ -288,6 +288,19 @@ def test_eval_malformed_trace_exits_1_naming_line_and_field(workdir, tmp_path, b
     assert f"{traces}: line 3: {message}" in r.stderr
 
 
+def test_lho_bad_truth_file_exits_1_naming_file_and_line(workdir, tmp_path):
+    data = workdir / "data"
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(json.dumps({"qid": "q", "hops": []}) + "\n[]\n", encoding="utf-8")
+    r = run_cli(
+        "lho", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+        "--index", workdir / "flat.hlti", "--out", tmp_path / "supervision.jsonl",
+        "--truth", truth, "--seed", 7, "--preset", "hotpotqa",
+    )
+    assert r.returncode == 1
+    assert f"{truth}: line 2:" in r.stderr
+
+
 def test_heuristic_order_stdout(workdir):
     data = workdir / "data"
     r = run_cli(

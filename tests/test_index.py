@@ -200,7 +200,7 @@ def test_cached_candidates_are_the_brute_force_hits(seed, dim, n_calls):
     base = rng.standard_normal((6, dim)).astype(np.float32)
     base[3:, :-1] = base[:3, :-1]  # rows that differ in their last entry only
     twins = base.astype(np.float64) * (1 + 2.0**-40)
-    cache = RowCache(idx, rpv)
+    cache = RowCache(idx)
     for _ in range(n_calls):
         parts = []
         for n in rng.integers(0, 8, 2):

@@ -252,9 +252,9 @@ def test_one_row_cache_per_query_changes_no_trace(enc, monkeypatch, variant, ind
         monkeypatch.setattr("hoplite.pipeline.retrieve", fresh)
         alone = [trace_record(t) for t in run_queries(runner, queries, threads)]
         assert shared == alone
-    # one cache per query and run, serving that query alone
-    assert len(q0_rows) == 2 * len(queries)
-    assert all(len(rows) == 1 for _, rows in q0_rows.values())
+    # one cache per run (six queries fill one window), serving all of its queries
+    assert len(q0_rows) == 2
+    assert all(len(rows) == len(queries) for _, rows in q0_rows.values())
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +286,8 @@ def test_lockstep_batches_write_the_traces_of_queries_run_alone(
 ):
     """`run_queries` over a batch (up to past one window, repeats and a query
     that encodes to no rows included) writes the traces each query gets run
-    alone with a fresh cache per retrieval, and each query's cache serves that
-    query alone, with at most one window's caches alive at a time."""
+    alone with a fresh cache per retrieval; each window's one cache serves
+    the queries of that window, and at most one cache is alive at a time."""
     enc, planted, idx = _planted(index_variant)
     cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
     runner = PipelineRunner(planted.corpus, idx, enc, cfg)
@@ -323,8 +323,10 @@ def test_lockstep_batches_write_the_traces_of_queries_run_alone(
     with patch("hoplite.pipeline.retrieve", fresh):
         alone = [trace_record(runner.run(q)) for q in queries]
     assert batch == alone
-    assert [len(rows) for rows in q0_rows.values()] == [1] * len(queries)
-    assert max(most_alive) <= LOCKSTEP_QUERIES
+    q0 = [enc.encode_query(MultiHopQuery(q.qid, q.text)).query_part.tobytes() for q in queries]
+    assert list(q0_rows.values()) == [set(q0[at : at + LOCKSTEP_QUERIES])
+                                      for at in range(0, len(q0), LOCKSTEP_QUERIES)]
+    assert max(most_alive) == 1
 
 
 @pytest.mark.parametrize("per_hop_k, screened_hops", [((5, 5, 5), 3), ((5, 70, 5), 2)])
@@ -338,8 +340,7 @@ def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
     assert len(queries) == 10
     sizes = []
     screen = idx.screen_maxima
-    with patch.object(idx, "screen_maxima",
-                      lambda src, out: sizes.append(len(src)) or screen(src, out)):
+    with patch.object(idx, "screen_maxima", lambda src: sizes.append(len(src)) or screen(src)):
         batch = [trace_record(t) for t in run_queries(runner, queries)]
         stacked = sizes[:]
         sizes.clear()
@@ -348,6 +349,24 @@ def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
     assert len(stacked) == screened_hops
     assert len(sizes) == screened_hops * len(queries)
     assert sum(stacked) == sum(sizes)
+
+
+def test_a_batch_screens_a_repeated_query_once():
+    """A flat condensed batch holding the same query twice screens each
+    distinct row once per hop: the rows the query screens alone."""
+    enc, planted, idx = _planted("flat")
+    runner = PipelineRunner(planted.corpus, idx, enc, PipelineConfig(per_hop_k=(5, 5, 5)))
+    query = planted.queries[0]
+    sizes = []
+    screen = idx.screen_maxima
+    with patch.object(idx, "screen_maxima", lambda src: sizes.append(len(src)) or screen(src)):
+        batch = [trace_record(t) for t in run_queries(runner, [query, query])]
+        stacked = sizes[:]
+        sizes.clear()
+        alone = trace_record(runner.run(query))
+    assert batch == [alone, alone]
+    assert len(sizes) == 3
+    assert stacked == sizes
 
 
 # ---------------------------------------------------------------------------

@@ -312,14 +312,14 @@ def cached_call_sequences(draw):
 @given(cached_call_sequences())
 def test_a_shared_row_cache_changes_no_ranking(case):
     index, calls = case
-    cache = RowCache(index, calls[0][1].results_per_vector)
-    widths = []
+    cache = RowCache(index)
+    sizes = []
     for eq, cfg, exclude in calls:
         got = list(retrieve(eq, index, cfg, exclude, cache=cache))
         assert got == list(retrieve(eq, index, cfg, exclude))  # a fresh cache per call
-        widths.append(cache._maxima.shape[1])
-    if len(set(widths) - {0}) > 1:
-        event("the shared table grew past its first allocation")
+        sizes.append(len(cache.maxima))
+    if len(set(sizes) - {0}) > 1:
+        event("the shared cache grew past its first screen")
 
 
 def test_row_cache_screens_each_distinct_row_once(enc, tiny_corpus):
@@ -328,14 +328,14 @@ def test_row_cache_screens_each_distinct_row_once(enc, tiny_corpus):
     screened = []
     screen = idx.screen_maxima
     with patch.object(idx, "screen_maxima",
-                      lambda src, out: screened.append(len(src)) or screen(src, out)):
+                      lambda src: screened.append(len(src)) or screen(src)):
         for text in ("carthage rome carthage", "rome carthage tiber", "carthage tiber sea"):
             eq = enc.encode_query(_query(text))
             cfg = RetrievalConfig(k=1)  # 2k < 6 passages: every call screens
             assert list(retrieve(eq, idx, cfg, cache=cache)) == list(retrieve(eq, idx, cfg))
     # carthage and rome, then tiber, then sea; the repeated carthage is screened once
     assert screened[::2] == [2, 1, 1]
-    assert cache._maxima.shape == (len(idx.pids), 4)  # one column per distinct row
+    assert len(cache.maxima) == 4  # one screened row per distinct row
 
 
 def test_row_cache_refuses_another_index(enc, tiny_corpus):
@@ -354,15 +354,21 @@ def test_row_cache_refuses_another_index(enc, tiny_corpus):
         candidates_for(eq, ivf, cache=cache)
 
 
-def test_row_cache_refuses_another_results_per_vector(enc, tiny_corpus):
-    idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf", centroid_count=3))
+def test_one_row_cache_serves_every_depth(enc, tiny_corpus):
+    """One cache keeps each depth's candidates apart: depths 4 and 512, in
+    turn, each find every source row's brute-force top vectors."""
+    idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf", centroid_count=3, nprobe=3))
     eq = enc.encode_query(_query("carthage fought rome"))
-    cache = RowCache(idx, results_per_vector=4)
-    candidates_for(eq, idx, 4, cache)
-    with pytest.raises(ValueError, match="RowCache results_per_vector"):
-        candidates_for(eq, idx, 5, cache)
-    with pytest.raises(ValueError, match="RowCache results_per_vector"):
-        retrieve(eq, idx, RetrievalConfig(results_per_vector=5), cache=cache)
+    rows = np.concatenate([eq.query_part, eq.fact_part]).astype(np.float64)
+    sims = rows @ idx.storage.astype(np.float64).T
+    cache = RowCache(idx)
+    for rpv in (4, 512, 4):
+        tops = [np.argsort(-row, kind="stable")[:rpv] for row in sims]
+        brute = np.unique(np.concatenate([idx.vec_to_pid[top] for top in tops]))
+        assert np.array_equal(candidates_for(eq, idx, rpv, cache), brute)
+        cfg = RetrievalConfig(k=2, results_per_vector=rpv)
+        assert list(retrieve(eq, idx, cfg, cache=cache)) == list(retrieve(eq, idx, cfg))
+    assert sorted(cache.candidates) == [4, 512]
 
 
 def test_retriever_wrapper_equals_free_function(enc, tiny_corpus):

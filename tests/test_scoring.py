@@ -310,8 +310,7 @@ def test_partitioned_screen_sums_stay_within_the_screen_bound(
                       rng.standard_normal((n_fact, dim)).astype(dtype))
     focus = FocusParams(n_hat=n_hat, l_hat=l_hat)
     cols = source_columns(eq)
-    screened = np.empty((counts.size, cols.shape[1]), dtype=np.float32)
-    idx.screen_maxima(cols.T, screened)
+    screened = idx.screen_maxima(cols.T).T
     approx = screen_sums(eq, screened, focus)
 
     exact = np.concatenate([row_maxima(stack, cols) for _, stack in idx.stacks(

@@ -178,9 +178,19 @@ def test_write_synth_byte_identical(tmp_path):
         assert pa[key].read_bytes() == pb[key].read_bytes()
 
 
-@pytest.mark.parametrize("hops", [["q0000-g1"], [[1]]])
-def test_read_truth_rejects_hop_that_is_not_a_pid_list(tmp_path, hops):
+@pytest.mark.parametrize(
+    "lines, bad_line",
+    [
+        pytest.param([{"qid": "q", "hops": ["q0000-g1"]}], 1, id="hop-not-a-list"),
+        pytest.param([{"qid": "q", "hops": [[1]]}], 1, id="pid-not-a-string"),
+        pytest.param([{"qid": "q", "hops": [["p"]]}, ["q", [["p"]]]], 2, id="not-an-object"),
+        pytest.param([{"qid": "q", "hops": [["p"]]}] * 2, 2, id="repeated-qid"),
+    ],
+)
+def test_read_truth_rejects_hop_that_is_not_a_pid_list(tmp_path, lines, bad_line):
+    """A hop that is not a list of pids, a line that is not a JSON object and
+    a qid repeated from an earlier line each raise naming the file and line."""
     path = tmp_path / "truth.jsonl"
-    path.write_text(json.dumps({"qid": "q", "hops": hops}) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1")):
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {bad_line}:")):
         read_truth(path)
