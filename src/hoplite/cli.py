@@ -29,7 +29,7 @@ from .pipeline import (
     write_traces,
     read_traces,
 )
-from .retriever import Retriever, check_corpus_covers, retrieve
+from .retriever import Retriever
 from .supervision import (
     EXPANSION_ORACLE,
     EXPANSION_SHUFFLED,
@@ -139,11 +139,9 @@ def cmd_retrieve(args, parser) -> int:
     cfg = _resolve(args, {"retrieval": {"k": args.k}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = load_index(_require(parser, args.index, "index"))
-    check_corpus_covers(index, corpus)
+    retr = Retriever(corpus, index, _encoder(cfg), cfgmod.retrieval_config(cfg))
     facts = tuple(Fact(pid="cli", sentence_index=i, text=text) for i, text in enumerate(args.fact))
-    query = MultiHopQuery(qid="cli", q0_text=args.query, facts=facts)
-    eq = _encoder(cfg).encode_query(query)
-    ranked = retrieve(eq, index, cfgmod.retrieval_config(cfg))
+    ranked = retr.retrieve(MultiHopQuery(qid="cli", q0_text=args.query, facts=facts))
     for rank, sp in enumerate(ranked, start=1):
         print(f"{rank}\t{sp.pid}\t{sp.score:.6f}")
     return 0
@@ -182,6 +180,7 @@ def cmd_lho(args, parser) -> int:
     cfg = _resolve(args, {"supervision": {"k_hat": args.k_hat, "trainer": args.trainer}})
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
+    truth = read_truth(_require(parser, args.truth, "truth file")) if args.truth else None
     index = _load_or_build_index(args, parser, cfg, corpus)
     retr = Retriever(corpus, index, _encoder(cfg), cfgmod.lho_retrieval_config(cfg))
     expansion = EXPANSION_SHUFFLED if args.shuffled_expansion else EXPANSION_ORACLE
@@ -200,8 +199,7 @@ def cmd_lho(args, parser) -> int:
         write_triples(args.triples_out, triples)
         line += f" triples={len(triples)}"
     print(line)
-    if args.truth:
-        truth = read_truth(_require(parser, args.truth, "truth file"))
+    if truth is not None:
         rec = order_recovery(result.sets, truth)
         print(
             f"order-recovery passages={rec.passage_fraction:.4f} "

@@ -10,23 +10,26 @@ Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
 concatenation (the trace union) has no duplicates.
 
-Every query runs the same hop schedule, so `run_queries` drives the hop
-loops of LOCKSTEP_QUERIES queries at a time in lockstep, and the window's
-queries share one `index.RowCache` across all of their hops and both
-hybrid arms: a hop's rows repeat the earlier hops' rows, and each distinct
-row is probed and screened once per window. The cache holds at most one
-window's distinct rows x passages x 4 bytes of screened maxima. Each loop
-stops before each retrieval; the rows that the stopped retrievals would
-screen and that the cache has not seen are screened together, one
+Every query runs the same hop schedule, so `run_queries` runs
+LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
+holds a lane per query, two per hybrid query (its condensed and rerank
+arms, which share hop 1: it is retrieved once from q0 and given to both).
+Its lanes share one `index.RowCache` across all of their hops: a hop's
+rows repeat the earlier hops' rows, and each distinct row is probed and
+screened once per window. The cache holds at most one window's distinct
+rows x passages x 4 bytes of screened maxima. At each hop the window
+encodes every lane and finds its pool; the rows of the lanes whose pool
+screens, and that the cache has not seen, are screened together, one
 `TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`.
-Then every loop runs its retrieval (band and float64 rescore), condensing
-and next encoding, across the thread pool when threads > 1. A hop scored in
-one pass (2k >= pool) screens nothing. Neither the window nor the shared
+Then every lane runs its retrieval (band and float64 rescore) and its
+condensing, across the thread pool when threads > 1. A hop scored in one
+pass (2k >= pool) screens nothing. Neither the window nor the shared
 cache can change a ranking or race: a row's candidates and maxima depend on
-the index, the row and the depth alone, every row is screened before the
-threaded phase, which only adds candidate entries equal to any it finds,
-the screen's error bound holds for any float32 summation order, and the
-band is rescored by the kernel whose scores do not depend on batch shape.
+the index, the row and the depth alone, the threads only add candidate
+entries equal to any already there and every row is screened before the
+retrievals, the screen's error bound holds for any float32 summation
+order, and the band is rescored by the kernel whose scores do not depend
+on batch shape.
 Traces are the bytes a fresh cache per retrieval writes.
 """
 
@@ -37,9 +40,10 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,13 +63,9 @@ VARIANT_HYBRID = "hybrid"
 
 HYBRID_MERGE_TOTAL = 100
 
-# Queries whose hop loops `run_queries` drives in lockstep at a time, sharing one
+# Queries `run_queries` runs hop by hop together at a time, sharing one
 # RowCache (distinct rows x passages x 4 bytes) until the last trace is done.
 LOCKSTEP_QUERIES = 16
-
-# A hop loop: it yields, before each retrieval round, the float64 source rows
-# (arrays of rows) that round screens, and returns its trace.
-Steps = Generator[list[np.ndarray], None, Any]
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,17 @@ class HybridTrace:
     rerank: HopTrace
 
 
+@dataclass
+class _Lane:
+    """One hop loop of a window: a query's variant, or one arm of hybrid."""
+
+    query: QueryRecord
+    rerank: bool
+    state: MultiHopQuery
+    excluded: frozenset[str] = frozenset()  # pids ranked in earlier hops
+    hops: list[HopRecord] = field(default_factory=list)
+
+
 class PipelineRunner:
     """Runs queries through the configured variant over one index and a corpus
     holding every pid of it (else KeyError)."""
@@ -143,136 +154,94 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.idf = IdfTable.from_corpus(corpus)
 
-    def _retrieval(
-        self, state: MultiHopQuery, k: int, excluded: frozenset[str], cache: RowCache
-    ) -> Steps:
-        """One retrieval of `state`'s query at depth k through `cache`. It stops
-        once before the retrieval, yielding the source rows the retrieval
-        screens (none when 2k >= pool, where it scores the pool in one pass),
-        and returns the ranking."""
-        eq = self.encoder.encode_query(state)
-        step = replace(self.cfg.retrieval, k=k)
-        pool = retrieval_pool(eq, self.index, step, excluded, cache)
-        yield [source_columns(eq).T] if screens(pool, k) else []
-        ranked = retrieve(eq, self.index, step, exclude=excluded, cache=cache, pool=pool)
-        return tuple(ranked)
+    def _pool(self, step: RetrievalConfig, cache: RowCache, lane: _Lane) -> tuple:
+        """The encoded query of `lane`'s next hop and its `retrieval_pool`."""
+        eq = self.encoder.encode_query(lane.state)
+        return eq, retrieval_pool(eq, self.index, step, lane.excluded, cache)
 
-    def _hop_loop(
-        self,
-        query: QueryRecord,
-        cache: RowCache,
-        rerank: bool,
-        hop1: Sequence[ScoredPassage] | None = None,
-    ) -> Steps:
-        """One variant's hops, every retrieval through `cache`,
-        stopping before each retrieval as `_retrieval` does; returns the trace.
-        `hop1`, when given, is the hop-1 ranking: every variant retrieves hop 1
-        from q0 alone with nothing excluded."""
-        cfg = self.cfg
-        state = MultiHopQuery(qid=query.qid, q0_text=query.text)
-        excluded: set[str] = set()
-        hops: list[HopRecord] = []
-        for t, k in enumerate(cfg.per_hop_k, start=1):
-            if t == 1 and hop1 is not None:
-                ranked = tuple(hop1)
-            else:
-                ranked = yield from self._retrieval(state, k, frozenset(excluded), cache)
-            kept: list[Fact] = []
-            context_pid: str | None = None
-            new_facts: list[Fact] = []
-            if rerank:
-                if ranked:
-                    # The retriever's score already ranks passages, so rank 1 is the context.
-                    context_pid = ranked[0].pid
-                    passage = self.corpus.get(context_pid)
-                    new_facts = [
-                        Fact(pid=context_pid, sentence_index=i, text=s)
-                        for i, s in enumerate(passage.sentences)
-                    ]
-            else:
-                passages = [self.corpus.get(sp.pid) for sp in ranked]
-                kept = new_facts = condense(state, passages, cfg.condenser, self.idf)
-            hops.append(HopRecord(t, ranked, tuple(kept), context_pid, frozenset(excluded)))
-            excluded.update(sp.pid for sp in ranked)
-            state = state.extended(new_facts if cfg.accumulate_facts else ())
-        union = [sp.pid for hop in hops for sp in hop.ranked]
+    def _retrieve(self, step: RetrievalConfig, cache: RowCache, lane: _Lane, asked) -> tuple:
+        """`lane`'s ranking for this hop, from what `_pool` gave it."""
+        eq, pool = asked
+        return tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache, pool=pool))
+
+    def _advance(self, lane: _Lane, ranked: tuple[ScoredPassage, ...]) -> None:
+        """Record `lane`'s hop, then extend its query with the condenser's kept
+        facts (condensed) or the top passage's sentences (rerank)."""
+        kept: list[Fact] = []
+        context_pid: str | None = None
+        new_facts: list[Fact] = []
+        if lane.rerank:
+            if ranked:
+                # The retriever's score already ranks passages, so rank 1 is the context.
+                context_pid = ranked[0].pid
+                passage = self.corpus.get(context_pid)
+                new_facts = [
+                    Fact(pid=context_pid, sentence_index=i, text=s)
+                    for i, s in enumerate(passage.sentences)
+                ]
+        else:
+            passages = [self.corpus.get(sp.pid) for sp in ranked]
+            kept = new_facts = condense(lane.state, passages, self.cfg.condenser, self.idf)
+        t = len(lane.hops) + 1
+        lane.hops.append(HopRecord(t, ranked, tuple(kept), context_pid, lane.excluded))
+        lane.excluded |= {sp.pid for sp in ranked}
+        lane.state = lane.state.extended(new_facts if self.cfg.accumulate_facts else ())
+
+    def _trace(self, lane: _Lane) -> HopTrace:
+        union = [sp.pid for hop in lane.hops for sp in hop.ranked]
         # Baseline verifier: supported iff every hop kept at least one fact.
-        verdict = all(hop.kept_facts for hop in hops) if cfg.verify else None
+        verdict = all(hop.kept_facts for hop in lane.hops) if self.cfg.verify else None
         return HopTrace(
-            qid=query.qid,
-            q0_text=query.text,
-            variant=VARIANT_RERANK if rerank else VARIANT_CONDENSED,
-            per_hop_k=cfg.per_hop_k,
-            hops=tuple(hops),
+            qid=lane.query.qid,
+            q0_text=lane.query.text,
+            variant=VARIANT_RERANK if lane.rerank else VARIANT_CONDENSED,
+            per_hop_k=self.cfg.per_hop_k,
+            hops=tuple(lane.hops),
             union_pids=tuple(union),
-            final_facts=state.facts,
-            final_query_text=state.text,
+            final_facts=lane.state.facts,
+            final_query_text=lane.state.text,
             verdict=verdict,
         )
 
-    def _query(self, query: QueryRecord, cache: RowCache) -> Steps:
-        """The configured variant for one query, every retrieval through
-        `cache`: one stop per hop, yielding the source rows that hop's
-        retrievals screen. Hybrid retrieves hop 1 once, then steps both arms
-        together from hop 2 on."""
-        if self.cfg.variant != VARIANT_HYBRID:
-            return (yield from self._hop_loop(query, cache, self.cfg.variant == VARIANT_RERANK))
-        q0 = MultiHopQuery(qid=query.qid, q0_text=query.text)
-        hop1 = yield from self._retrieval(q0, self.cfg.per_hop_k[0], frozenset(), cache)
-        arms = [self._hop_loop(query, cache, rerank, hop1) for rerank in (False, True)]
-        while True:
-            steps = [_step(arm) for arm in arms]
-            # both arms run the same hops, so they end in the same round
-            if all(done for done, _ in steps):
-                break
-            yield [rows for _, request in steps for rows in request]
-        (_, condensed), (_, reranked) = steps
-        merged = merge_hybrid(condensed, reranked, total=self.cfg.hybrid_total)
-        return HybridTrace(
-            qid=query.qid, merged=tuple(merged), condensed=condensed, rerank=reranked
-        )
-
-    def _lockstep(
-        self, queries: Sequence[QueryRecord], map_steps: Callable = map
+    def _window(
+        self, queries: Sequence[QueryRecord], map_fn: Callable = map
     ) -> list[HopTrace | HybridTrace]:
-        """Traces of `queries`, their hop loops driven in lockstep.
+        """Traces of `queries`, run hop by hop together through one `RowCache`.
 
-        The queries share one `RowCache`. Every round advances each unfinished
-        query to its next stop (through `map_steps`, a thread pool's `map` in
-        `run_queries`), then screens the rows all of them stopped for in one
-        `RowCache.screen` call; the retrievals of the next round find their
-        rows screened.
+        A lane per query, two per hybrid query (its condensed arm, then its
+        rerank arm). Each hop encodes every lane and finds its pool, screens
+        the rows of the lanes whose pool screens in one `RowCache.screen`
+        call, then retrieves, and condenses or reranks, each lane; `map_fn`
+        (a thread pool's `map` in `run_queries`) runs the per-lane steps.
+        Hybrid retrieves hop 1 once per query and gives it to both arms.
         """
+        cfg = self.cfg
+        arms = (False, True) if cfg.variant == VARIANT_HYBRID else (cfg.variant == VARIANT_RERANK,)
+        lanes = [_Lane(q, rerank, MultiHopQuery(q.qid, q.text)) for q in queries for rerank in arms]
         cache = RowCache(self.index)
-        loops = [self._query(q, cache) for q in queries]
-        traces: list = [None] * len(queries)
-        live = list(range(len(queries)))
-        while live:
-            steps = list(map_steps(_step, [loops[i] for i in live]))
-            rows = []
-            for i, (done, value) in zip(live, steps):
-                if done:
-                    traces[i] = value
-                else:
-                    rows.extend(value)
+        for t, k in enumerate(cfg.per_hop_k, start=1):
+            step = replace(cfg.retrieval, k=k)
+            # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
+            shared = len(arms) if t == 1 else 1
+            fetching = lanes[::shared]
+            asked = list(map_fn(partial(self._pool, step, cache), fetching))
+            rows = [source_columns(eq).T for eq, pool in asked if screens(pool, k)]
             if rows:
                 cache.screen(np.concatenate(rows))
-            live = [i for i, (done, _) in zip(live, steps) if not done]
-        return traces
+            ranked = map_fn(partial(self._retrieve, step, cache), fetching, asked)
+            list(map_fn(self._advance, lanes, [r for r in ranked for _ in range(shared)]))
+        traces = [self._trace(lane) for lane in lanes]
+        if len(arms) == 1:
+            return traces
+        return [
+            HybridTrace(c.qid, tuple(merge_hybrid(c, r, total=cfg.hybrid_total)), c, r)
+            for c, r in zip(traces[::2], traces[1::2])
+        ]
 
     def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
-        """One query through the configured variant: a batch of one, with one
+        """One query through the configured variant: a window of one, with one
         `RowCache` for every hop of it (both arms of hybrid)."""
-        return self._lockstep([query])[0]
-
-
-def _step(loop: Steps) -> tuple[bool, object]:
-    """Advance a hop loop to its next stop: (False, what it yields there), or
-    (True, what it returns) once it is done."""
-    try:
-        return False, next(loop)
-    except StopIteration as stop:
-        return True, stop.value
+        return self._window([query])[0]
 
 
 def run_queries(
@@ -280,18 +249,18 @@ def run_queries(
 ) -> list[HopTrace | HybridTrace]:
     """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time.
 
-    Within a window the queries' hop loops run in lockstep and share one
-    `RowCache`: each hop's new source rows, of every query, are screened by
-    one `screen_maxima` call, and with threads > 1 each round's per-query
-    work (rescoring, condensing, encoding) is split across a thread pool. Traces do not depend on the
-    window or the thread count.
+    Each window runs hop by hop, its queries' lanes sharing one `RowCache`:
+    each hop's new source rows, of every lane, are screened by one
+    `screen_maxima` call, and with threads > 1 each hop's per-lane work
+    (encoding, rescoring, condensing) is split across a thread pool. Traces
+    do not depend on the window or the thread count.
     """
     windows = [queries[at : at + LOCKSTEP_QUERIES]
                for at in range(0, len(queries), LOCKSTEP_QUERIES)]
     if threads <= 1:
-        return [trace for window in windows for trace in runner._lockstep(window)]
+        return [trace for window in windows for trace in runner._window(window)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [trace for window in windows for trace in runner._lockstep(window, pool.map)]
+        return [trace for window in windows for trace in runner._window(window, pool.map)]
 
 
 def merge_hybrid(

@@ -299,6 +299,19 @@ def test_lho_bad_truth_file_exits_1_naming_file_and_line(workdir, tmp_path):
     )
     assert r.returncode == 1
     assert f"{truth}: line 2:" in r.stderr
+    assert not (tmp_path / "supervision.jsonl").exists()  # the truth file is read before the run
+
+
+def test_lho_missing_truth_file_exits_2_before_the_run(workdir, tmp_path):
+    data = workdir / "data"
+    r = run_cli(
+        "lho", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+        "--index", workdir / "flat.hlti", "--out", tmp_path / "supervision.jsonl",
+        "--truth", tmp_path / "missing.jsonl", "--seed", 7, "--preset", "hotpotqa",
+    )
+    assert r.returncode == 2
+    assert "truth file not found" in r.stderr
+    assert not (tmp_path / "supervision.jsonl").exists()
 
 
 def test_heuristic_order_stdout(workdir):

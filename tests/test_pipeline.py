@@ -276,20 +276,23 @@ def _planted(index_variant):
     index_variant=st.sampled_from(["flat", "ivf"]),
     threads=st.sampled_from([1, 4]),
     screen_bytes=st.sampled_from([1, 64 * 1024, SCREEN_BYTES]),
+    accumulate_facts=st.booleans(),
+    verify=st.booleans(),
 )
 @example(  # 22 queries: a full window, then six
     picks=list(range(11)) * 2, per_hop_k=[4, 4], variant="hybrid", index_variant="ivf",
-    threads=4, screen_bytes=SCREEN_BYTES,
+    threads=4, screen_bytes=SCREEN_BYTES, accumulate_facts=True, verify=True,
 )
 def test_lockstep_batches_write_the_traces_of_queries_run_alone(
-    picks, per_hop_k, variant, index_variant, threads, screen_bytes
+    picks, per_hop_k, variant, index_variant, threads, screen_bytes, accumulate_facts, verify
 ):
     """`run_queries` over a batch (up to past one window, repeats and a query
     that encodes to no rows included) writes the traces each query gets run
     alone with a fresh cache per retrieval; each window's one cache serves
     the queries of that window, and at most one cache is alive at a time."""
     enc, planted, idx = _planted(index_variant)
-    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
+    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant,
+                         accumulate_facts=accumulate_facts, verify=verify)
     runner = PipelineRunner(planted.corpus, idx, enc, cfg)
     queries = [(planted.queries + [_qrec("blank", "--")])[i] for i in picks]
     q0_rows = {}  # serial number of a cache -> the q0 rows of its calls
