@@ -40,7 +40,7 @@ from .supervision import (
     write_supervision,
     write_triples,
 )
-from .evaluation import evaluate_run, report_json
+from .evaluation import check_query_texts, evaluate_run, report_json
 from .synth import PlantSpec, generate, write_synth, read_truth
 from .util import derive_seed, write_jsonl
 
@@ -230,7 +230,12 @@ def cmd_eval(args, parser) -> int:
     cfg = _resolve(args)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
-    _, records = read_traces(_require(parser, args.traces, "trace file"))
+    path = _require(parser, args.traces, "trace file")
+    _, records = read_traces(path)
+    try:
+        check_query_texts(records, queries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     report = evaluate_run(records, queries, corpus, cfgmod.eval_config(cfg))
     print(report.format_table())
     if args.out:

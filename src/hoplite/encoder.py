@@ -13,10 +13,15 @@ processes and machines regardless of PYTHONHASHSEED.
 passage rows stay unit-norm, so one index serves every weighting.
 `reweighted(weights)` returns an encoder with the weights multiplied in
 token by token, sharing this encoder's token caches.
+
+`fingerprint()` is what an index records of the encoder that built it, so
+that an encoder that would encode its passages otherwise (another seed,
+dim or passage cap) is refused instead of scoring garbage.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,6 +33,11 @@ from .util import hash64
 
 # \w minus underscore: Unicode alphanumerics only.
 _TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
+
+
+# The text whose rows `LexicalEncoder.fingerprint` digests: trigrams enough
+# that every seed gives other bits.
+FINGERPRINT_PROBE = "hoplite encoder fingerprint probe 0123456789"
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,6 +62,16 @@ class EncoderConfig:
             raise ValueError("max_query_tokens must be positive")
         if self.max_overall_tokens < self.max_query_tokens:
             raise ValueError("max_overall_tokens must be >= max_query_tokens")
+
+
+@dataclass(frozen=True)
+class EncoderFingerprint:
+    """What decides an encoder's passage rows: their dim, the passage token
+    cap, and a blake2b digest (16 bytes) of its rows for FINGERPRINT_PROBE."""
+
+    dim: int
+    max_passage_tokens: int
+    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -117,6 +137,13 @@ class LexicalEncoder:
         for sentence in passage.sentences:
             tokens.extend(tokenize(sentence))
         return self._matrix(tokens[: self.cfg.max_passage_tokens])
+
+    def fingerprint(self) -> EncoderFingerprint:
+        """What an index built by this encoder records of it; query weights,
+        which leave passage rows alone, do not enter."""
+        rows = self._matrix(tokenize(FINGERPRINT_PROBE))
+        digest = hashlib.blake2b(rows.astype("<f4").tobytes(), digest_size=16).digest()
+        return EncoderFingerprint(self.cfg.dim, self.cfg.max_passage_tokens, digest)
 
     def kept_tokens(self, query: MultiHopQuery) -> tuple[list[str], list[str]]:
         """The query tokens and fact tokens that fit the token caps, in row order."""

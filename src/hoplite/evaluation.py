@@ -198,6 +198,22 @@ def _predicted_passages(variant: str, kept: list[dict], ctx: list[str]) -> set[s
     return {f["pid"] for f in kept}
 
 
+def check_query_texts(records: Sequence[dict], queries: Sequence[QueryRecord]) -> None:
+    """Raise ValueError naming the first trace whose query text (`q0`, the
+    condensed arm's for hybrid) is not the queryset's text for its qid.
+    Synth names qids alike under every seed, so only the text tells two
+    querysets apart. Records without a `q0` and unknown qids pass."""
+    texts = {q.qid: q.text for q in queries}
+    for rec in records:
+        q0 = (rec["condensed"] if rec.get("variant") == "hybrid" else rec).get("q0")
+        text = texts.get(rec["qid"])
+        if None not in (q0, text) and q0 != text:
+            raise ValueError(
+                f"the trace of qid {rec['qid']!r} ran the query {q0!r}, but the queryset's "
+                f"text for it is {text!r}: traces of another queryset?"
+            )
+
+
 def evaluate_run(
     records: Sequence[dict],
     queries: Sequence[QueryRecord],

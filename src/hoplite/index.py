@@ -1,34 +1,39 @@
 """Token-vector index over a passage corpus.
 
-Every passage contributes one row per token to a single float32 storage
-matrix; vec_to_pid maps storage rows back to passages. Search on the flat
-variant is exact: retrieval scores every passage. The IVF variant buckets
-vectors under k-means centroids; `candidates_for` probes the nearest few
-lists per source vector and keeps each vector's top results_per_vector
-hits, and retrieval scores only those candidate passages, whole.
-results_per_vector therefore applies to IVF indexes only. A `RowCache`
-keeps, for the calls it serves, each distinct source row's candidates per
-depth and its screened maxima over every passage (distinct rows x passages
-x 4 bytes), so a row is probed and screened once per cache; neither depends
-on anything but the index, the row and the depth, so no ranking changes.
-`RowCache.screen` screens the rows it has not seen with one `screen_maxima`
-call, as the pipeline does for each hop of a batch of queries sharing one
-cache; the screen runs in blocks of source rows whose similarity matrix
-stays under SCREEN_BYTES, and a stacked screen gives each row the maxima it
-gets alone up to float32 summation order, which the screen's error bound
-covers.
+Every passage contributes one float32 row per token to a single storage
+matrix. Storage keeps the passages grouped by row count L: buckets in
+ascending L, passages within a bucket in pid-table order. Each bucket is
+then one contiguous (n, L, dim) block, so the screen folds strided views
+of its similarity matrix and the exact kernel slices whole passages out
+of it. The pid table stays in corpus order; `rows_for`, `row_counts` and
+`vec_to_pid` follow from the row counts. Search on the flat variant is
+exact: retrieval scores every passage. The IVF variant buckets vectors
+under k-means centroids; `candidates_for` probes the nearest few lists
+per source vector and keeps each vector's top results_per_vector hits,
+and retrieval scores only those candidate passages, whole.
+results_per_vector therefore applies to IVF indexes only. Each inverted
+list keeps its members in pid order (passage, then row within it): the
+depth cut breaks exact ties by list order, so candidates do not depend on
+the storage layout. k-means samples and assigns the rows in pid order too.
+A `RowCache` keeps each distinct source row's candidates and screened
+maxima for the calls it serves; its docstring says why that cannot change
+a ranking.
 
-On-disk layout (all little-endian):
+On-disk layout, format 2 (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
-  pid table: n_pids x (u16 byte length + UTF-8 bytes)
-  vec_to_pid: n_vectors x i32
-  vectors:    n_vectors x dim x f32
+  encoder fingerprint: u32 max_passage_tokens | 16-byte digest
+  pid table:  n_pids x (u16 byte length + UTF-8 bytes)
+  row counts: n_pids x u32, in pid-table order
+  zero bytes up to the next STORAGE_ALIGN file offset
+  vectors:    n_vectors x dim x f32, grouped by row count as above
   IVF block (variant=1 only):
     u32 n_centroids | u32 nprobe
-    centroids: n_centroids x dim x f32 | assignments: n_vectors x i32
-The pid table has any length, so `load_index` places the file in memory
-with the vectors block on a STORAGE_ALIGN boundary; the arrays stay
-read-only views of that one buffer.
+    centroids: n_centroids x dim x f32 | assignments: n_vectors x i32, one per vector
+`load_index` reads the file once into a buffer placed so that the vectors
+land on a STORAGE_ALIGN boundary; the arrays stay read-only views of it.
+Format 1 (vec_to_pid: n_vectors x i32 in place of the row counts, vectors
+in pid order, no fingerprint, no padding) still loads, with a warning: its
+rows are regrouped in memory and its encoder cannot be checked.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .encoder import EncodedQuery, LexicalEncoder
+from .encoder import EncodedQuery, EncoderFingerprint, LexicalEncoder
 from .scoring import (
     F32_UNIT,
     FocusParams,
@@ -74,7 +79,8 @@ KMEANS_ITERS = 25
 KMEANS_SAMPLE_FACTOR = 64
 ASSIGN_BLOCK = 8192
 
-# Byte alignment of a loaded index's storage block, so float32 GEMMs read it in place.
+# File offset and byte alignment of a loaded index's storage block, so float32
+# GEMMs read it in place.
 STORAGE_ALIGN = 64
 
 # Bytes of one float64 passage stack, and of its product, in exact scoring: under
@@ -87,7 +93,9 @@ STACK_BYTES = 120 * 1024
 SCREEN_BYTES = 8 * 1024 * 1024
 
 _INDEX_MAGIC = b"HLTI"
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
+_HEADER = "<BBIQQ"  # version, variant, dim, n_vectors, n_pids
+_FINGERPRINT = "<I16s"  # max_passage_tokens, digest
 
 
 class IndexFormatError(ValueError):
@@ -111,7 +119,7 @@ class IndexConfig:
 
 
 class IvfData:
-    """Centroids plus per-vector assignments, with inverted lists built once."""
+    """Centroids plus per-vector assignments; the index builds the inverted lists."""
 
     def __init__(self, centroids: np.ndarray, assignments: np.ndarray, nprobe: int):
         self.centroids = np.ascontiguousarray(centroids, dtype=np.float32)
@@ -126,44 +134,61 @@ class IvfData:
         ):
             raise ValueError(f"IVF assignment outside [0, {self.centroids.shape[0]})")
         self.nprobe = int(nprobe)
-        order = np.argsort(self.assignments, kind="stable")
-        counts = np.bincount(self.assignments, minlength=self.centroids.shape[0])
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        self.lists = [
-            order[bounds[c] : bounds[c + 1]] for c in range(self.centroids.shape[0])
-        ]
 
     @property
     def n_centroids(self) -> int:
         return int(self.centroids.shape[0])
 
 
+def _layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where passages of these row counts (one per pid position) sit in storage:
+    the pid positions in storage order (by row count, then position), each
+    passage's first storage row, and the storage rows in pid order."""
+    order = np.argsort(counts, kind="stable")
+    starts = np.empty_like(counts)
+    starts[order] = np.cumsum(counts[order]) - counts[order]
+    pid_starts = np.cumsum(counts) - counts
+    pid_rows = np.repeat(starts - pid_starts, counts) + np.arange(counts.sum())
+    return order, starts, pid_rows
+
+
 class TokenIndex:
-    """Read-only after construction; safe to share across threads."""
+    """Read-only after construction; safe to share across threads.
+
+    `row_counts` holds each pid's number of rows, in pid-table order, and
+    `storage` their rows grouped by row count (see the module docstring);
+    `from_passages` groups passages given in pid order. `fingerprint` names
+    the encoder that built the index, None when it is not known.
+    """
 
     def __init__(
         self,
         pids: Sequence[str],
-        vec_to_pid: np.ndarray,
+        row_counts: Sequence[int] | np.ndarray,
         storage: np.ndarray,
         ivf: IvfData | None = None,
+        fingerprint: EncoderFingerprint | None = None,
     ):
         self.pids = tuple(pids)
-        self.vec_to_pid = np.ascontiguousarray(vec_to_pid, dtype=np.int32)
+        self._counts = np.array(row_counts, dtype=np.intp)
+        self._counts.flags.writeable = False
         # aligned, so the screen's GEMM reads it without numpy copying it first
         self.storage = np.require(storage, np.float32, ["C_CONTIGUOUS", "ALIGNED"])
         if self.storage.ndim != 2:
             raise ValueError("storage must be 2-D")
-        if self.vec_to_pid.shape[0] != self.storage.shape[0]:
-            raise ValueError("vec_to_pid and storage disagree on vector count")
-        if self.vec_to_pid.size and (np.diff(self.vec_to_pid) < 0).any():
-            raise ValueError("vec_to_pid must group passages contiguously in pid order")
-        if self.vec_to_pid.size:
-            lo, hi = int(self.vec_to_pid[0]), int(self.vec_to_pid[-1])
-            if lo < 0 or hi >= len(self.pids):
-                raise ValueError("vec_to_pid references a pid outside the table")
         n = len(self.pids)
-        self._offsets = np.searchsorted(self.vec_to_pid, np.arange(n + 1), side="left")
+        if self._counts.shape != (n,):
+            raise ValueError("row counts and pid table disagree on passage count")
+        if n and self._counts.min() < 0:
+            raise ValueError("negative row count")
+        if self._counts.sum() != self.storage.shape[0]:
+            raise ValueError("row counts and storage disagree on vector count")
+        if fingerprint is not None and fingerprint.dim != self.dim:
+            raise ValueError("encoder fingerprint and storage disagree on dim")
+        self.fingerprint = fingerprint
+        order, self._starts, pid_rows = _layout(self._counts)
+        self.vec_to_pid = np.repeat(order, self._counts[order]).astype(np.int32)
+        self.vec_to_pid.flags.writeable = False
         self._pid_to_idx = {pid: i for i, pid in enumerate(self.pids)}
         if len(self._pid_to_idx) != n:
             raise ValueError("duplicate pid in index")
@@ -171,19 +196,49 @@ class TokenIndex:
         self.pid_rank = np.empty(n, dtype=np.intp)
         self.pid_rank[sorted(range(n), key=self.pids.__getitem__)] = np.arange(n)
         self.ivf = ivf
-        if ivf is not None and ivf.assignments.shape[0] != self.storage.shape[0]:
-            raise ValueError("IVF assignments disagree with vector count")
-        # Non-empty passages grouped by row count, as (pid positions, first rows,
-        # row count), for the screen and the kernel; an upper bound on row norms.
-        counts = self.row_counts()
+        self.ivf_lists: tuple[np.ndarray, ...] = ()
+        if ivf is not None:
+            if ivf.assignments.shape[0] != self.storage.shape[0]:
+                raise ValueError("IVF assignments disagree with vector count")
+            # each list's storage rows in pid order, the order `candidates_for` cuts by
+            members = pid_rows[np.argsort(ivf.assignments[pid_rows], kind="stable")]
+            sizes = np.bincount(ivf.assignments, minlength=ivf.n_centroids)
+            self.ivf_lists = tuple(np.split(members, np.cumsum(sizes)[:-1]))
+        # Non-empty passages grouped by row count L, as (pid positions, first
+        # storage row, their rows as an (n, L, dim) view), for the screen and
+        # the kernel; an upper bound on row norms.
         self._length_buckets = []
-        for length in np.unique(counts[counts > 0]).tolist():
-            positions = np.flatnonzero(counts == length)
-            self._length_buckets.append((positions, self._offsets[positions], length))
+        for length in np.unique(self._counts[self._counts > 0]).tolist():
+            positions = np.flatnonzero(self._counts == length)
+            first = int(self._starts[positions[0]])
+            rows = self.storage[first : first + positions.size * length]
+            self._length_buckets.append(
+                (positions, first, rows.reshape(positions.size, length, self.dim))
+            )
         squares = np.einsum("ij,ij->i", self.storage, self.storage)  # float32 sums
         self.max_row_norm = math.sqrt(
             float(squares.max(initial=0.0)) / (1 - gamma(self.dim, F32_UNIT))
         )
+
+    @classmethod
+    def from_passages(
+        cls,
+        pids: Sequence[str],
+        passages: Sequence[np.ndarray],
+        ivf: IvfData | None = None,
+        fingerprint: EncoderFingerprint | None = None,
+    ) -> "TokenIndex":
+        """The index of `passages`, one row matrix per pid in pid order, with
+        their rows copied once into storage grouped by row count; `ivf`'s
+        assignments follow the rows in pid order, as k-means assigns them."""
+        counts = np.array([m.shape[0] for m in passages], dtype=np.intp)
+        order, _, pid_rows = _layout(counts)
+        storage = np.concatenate([passages[i] for i in order.tolist()])
+        if ivf is not None:
+            assignments = np.empty_like(ivf.assignments)
+            assignments[pid_rows] = ivf.assignments
+            ivf = IvfData(ivf.centroids, assignments, ivf.nprobe)
+        return cls(pids, counts, storage, ivf, fingerprint)
 
     @property
     def dim(self) -> int:
@@ -202,28 +257,32 @@ class TokenIndex:
         return [self._pid_to_idx[pid] for pid in pids if pid in self._pid_to_idx]
 
     def rows_for(self, pid: str) -> tuple[int, int]:
+        """The storage rows [lo, hi) of one passage."""
         i = self._pid_to_idx[pid]
-        return int(self._offsets[i]), int(self._offsets[i + 1])
+        return int(self._starts[i]), int(self._starts[i] + self._counts[i])
 
     def row_counts(self) -> np.ndarray:
-        return np.diff(self._offsets)
+        """Each pid's number of rows, in pid-table order (read-only)."""
+        return self._counts
 
     def stacks(self, positions: np.ndarray, max_rows: int) -> Iterator[tuple[np.ndarray, ...]]:
         """The non-empty passages at `positions`, grouped by row count L and cut
         into stacks of at most max(L, max_rows) rows: per stack, the passages'
-        positions and their float32 rows as an (n, L, dim) array."""
+        positions and their float32 rows as an (n, L, dim) array, each passage
+        one contiguous block taken from its bucket."""
         wanted = np.zeros(len(self.pids), dtype=bool)
         wanted[positions] = True
-        for bucket, first_rows, length in self._length_buckets:
+        for bucket, _, rows in self._length_buckets:
             pick = np.flatnonzero(wanted[bucket])
-            step = max(1, max_rows // length)
+            step = max(1, max_rows // rows.shape[1])
             for at in (pick[i : i + step] for i in range(0, pick.size, step)):
-                yield bucket[at], self.storage[first_rows[at, None] + np.arange(length)]
+                yield bucket[at], rows.take(at, axis=0)
 
     def screen_maxima(self, src: np.ndarray) -> np.ndarray:
         """Float32 (len(src), n_pids): each passage's best float32 dot product per
         source row. One GEMM per block of source rows reads storage in place,
-        each block's similarity matrix under SCREEN_BYTES; entries of empty
+        each block's similarity matrix under SCREEN_BYTES, and each bucket's
+        maxima fold the strided views of its L row offsets; entries of empty
         passages are unset."""
         src = np.ascontiguousarray(src, dtype=np.float32)
         out = np.empty((src.shape[0], len(self.pids)), dtype=np.float32)
@@ -231,10 +290,12 @@ class TokenIndex:
         for at in range(0, src.shape[0], step):
             sims = self.storage @ src[at : at + step].T
             block = out[at : at + step].T
-            for positions, first_rows, length in self._length_buckets:
-                best = sims[first_rows]
-                for j in range(1, length):
-                    np.maximum(best, sims[first_rows + j], out=best)
+            for positions, first, rows in self._length_buckets:
+                n, length = rows.shape[:2]
+                runs = sims[first : first + n * length].reshape(n, length, -1)
+                best = np.maximum(runs[:, 0], runs[:, -1])
+                for j in range(1, length - 1):
+                    np.maximum(best, runs[:, j], out=best)
                 block[positions] = best
         return out
 
@@ -248,12 +309,17 @@ class RowCache:
     float64 bits, `maxima` holds the row's screened maxima (every passage's
     best float32 dot product with it) and `candidates`, per
     results_per_vector, the pid positions `candidates_for` finds for it.
-    Both are functions of the index, the row's bits and the depth alone, and
-    the screen's error bound holds for any float32 summation order, so a
-    cache saves work and cannot change a ranking. It takes distinct screened
-    rows x passages x 4 bytes. Entries are only ever added, each the same
-    value whoever adds it, so threads may share a cache; `row_cache`
-    refuses it for another index.
+
+    Why sharing a cache, across hops, queries or a pipeline window, cannot
+    change a ranking: both entries are functions of the index, the row's
+    bits and the depth alone; a row screened in a stack of many rows (one
+    `screen_maxima` call, in blocks under SCREEN_BYTES) gets the maxima it
+    gets alone up to float32 summation order, which the screen's error
+    bound covers; and the band is still rescored by the float64 kernel,
+    whose scores do not depend on pool or stack. Nor can it race: entries
+    are only ever added, each the same value whoever adds it, so threads
+    may share a cache. It takes distinct screened rows x passages x 4
+    bytes; `row_cache` refuses it for another index.
     """
 
     def __init__(self, index: TokenIndex):
@@ -364,27 +430,18 @@ def build_index(
     cfg = cfg or IndexConfig()
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    pids = []
-    blocks = []
-    vec_to_pid = []
-    for i, passage in enumerate(corpus):
-        rows = encoder.encode_passage(passage)
-        pids.append(passage.pid)
-        if rows.shape[0]:
-            blocks.append(np.ascontiguousarray(rows, dtype=np.float32))
-            vec_to_pid.append(np.full(rows.shape[0], i, dtype=np.int32))
-    if not blocks:
+    blocks = [np.asarray(encoder.encode_passage(p), dtype=np.float32) for p in corpus]
+    if not any(block.shape[0] for block in blocks):
         raise ValueError("corpus produced no token vectors")
-    storage = np.concatenate(blocks, axis=0)
-    mapping = np.concatenate(vec_to_pid)
-
     ivf = None
     if cfg.variant == VARIANT_IVF:
-        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(storage.shape[0]))
-        centroids = _kmeans(storage, n_centroids, seed=cfg.seed)
+        rows = np.concatenate(blocks)  # pid order, as k-means samples and assigns rows
+        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(rows.shape[0]))
+        centroids = _kmeans(rows, n_centroids, seed=cfg.seed)
         nprobe = cfg.nprobe or max(1, n_centroids // 64)
-        ivf = IvfData(centroids, _assign_all(storage, centroids), nprobe)
-    idx = TokenIndex(pids, mapping, storage, ivf)
+        ivf = IvfData(centroids, _assign_all(rows, centroids), nprobe)
+        del rows
+    idx = TokenIndex.from_passages(corpus.pids, blocks, ivf, encoder.fingerprint())
     logger.info(
         "built %s index: %d passages, %d vectors, dim %d",
         idx.variant,
@@ -421,7 +478,7 @@ def candidates_for(
         key = row.tobytes()
         if key not in found:
             probe = np.argsort(-(ivf.centroids64 @ row), kind="stable")[: ivf.nprobe]
-            cand = np.concatenate([ivf.lists[c] for c in probe])
+            cand = np.concatenate([index.ivf_lists[c] for c in probe])
             if results_per_vector < cand.size:
                 ds = index.storage[cand].astype(np.float64) @ row
                 keep = np.argpartition(-ds, results_per_vector - 1)[:results_per_vector]
@@ -488,9 +545,8 @@ def exact_topk_oracle(
     mats = [encodings[p.pid] if encodings else encoder.encode_passage(p) for p in corpus]
     if not mats:
         return Ranking()
-    counts = [m.shape[0] for m in mats]
-    index = TokenIndex(corpus.pids, np.repeat(np.arange(len(mats)), counts), np.concatenate(mats))
-    return rank_pool(eq, index, np.flatnonzero(counts), k, FocusParams())
+    index = TokenIndex.from_passages(corpus.pids, mats)
+    return rank_pool(eq, index, np.flatnonzero(index.row_counts()), k, FocusParams())
 
 
 def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
@@ -499,26 +555,27 @@ def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarr
 
 
 def save_index(index: TokenIndex, path: str | Path) -> None:
+    """Write `index` in format 2; ValueError for an index with no encoder
+    fingerprint (one not made by `build_index` or loaded from format 2)."""
+    fp = index.fingerprint
+    if fp is None:
+        raise ValueError("index has no encoder fingerprint to save; build it with build_index")
     variant = 0 if index.ivf is None else 1
     with open(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
         fh.write(
-            struct.pack(
-                "<BBIQQ",
-                _INDEX_VERSION,
-                variant,
-                index.dim,
-                index.n_vectors,
-                len(index.pids),
-            )
+            struct.pack(_HEADER, _INDEX_VERSION, variant, index.dim, index.n_vectors,
+                        len(index.pids))
         )
+        fh.write(struct.pack(_FINGERPRINT, fp.max_passage_tokens, fp.digest))
         for pid in index.pids:
             raw = pid.encode("utf-8")
             if len(raw) > 0xFFFF:
                 raise ValueError(f"pid too long to serialize: {pid[:32]!r}...")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-        fh.write(np.ascontiguousarray(index.vec_to_pid, dtype="<i4").tobytes())
+        fh.write(index.row_counts().astype("<u4").tobytes())
+        fh.write(bytes(-fh.tell() % STORAGE_ALIGN))
         fh.write(np.ascontiguousarray(index.storage, dtype="<f4").tobytes())
         if index.ivf is not None:
             fh.write(struct.pack("<II", index.ivf.n_centroids, index.ivf.nprobe))
@@ -552,41 +609,46 @@ class _Reader:
         return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
-def _read_placed(fh, buf: np.ndarray, size: int, offset: int) -> memoryview:
-    """The file's `size` bytes, read into `buf` so that byte `offset` lands on a
-    STORAGE_ALIGN boundary, as a read-only view."""
-    shift = -(buf.ctypes.data + offset) % STORAGE_ALIGN
-    view = memoryview(buf)[shift : shift + size]
-    fh.seek(0)
-    if fh.readinto(view) != size:
-        raise IndexFormatError(f"{fh.name}: truncated file")
-    return view.toreadonly()
+def _v1_passages(vec_to_pid: np.ndarray, storage: np.ndarray, n_pids: int) -> list:
+    """A format 1 file's rows, stored in pid order, split into one matrix per pid."""
+    if vec_to_pid.size and (np.diff(vec_to_pid) < 0).any():
+        raise ValueError("vec_to_pid must group passages contiguously in pid order")
+    if vec_to_pid.size and (vec_to_pid[0] < 0 or vec_to_pid[-1] >= n_pids):
+        raise ValueError("vec_to_pid references a pid outside the table")
+    return np.split(storage, np.cumsum(np.bincount(vec_to_pid, minlength=n_pids))[:-1])
 
 
 def load_index(path: str | Path) -> TokenIndex:
+    """The index saved at `path`, its arrays read-only views of one read of the
+    file. IndexFormatError, naming the file, for anything but a whole, valid
+    format 1 or 2 file; format 1 loads with a warning (see the module docstring)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         buf = np.empty(size + STORAGE_ALIGN, dtype=np.uint8)
-        r = _Reader(_read_placed(fh, buf, size, 0), str(path))
-        if r.take(4) != _INDEX_MAGIC:
-            raise IndexFormatError(f"{path}: bad magic")
-        version, variant, dim, n_vectors, n_pids = r.unpack("<BBIQQ")
-        if version != _INDEX_VERSION:
-            raise IndexFormatError(f"{path}: unsupported version {version}")
-        if variant not in (0, 1):
-            raise IndexFormatError(f"{path}: unknown variant byte {variant}")
-        pids = []
-        for _ in range(n_pids):
-            (length,) = r.unpack("<H")
-            try:
-                pids.append(r.take(length).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
-        # The pid table has any length: read again, shifted, if storage would be misaligned.
-        storage_at = r.pos + 4 * n_vectors
-        if storage_at % STORAGE_ALIGN:
-            r.blob = _read_placed(fh, buf, size, storage_at)
-    vec_to_pid = r.array("<i4", n_vectors)
+        shift = -buf.ctypes.data % STORAGE_ALIGN
+        if fh.readinto(memoryview(buf)[shift : shift + size]) != size:
+            raise IndexFormatError(f"{path}: truncated file")
+    r = _Reader(memoryview(buf)[shift : shift + size].toreadonly(), str(path))
+    if r.take(4) != _INDEX_MAGIC:
+        raise IndexFormatError(f"{path}: bad magic")
+    version, variant, dim, n_vectors, n_pids = r.unpack(_HEADER)
+    if version not in (1, _INDEX_VERSION):
+        raise IndexFormatError(f"{path}: unsupported version {version}")
+    if variant not in (0, 1):
+        raise IndexFormatError(f"{path}: unknown variant byte {variant}")
+    fingerprint = EncoderFingerprint(dim, *r.unpack(_FINGERPRINT)) if version > 1 else None
+    pids = []
+    for _ in range(n_pids):
+        (length,) = r.unpack("<H")
+        try:
+            pids.append(r.take(length).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
+    if version == 1:
+        vec_to_pid = r.array("<i4", n_vectors)
+    else:
+        counts = r.array("<u4", n_pids)
+        r.take(-r.pos % STORAGE_ALIGN)  # the padding before the vectors
     storage = r.array("<f4", n_vectors * dim).reshape(n_vectors, dim)
     ivf_arrays = None
     if variant == 1:
@@ -597,6 +659,14 @@ def load_index(path: str | Path) -> TokenIndex:
         raise IndexFormatError(f"{path}: {size - r.pos} trailing bytes")
     try:  # a structural error in the arrays is a format error of this file
         ivf = IvfData(*ivf_arrays) if ivf_arrays else None
-        return TokenIndex(pids, vec_to_pid, storage, ivf)
+        if version > 1:
+            return TokenIndex(pids, counts, storage, ivf, fingerprint)
+        passages = _v1_passages(vec_to_pid, storage, n_pids)
+        logger.warning(
+            "%s: index format 1 records no encoder, so nothing checks that this "
+            "encoder built it, and its rows are regrouped in memory; rebuild it "
+            "with build-index to get format 2", path,
+        )
+        return TokenIndex.from_passages(pids, passages, ivf)
     except ValueError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None

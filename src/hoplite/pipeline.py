@@ -23,14 +23,10 @@ screens, and that the cache has not seen, are screened together, one
 `TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`.
 Then every lane runs its retrieval (band and float64 rescore) and its
 condensing, across the thread pool when threads > 1. A hop scored in one
-pass (2k >= pool) screens nothing. Neither the window nor the shared
-cache can change a ranking or race: a row's candidates and maxima depend on
-the index, the row and the depth alone, the threads only add candidate
-entries equal to any already there and every row is screened before the
-retrievals, the screen's error bound holds for any float32 summation
-order, and the band is rescored by the kernel whose scores do not depend
-on batch shape.
-Traces are the bytes a fresh cache per retrieval writes.
+pass (2k >= pool) screens nothing. Every row is screened before the
+retrievals, so the threads only add candidate entries; `index.RowCache`
+says why neither the window nor the shared cache can change a ranking or
+race. Traces are the bytes a fresh cache per retrieval writes.
 """
 
 from __future__ import annotations
@@ -51,7 +47,13 @@ from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import RowCache, TokenIndex, screens
-from .retriever import RetrievalConfig, check_corpus_covers, retrieval_pool, retrieve
+from .retriever import (
+    RetrievalConfig,
+    check_corpus_covers,
+    check_encoder,
+    retrieval_pool,
+    retrieve,
+)
 from .scoring import ScoredPassage, source_columns
 from .util import read_jsonl, write_jsonl
 
@@ -148,6 +150,7 @@ class PipelineRunner:
         cfg: PipelineConfig | None = None,
     ):
         check_corpus_covers(index, corpus)
+        check_encoder(index, encoder)
         self.corpus = corpus
         self.index = index
         self.encoder = encoder
@@ -253,7 +256,7 @@ def run_queries(
     each hop's new source rows, of every lane, are screened by one
     `screen_maxima` call, and with threads > 1 each hop's per-lane work
     (encoding, rescoring, condensing) is split across a thread pool. Traces
-    do not depend on the window or the thread count.
+    do not depend on the window or the thread count (see `RowCache`).
     """
     windows = [queries[at : at + LOCKSTEP_QUERIES]
                for at in range(0, len(queries), LOCKSTEP_QUERIES)]

@@ -6,18 +6,13 @@ passage straight from the index storage, then float64 rescoring of the pool
 passages the screen's error bound cannot rule out of the top k (all of them
 when k is at least half the pool). A passage's scores are the bits
 `flipr_score` gives it alone, so rankings are the float64 rankings of the
-whole pool. The corpus is checked once, when a `Retriever` or
-`pipeline.PipelineRunner` is built, not per call.
+whole pool. The corpus and the encoder are checked once, when a
+`Retriever` or `pipeline.PipelineRunner` is built, not per call.
 
 A source row's IVF candidates and its screened maxima depend on that row
 alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
-for the calls it serves (the pipeline passes one per lockstep window, shared
-by every hop of both hybrid arms of its queries, and screens each hop's new
-rows into it before it calls `retrieve`). It takes distinct rows x passages
-x 4 bytes, at most one window's distinct rows. It cannot change a ranking:
-candidates are a function of the index, the row and the depth, the screen's
-error bound holds for any float32 summation order, and the band is still
-rescored exactly.
+for the calls it serves (the pipeline passes one per lockstep window). Its
+docstring says why sharing one cannot change a ranking.
 """
 
 from __future__ import annotations
@@ -61,6 +56,29 @@ def check_corpus_covers(index: TokenIndex, corpus: Corpus) -> None:
     missing = [pid for pid in index.pids if pid not in corpus]
     if missing:
         raise KeyError(f"index pid {missing[0]!r} is not in the corpus")
+
+
+def check_encoder(index: TokenIndex, encoder: LexicalEncoder) -> None:
+    """Raise ValueError naming the first field of the encoder's fingerprint
+    that differs from the one the index was built with; an index whose
+    encoder is not known (index format 1) passes."""
+    built = index.fingerprint
+    if built is None:
+        return
+    have = encoder.fingerprint()
+    for name in ("dim", "max_passage_tokens"):
+        if getattr(built, name) != getattr(have, name):
+            raise ValueError(
+                f"index was built with encoder.{name} {getattr(built, name)}, but the "
+                f"encoder has {getattr(have, name)}; set encoder.{name} to the value "
+                "the index was built with, or rebuild the index"
+            )
+    if built.digest != have.digest:
+        raise ValueError(
+            f"index was built by an encoder whose token vectors differ (digest "
+            f"{built.digest.hex()} in the index, {have.digest.hex()} here): another "
+            "--seed? Run with the seed the index was built with, or rebuild the index"
+        )
 
 
 def retrieval_pool(
@@ -131,6 +149,7 @@ class Retriever:
         cfg: RetrievalConfig | None = None,
     ):
         check_corpus_covers(index, corpus)
+        check_encoder(index, encoder)
         self.corpus = corpus
         self.index = index
         self.encoder = encoder

@@ -366,6 +366,58 @@ def test_dim_mismatch_exits_1_naming_both_dims(workdir, tmp_path):
     assert "64" in r.stderr and "128" in r.stderr and "encoder.dim" in r.stderr
 
 
+@pytest.fixture(scope="module")
+def seed5_ivf(workdir):
+    """An IVF index of the module's corpus built under --seed 5."""
+    path = workdir / "seed5-ivf.hlti"
+    r = run_cli(
+        "build-index", "--corpus", workdir / "data" / "corpus.jsonl", "--out", path,
+        "--variant", "ivf", "--seed", 5,
+    )
+    assert r.returncode == 0, r.stderr
+    return path
+
+
+@pytest.mark.parametrize("command", ["retrieve", "run", "lho"])
+def test_index_of_another_seed_exits_1_naming_the_field(workdir, seed5_ivf, tmp_path, command):
+    # without the check, `run` exits 0 and its traces score far lower recall
+    data = workdir / "data"
+    out = tmp_path / "out.jsonl"
+    args = {
+        "retrieve": ["--query", "anything"],
+        "run": ["--queries", data / "queries.jsonl", "--out", out],
+        "lho": ["--queries", data / "queries.jsonl", "--out", out],
+    }[command]
+    r = run_cli(command, "--corpus", data / "corpus.jsonl", "--index", seed5_ivf, *args)
+    assert r.returncode == 1
+    assert "digest" in r.stderr and "--seed" in r.stderr
+    assert r.stdout == "" and not out.exists()
+    r = run_cli(command, "--corpus", data / "corpus.jsonl", "--index", seed5_ivf, *args,
+                "--seed", 5)
+    assert r.returncode == 0, r.stderr
+
+
+def test_eval_against_another_seeds_queryset_exits_1_naming_qid_and_file(workdir, tmp_path):
+    # synth names qids and gold pids alike under every seed; only the text differs
+    data = workdir / "data"
+    other = tmp_path / "seed8"
+    r = run_cli("synth", "--out", other, "--hops", 2, "--queries", 6, "--corpus-size", 60,
+                "--distractors", 3, "--with-answers", "--seed", 8)
+    assert r.returncode == 0, r.stderr
+    traces = tmp_path / "traces.jsonl"
+    r = run_cli("run", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+                "--index", workdir / "flat.hlti", "--out", traces, "--seed", 7)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("eval", "--traces", traces, "--queries", other / "queries.jsonl",
+                "--corpus", data / "corpus.jsonl")
+    assert r.returncode == 1
+    first = json.loads((data / "queries.jsonl").read_text().splitlines()[0])["qid"]
+    assert f"{traces}: the trace of qid {first!r}" in r.stderr
+    r = run_cli("eval", "--traces", traces, "--queries", data / "queries.jsonl",
+                "--corpus", data / "corpus.jsonl")
+    assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize("command", ["retrieve", "run", "lho"])
 def test_index_pid_missing_from_corpus_exits_1_naming_it(workdir, tmp_path, command):
     data = workdir / "data"

@@ -8,6 +8,7 @@ from hoplite.corpus import Corpus, Passage, QueryRecord
 from hoplite.evaluation import (
     EvalConfig,
     answer_recall,
+    check_query_texts,
     evaluate_run,
     report_json,
     retrieval_at_k,
@@ -352,3 +353,20 @@ def test_eval_config_validation():
             EvalConfig(supported_only=bad)
     for ok in (None, True, False):
         assert EvalConfig(supported_only=ok).supported_only is ok
+
+
+def test_check_query_texts_reads_q0_of_each_variant():
+    queries = _queries()  # q1 asks "claim one"
+    condensed = _rec("q1", ["A"], [])
+    condensed["q0"] = "claim one"
+    hybrid = {"qid": "q1", "variant": "hybrid", "merged": [],
+              "condensed": dict(condensed), "rerank": dict(condensed)}
+    check_query_texts([condensed, hybrid], queries)
+    check_query_texts([_rec("ghost", [], [])], queries)  # unknown qids are evaluate_run's
+    no_q0 = _rec("q1", ["A"], [])
+    del no_q0["q0"]
+    check_query_texts([no_q0], queries)  # nothing recorded, nothing to check
+    hybrid["condensed"]["q0"] = "claim two"
+    hybrid["rerank"]["q0"] = "claim one"
+    with pytest.raises(ValueError, match="'q1' ran the query 'claim two'.*'claim one'"):
+        check_query_texts([hybrid], queries)

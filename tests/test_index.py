@@ -25,7 +25,7 @@ from hoplite.index import (
     load_index,
     save_index,
 )
-from hoplite.retriever import retrieve
+from hoplite.retriever import RetrievalConfig, retrieve
 from hoplite.scoring import FocusParams, flipr_score
 
 
@@ -65,6 +65,11 @@ def _brute_force_hits(eq, idx, rpv):
     return {idx.pids[j] for top in tops for j in idx.vec_to_pid[top]}
 
 
+def _pid_rows(idx):
+    """The storage rows of `idx` in pid order: passage by passage, row by row."""
+    return np.concatenate([np.arange(*idx.rows_for(pid)) for pid in idx.pids])
+
+
 def test_flat_index_vector_layout():
     enc = LexicalEncoder(EncoderConfig(dim=16, seed=0))
     corpus = Corpus(
@@ -95,7 +100,25 @@ def test_index_keeps_tokenless_passage_pid():
     )
     idx = build_index(corpus, enc)
     assert idx.pids == ("a", "empty")
-    assert idx.rows_for("empty") == (3, 3)
+    assert idx.rows_for("empty") == (0, 0)  # row count 0 sorts before every bucket
+    assert list(idx.row_counts()) == [3, 0]
+
+
+def test_storage_groups_passages_by_row_count():
+    # row counts 3, 1, 2, 1, 0 in pid order: buckets in ascending row count,
+    # passages within one in pid order, the pid table left as it is
+    enc = LexicalEncoder(EncoderConfig(dim=16, seed=0))
+    texts = ["one two three", "four", "five six", "seven", "!!!"]
+    corpus = Corpus([Passage(pid=f"p{i}", title="", sentences=(t,)) for i, t in enumerate(texts)])
+    idx = build_index(corpus, enc)
+    assert idx.pids == ("p0", "p1", "p2", "p3", "p4")
+    assert list(idx.row_counts()) == [3, 1, 2, 1, 0]
+    assert [idx.rows_for(pid) for pid in idx.pids] == [(4, 7), (0, 1), (2, 4), (1, 2), (0, 0)]
+    assert idx.vec_to_pid.tolist() == [1, 3, 2, 2, 0, 0, 0]
+    for passage in corpus:
+        lo, hi = idx.rows_for(passage.pid)
+        assert np.array_equal(idx.storage[lo:hi], enc.encode_passage(passage))
+    assert not idx.row_counts().flags.writeable
 
 
 def test_build_index_rejects_empty_corpus(enc):
@@ -163,9 +186,13 @@ def test_ivf_assignments_match_brute_force():
     assert ivf.n_centroids == 6
     sims = idx.storage.astype(np.float64) @ ivf.centroids.astype(np.float64).T
     assert np.array_equal(ivf.assignments, np.argmax(sims, axis=1).astype(np.int32))
-    # inverted lists partition the vector ids
-    all_ids = np.sort(np.concatenate(ivf.lists))
+    # inverted lists partition the vector ids, each list in pid order
+    all_ids = np.sort(np.concatenate(idx.ivf_lists))
     assert np.array_equal(all_ids, np.arange(idx.n_vectors))
+    pid_order = np.argsort(_pid_rows(idx))  # each storage row's place in pid order
+    for c, members in enumerate(idx.ivf_lists):
+        assert np.all(ivf.assignments[members] == c)
+        assert np.all(np.diff(pid_order[members]) > 0)
 
 
 def test_ivf_probe_all_equals_flat():
@@ -194,8 +221,8 @@ def test_cached_candidates_are_the_brute_force_hits(seed, dim, n_calls):
     n_c = int(rng.integers(1, 6))
     centroids = rng.standard_normal((n_c, dim)).astype(np.float32)
     ivf = IvfData(centroids, np.argmax(storage @ centroids.T, axis=1), nprobe=n_c)
-    idx = TokenIndex([f"p{i}" for i in range(n_passages)],
-                     np.repeat(np.arange(n_passages), counts), storage, ivf)
+    idx = TokenIndex.from_passages([f"p{i}" for i in range(n_passages)],
+                                   np.split(storage, np.cumsum(counts)[:-1]), ivf)
     rpv = int(rng.integers(1, storage.shape[0] + 1))
     base = rng.standard_normal((6, dim)).astype(np.float32)
     base[3:, :-1] = base[:3, :-1]  # rows that differ in their last entry only
@@ -262,7 +289,7 @@ def test_cluster_sums_are_the_bits_of_add_at(n_big):
 def test_max_row_norm_bounds_every_row():
     rng = np.random.default_rng(5)
     storage = (rng.standard_normal((300, 64)) * rng.uniform(0.1, 3.0, (300, 1))).astype(np.float32)
-    idx = TokenIndex(["a", "b"], np.repeat([0, 1], 150), storage)
+    idx = TokenIndex(["a", "b"], [150, 150], storage)
     true_max = np.linalg.norm(storage.astype(np.float64), axis=1).max()
     assert true_max <= idx.max_row_norm <= true_max * (1 + 1e-5)
 
@@ -297,10 +324,14 @@ def test_save_load_round_trip_flat(tmp_path, enc, tiny_corpus):
     loaded = load_index(path)
     assert loaded.pids == idx.pids
     assert np.array_equal(loaded.vec_to_pid, idx.vec_to_pid)
+    assert np.array_equal(loaded.row_counts(), idx.row_counts())
     assert loaded.storage.tobytes() == idx.storage.tobytes()
+    assert loaded.fingerprint == idx.fingerprint == enc.fingerprint()
     assert loaded.ivf is None
-    # Arrays are read-only views of the file blob, not second copies.
+    # Storage is a read-only view of the file blob, not a second copy, and
+    # what the index derives from the row counts is read-only too.
     assert not loaded.storage.flags.writeable
+    assert loaded.storage.base is not None
     assert not loaded.vec_to_pid.flags.writeable
     eq = enc.encode_query(_query("rome tiber"))
     assert list(retrieve(eq, loaded)) == list(retrieve(eq, idx))
@@ -356,7 +387,7 @@ def test_load_rejects_pid_that_is_not_utf8(tmp_path, enc, tiny_corpus):
     path = tmp_path / "t.hlti"
     save_index(build_index(tiny_corpus, enc), path)
     raw = bytearray(path.read_bytes())
-    raw[4 + struct.calcsize("<BBIQQ") + 2] = 0xFF  # first byte of the first pid
+    raw[4 + struct.calcsize("<BBIQQ") + struct.calcsize("<I16s") + 2] = 0xFF  # first pid byte
     path.write_bytes(bytes(raw))
     with pytest.raises(IndexFormatError, match=re.escape(str(path)) + ".*UTF-8"):
         load_index(path)
@@ -406,3 +437,131 @@ def test_load_rejects_trailing_bytes(tmp_path, enc, tiny_corpus):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(IndexFormatError):
         load_index(path)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_candidates_cut_exact_ties_in_pid_order(seed):
+    # Copies of one vector sit in passages of several row counts, so the depth
+    # cut falls among exact ties. With one list holding every row, the cut must
+    # keep what a scan of the rows in pid order keeps: storage order, grouped by
+    # row count, must not decide which tied passages are candidates.
+    rng = np.random.default_rng(seed)
+    dim = 8
+    dup = rng.standard_normal(dim).astype(np.float32)
+    passages = []
+    for _ in range(int(rng.integers(8, 20))):
+        rows = (0.1 * rng.standard_normal((int(rng.integers(1, 6)), dim))).astype(np.float32)
+        if rng.random() < 0.6:
+            rows[rng.integers(0, rows.shape[0])] = dup
+        passages.append(rows)
+    pid_order = np.concatenate(passages)
+    owner = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+    ivf = IvfData(dup[None, :], np.zeros(pid_order.shape[0], dtype=np.int32), nprobe=1)
+    idx = TokenIndex.from_passages([f"p{i}" for i in range(len(passages))], passages, ivf)
+    eq = EncodedQuery(dup[None, :], np.zeros((0, dim), dtype=np.float32))
+    ds = pid_order.astype(np.float64) @ dup.astype(np.float64)
+    for rpv in range(1, int((pid_order == dup).all(axis=1).sum()) + 1):
+        want = np.unique(owner[np.argpartition(-ds, rpv - 1)[:rpv]])
+        assert np.array_equal(candidates_for(eq, idx, rpv), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+    ivf=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_round_trip_over_mixed_row_counts(lengths, ivf, seed):
+    # Passages of many row counts, empty ones and shared words among them:
+    # build, save and load give every pid its encoded rows back, and rankings
+    # equal the oracle's, on a flat index and on an IVF index probing all.
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i:02d}" for i in range(24)]
+    texts = [" ".join(rng.choice(vocab, size=n, replace=False)) if n else "!!!"
+             for n in lengths]
+    corpus = Corpus([Passage(pid=f"p{i}", title="", sentences=(t,))
+                     for i, t in enumerate(texts)])
+    if not any(lengths):
+        return
+    enc = LexicalEncoder(EncoderConfig(dim=16, seed=seed % 3))
+    distinct = len(set(" ".join(texts).split()) - {"!!!"})
+    cfg = IndexConfig(variant="ivf", centroid_count=min(3, distinct), nprobe=min(3, distinct)) \
+        if ivf else IndexConfig()
+    built = build_index(corpus, enc, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.hlti"
+        save_index(built, path)
+        idx = load_index(path)
+    assert idx.pids == corpus.pids
+    for passage in corpus:
+        lo, hi = idx.rows_for(passage.pid)
+        assert idx.storage[lo:hi].tobytes() == enc.encode_passage(passage).tobytes()
+    rcfg = RetrievalConfig(k=int(rng.integers(1, len(lengths) + 1)),
+                           results_per_vector=idx.n_vectors)
+    for words in (2, 5):
+        eq = enc.encode_query(_query(" ".join(rng.choice(vocab, size=words))))
+        want = exact_topk_oracle(eq, corpus, enc, k=rcfg.k)
+        assert list(retrieve(eq, idx, rcfg)) == list(want)
+
+
+def _save_v1(index, path):
+    """`index` in format 1: vec_to_pid and rows in pid order, no fingerprint,
+    no padding."""
+    rows = _pid_rows(index)
+    with open(path, "wb") as fh:
+        fh.write(b"HLTI")
+        fh.write(struct.pack("<BBIQQ", 1, index.ivf is not None, index.dim, index.n_vectors,
+                             len(index.pids)))
+        for pid in index.pids:
+            fh.write(struct.pack("<H", len(pid.encode())) + pid.encode())
+        owner = np.repeat(np.arange(len(index.pids)), index.row_counts())
+        fh.write(owner.astype("<i4").tobytes())
+        fh.write(index.storage[rows].astype("<f4").tobytes())
+        if index.ivf is not None:
+            fh.write(struct.pack("<II", index.ivf.n_centroids, index.ivf.nprobe))
+            fh.write(index.ivf.centroids.astype("<f4").tobytes())
+            fh.write(index.ivf.assignments[rows].astype("<i4").tobytes())
+
+
+@pytest.mark.parametrize("variant", ["flat", "ivf"])
+def test_format_1_loads_regrouped_with_a_warning(tmp_path, caplog, variant):
+    enc = LexicalEncoder(EncoderConfig(dim=32, seed=1))
+    corpus = Corpus([Passage(pid=f"p{i:03d}", title="", sentences=(" ".join(
+        f"w{(7 * i + j) % 50:03d}" for j in range(i % 5)) or "!!!",)) for i in range(40)])
+    idx = build_index(corpus, enc, IndexConfig(variant=variant, centroid_count=4, nprobe=2))
+    path = tmp_path / "v1.hlti"
+    _save_v1(idx, path)
+    with caplog.at_level("WARNING", logger="hoplite.index"):
+        loaded = load_index(path)
+    assert "format 1" in caplog.text and str(path) in caplog.text
+    assert loaded.fingerprint is None
+    assert loaded.storage.tobytes() == idx.storage.tobytes()
+    assert np.array_equal(loaded.row_counts(), idx.row_counts())
+    if variant == "ivf":
+        assert np.array_equal(loaded.ivf.assignments, idx.ivf.assignments)
+    eq = enc.encode_query(_query("w001 w017 w023 w031"))
+    for rpv in (2, 512):
+        cfg = RetrievalConfig(k=5, results_per_vector=rpv)
+        assert list(retrieve(eq, loaded, cfg)) == list(retrieve(eq, idx, cfg))
+    raw = bytearray(path.read_bytes())
+    vec_to_pid_at = 4 + struct.calcsize("<BBIQQ") + sum(2 + len(p) for p in idx.pids)
+    raw[vec_to_pid_at : vec_to_pid_at + 4] = struct.pack("<i", 39)  # out of pid order
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IndexFormatError, match="pid order"):
+        load_index(path)
+
+
+def test_save_refuses_an_index_without_fingerprint(tmp_path):
+    idx = TokenIndex(["a"], [2], np.eye(2, 8, dtype=np.float32))
+    with pytest.raises(ValueError, match="fingerprint"):
+        save_index(idx, tmp_path / "t.hlti")
+
+
+def test_storage_starts_on_an_aligned_file_offset(tmp_path, enc, tiny_corpus):
+    idx = build_index(tiny_corpus, enc)
+    path = tmp_path / "t.hlti"
+    save_index(idx, path)
+    raw = path.read_bytes()
+    at = len(raw) - idx.storage.nbytes
+    assert at % STORAGE_ALIGN == 0
+    assert raw[at:] == idx.storage.tobytes()

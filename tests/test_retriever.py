@@ -139,8 +139,7 @@ def planted_retrievals(draw):
     passages.append(np.zeros((0, dim), np.float32))  # an empty passage is never scored
     passages = [passages[i] for i in rng.permutation(len(passages))]
     pids = [f"p{i:02d}" for i in range(len(passages))]
-    storage = np.concatenate(passages)
-    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+    storage = np.concatenate(passages)  # in pid order, as IVF assignments are made
 
     ivf = None
     rpv = storage.shape[0]
@@ -150,7 +149,7 @@ def planted_retrievals(draw):
         assign = np.argmax(storage @ centroids.T, axis=1)
         ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
         rpv = int(rng.integers(1, storage.shape[0] + 1))
-    index = TokenIndex(pids, vec_to_pid, storage, ivf)
+    index = TokenIndex.from_passages(pids, passages, ivf)
 
     def query_rows(n):
         # near copies of passage rows make strong maxima, as real queries do
@@ -207,9 +206,8 @@ def off_grid_indexes(draw):
     passages += [passages[i].copy() for i in rng.integers(0, len(passages), 4)]
     passages = [passages[i] for i in rng.permutation(len(passages))]
     pids = [f"p{i}" for i in range(len(passages))]  # p10 sorts before p2
-    storage = np.concatenate(passages)
-    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
-    flat = TokenIndex(pids, vec_to_pid, storage)
+    storage = np.concatenate(passages)  # in pid order, as IVF assignments are made
+    flat = TokenIndex.from_passages(pids, passages)
     n_c = int(rng.integers(1, 6))
     centroids = unit_rows(rng, n_c, dim)
     assign = np.argmax(storage @ centroids.T, axis=1)
@@ -226,7 +224,7 @@ def off_grid_indexes(draw):
         focus=focus,
     )
     exclude = {pid for pid in pids if rng.random() < 0.2}
-    return flat, TokenIndex(pids, vec_to_pid, storage, ivf), eq, cfg, exclude
+    return flat, TokenIndex.from_passages(pids, passages, ivf), eq, cfg, exclude
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,8 +264,7 @@ def cached_call_sequences(draw):
                 for _ in range(draw(st.integers(2, 40)))]
     passages.append(passages[0].copy())
     pids = [f"p{i}" for i in range(len(passages))]
-    storage = np.concatenate(passages)
-    vec_to_pid = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
+    storage = np.concatenate(passages)  # in pid order, as IVF assignments are made
     ivf = None
     rpv = storage.shape[0]
     if draw(st.booleans()):
@@ -276,7 +273,7 @@ def cached_call_sequences(draw):
         assign = np.argmax(storage @ centroids.T, axis=1)
         ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
         rpv = int(rng.integers(1, storage.shape[0] + 1))
-    index = TokenIndex(pids, vec_to_pid, storage, ivf)
+    index = TokenIndex.from_passages(pids, passages, ivf)
 
     base = rng.standard_normal((int(rng.integers(2, 12)), dim)).astype(np.float32)
     base[1::2, :-1] = base[::2, :-1][: len(base) // 2]  # pairs differing in one entry
@@ -428,3 +425,20 @@ def test_candidate_pool_never_truncated_before_scoring(enc, tiny_corpus):
         assert {sp.pid for sp in got} == set(tiny_corpus.pids)
         scores = [sp.score for sp in got]
         assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "other, field",
+    [
+        (EncoderConfig(dim=32, seed=3), "encoder.dim 64"),
+        (EncoderConfig(dim=64, seed=3, max_passage_tokens=4), "encoder.max_passage_tokens 256"),
+        (EncoderConfig(dim=64, seed=4), "digest"),
+    ],
+)
+def test_an_index_refuses_another_encoder(enc, tiny_corpus, other, field):
+    idx = build_index(tiny_corpus, enc)
+    for make in (Retriever, PipelineRunner):
+        with pytest.raises(ValueError, match=field):
+            make(tiny_corpus, idx, LexicalEncoder(other))
+    # query weights leave passage rows as they are, so a reweighted encoder passes
+    Retriever(tiny_corpus, idx, enc.reweighted({"rome": 2.0}))
