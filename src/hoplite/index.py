@@ -31,9 +31,6 @@ On-disk layout, format 2 (all little-endian):
     centroids: n_centroids x dim x f32 | assignments: n_vectors x i32, one per vector
 `load_index` reads the file once into a buffer placed so that the vectors
 land on a STORAGE_ALIGN boundary; the arrays stay read-only views of it.
-Format 1 (vec_to_pid: n_vectors x i32 in place of the row counts, vectors
-in pid order, no fingerprint, no padding) still loads, with a warning: its
-rows are regrouped in memory and its encoder cannot be checked.
 """
 
 from __future__ import annotations
@@ -158,7 +155,7 @@ class TokenIndex:
     `row_counts` holds each pid's number of rows, in pid-table order, and
     `storage` their rows grouped by row count (see the module docstring);
     `from_passages` groups passages given in pid order. `fingerprint` names
-    the encoder that built the index, None when it is not known.
+    the encoder that built the index, None for an index built in memory without one.
     """
 
     def __init__(
@@ -488,12 +485,6 @@ def candidates_for(
     return np.flatnonzero(hit)
 
 
-def screens(pool: np.ndarray, k: int) -> bool:
-    """Whether `rank_pool` screens `pool` for a top k: unless the band could not
-    prune (2k >= pool size), when it scores the whole pool in one pass."""
-    return 2 * k < pool.size
-
-
 def rank_pool(
     eq: EncodedQuery,
     index: TokenIndex,
@@ -511,7 +502,7 @@ def rank_pool(
     source rows `cache` (a fresh one per call by default) has not seen.
     """
     cols = source_columns(eq)
-    if screens(pool, k):
+    if 2 * k < pool.size:
         maxima = row_cache(cache, index).screened(cols.T, pool)
         approx = screen_sums(eq, maxima, focus)
         kth = np.partition(approx, -k)[-k]
@@ -555,11 +546,18 @@ def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarr
 
 
 def save_index(index: TokenIndex, path: str | Path) -> None:
-    """Write `index` in format 2; ValueError for an index with no encoder
-    fingerprint (one not made by `build_index` or loaded from format 2)."""
+    """Write `index` in format 2; ValueError, with nothing written, for an index
+    with no encoder fingerprint (one not made by `build_index` or loaded) or
+    a pid too long for the pid table."""
     fp = index.fingerprint
     if fp is None:
         raise ValueError("index has no encoder fingerprint to save; build it with build_index")
+    pid_table = []
+    for pid in index.pids:
+        raw = pid.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"pid too long to serialize: {pid[:32]!r}...")
+        pid_table += [struct.pack("<H", len(raw)), raw]
     variant = 0 if index.ivf is None else 1
     with open(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
@@ -568,12 +566,7 @@ def save_index(index: TokenIndex, path: str | Path) -> None:
                         len(index.pids))
         )
         fh.write(struct.pack(_FINGERPRINT, fp.max_passage_tokens, fp.digest))
-        for pid in index.pids:
-            raw = pid.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"pid too long to serialize: {pid[:32]!r}...")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+        fh.write(b"".join(pid_table))
         fh.write(index.row_counts().astype("<u4").tobytes())
         fh.write(bytes(-fh.tell() % STORAGE_ALIGN))
         fh.write(np.ascontiguousarray(index.storage, dtype="<f4").tobytes())
@@ -609,19 +602,10 @@ class _Reader:
         return np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
 
 
-def _v1_passages(vec_to_pid: np.ndarray, storage: np.ndarray, n_pids: int) -> list:
-    """A format 1 file's rows, stored in pid order, split into one matrix per pid."""
-    if vec_to_pid.size and (np.diff(vec_to_pid) < 0).any():
-        raise ValueError("vec_to_pid must group passages contiguously in pid order")
-    if vec_to_pid.size and (vec_to_pid[0] < 0 or vec_to_pid[-1] >= n_pids):
-        raise ValueError("vec_to_pid references a pid outside the table")
-    return np.split(storage, np.cumsum(np.bincount(vec_to_pid, minlength=n_pids))[:-1])
-
-
 def load_index(path: str | Path) -> TokenIndex:
     """The index saved at `path`, its arrays read-only views of one read of the
     file. IndexFormatError, naming the file, for anything but a whole, valid
-    format 1 or 2 file; format 1 loads with a warning (see the module docstring)."""
+    format 2 file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         buf = np.empty(size + STORAGE_ALIGN, dtype=np.uint8)
@@ -632,11 +616,16 @@ def load_index(path: str | Path) -> TokenIndex:
     if r.take(4) != _INDEX_MAGIC:
         raise IndexFormatError(f"{path}: bad magic")
     version, variant, dim, n_vectors, n_pids = r.unpack(_HEADER)
-    if version not in (1, _INDEX_VERSION):
+    if version == 1:
+        raise IndexFormatError(
+            f"{path}: index format 1 records no encoder to check; "
+            "rebuild the index with build-index"
+        )
+    if version != _INDEX_VERSION:
         raise IndexFormatError(f"{path}: unsupported version {version}")
     if variant not in (0, 1):
         raise IndexFormatError(f"{path}: unknown variant byte {variant}")
-    fingerprint = EncoderFingerprint(dim, *r.unpack(_FINGERPRINT)) if version > 1 else None
+    fingerprint = EncoderFingerprint(dim, *r.unpack(_FINGERPRINT))
     pids = []
     for _ in range(n_pids):
         (length,) = r.unpack("<H")
@@ -644,11 +633,8 @@ def load_index(path: str | Path) -> TokenIndex:
             pids.append(r.take(length).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"{path}: pid {len(pids)} is not UTF-8: {exc}") from None
-    if version == 1:
-        vec_to_pid = r.array("<i4", n_vectors)
-    else:
-        counts = r.array("<u4", n_pids)
-        r.take(-r.pos % STORAGE_ALIGN)  # the padding before the vectors
+    counts = r.array("<u4", n_pids)
+    r.take(-r.pos % STORAGE_ALIGN)  # the padding before the vectors
     storage = r.array("<f4", n_vectors * dim).reshape(n_vectors, dim)
     ivf_arrays = None
     if variant == 1:
@@ -659,14 +645,6 @@ def load_index(path: str | Path) -> TokenIndex:
         raise IndexFormatError(f"{path}: {size - r.pos} trailing bytes")
     try:  # a structural error in the arrays is a format error of this file
         ivf = IvfData(*ivf_arrays) if ivf_arrays else None
-        if version > 1:
-            return TokenIndex(pids, counts, storage, ivf, fingerprint)
-        passages = _v1_passages(vec_to_pid, storage, n_pids)
-        logger.warning(
-            "%s: index format 1 records no encoder, so nothing checks that this "
-            "encoder built it, and its rows are regrouped in memory; rebuild it "
-            "with build-index to get format 2", path,
-        )
-        return TokenIndex.from_passages(pids, passages, ivf)
+        return TokenIndex(pids, counts, storage, ivf, fingerprint)
     except ValueError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None

@@ -17,13 +17,12 @@ arms, which share hop 1: it is retrieved once from q0 and given to both).
 Its lanes share one `index.RowCache` across all of their hops: a hop's
 rows repeat the earlier hops' rows, and each distinct row is probed and
 screened once per window. The cache holds at most one window's distinct
-rows x passages x 4 bytes of screened maxima. At each hop the window
-encodes every lane and finds its pool; the rows of the lanes whose pool
-screens, and that the cache has not seen, are screened together, one
-`TokenIndex.screen_maxima` call per hop in blocks under `index.SCREEN_BYTES`.
-Then every lane runs its retrieval (band and float64 rescore) and its
-condensing, across the thread pool when threads > 1. A hop scored in one
-pass (2k >= pool) screens nothing. Every row is screened before the
+rows x passages x 4 bytes of screened maxima. Each hop takes three steps:
+encode every lane; screen the rows of all of them that the cache has not
+seen, one `TokenIndex.screen_maxima` call in blocks under
+`index.SCREEN_BYTES`; then `retrieve` once per lane, which finds its own
+pool (band and float64 rescore), and condense. The per-lane steps run
+across the thread pool when threads > 1. Every row is screened before the
 retrievals, so the threads only add candidate entries; `index.RowCache`
 says why neither the window nor the shared cache can change a ranking or
 race. Traces are the bytes a fresh cache per retrieval writes.
@@ -46,14 +45,8 @@ import numpy as np
 from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
-from .index import RowCache, TokenIndex, screens
-from .retriever import (
-    RetrievalConfig,
-    check_corpus_covers,
-    check_encoder,
-    retrieval_pool,
-    retrieve,
-)
+from .index import RowCache, TokenIndex
+from .retriever import RetrievalConfig, check_corpus_covers, check_encoder, retrieve
 from .scoring import ScoredPassage, source_columns
 from .util import read_jsonl, write_jsonl
 
@@ -157,15 +150,9 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.idf = IdfTable.from_corpus(corpus)
 
-    def _pool(self, step: RetrievalConfig, cache: RowCache, lane: _Lane) -> tuple:
-        """The encoded query of `lane`'s next hop and its `retrieval_pool`."""
-        eq = self.encoder.encode_query(lane.state)
-        return eq, retrieval_pool(eq, self.index, step, lane.excluded, cache)
-
-    def _retrieve(self, step: RetrievalConfig, cache: RowCache, lane: _Lane, asked) -> tuple:
-        """`lane`'s ranking for this hop, from what `_pool` gave it."""
-        eq, pool = asked
-        return tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache, pool=pool))
+    def _retrieve(self, step: RetrievalConfig, cache: RowCache, lane: _Lane, eq) -> tuple:
+        """`lane`'s ranking for this hop, of its encoded query `eq`."""
+        return tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache))
 
     def _advance(self, lane: _Lane, ranked: tuple[ScoredPassage, ...]) -> None:
         """Record `lane`'s hop, then extend its query with the condenser's kept
@@ -212,11 +199,11 @@ class PipelineRunner:
         """Traces of `queries`, run hop by hop together through one `RowCache`.
 
         A lane per query, two per hybrid query (its condensed arm, then its
-        rerank arm). Each hop encodes every lane and finds its pool, screens
-        the rows of the lanes whose pool screens in one `RowCache.screen`
-        call, then retrieves, and condenses or reranks, each lane; `map_fn`
-        (a thread pool's `map` in `run_queries`) runs the per-lane steps.
-        Hybrid retrieves hop 1 once per query and gives it to both arms.
+        rerank arm). Each hop encodes every lane, screens the rows of all of
+        them in one `RowCache.screen` call, then retrieves, and condenses or
+        reranks, each lane; `map_fn` (a thread pool's `map` in `run_queries`)
+        runs the per-lane steps. Hybrid retrieves hop 1 once per query and
+        gives it to both arms.
         """
         cfg = self.cfg
         arms = (False, True) if cfg.variant == VARIANT_HYBRID else (cfg.variant == VARIANT_RERANK,)
@@ -227,11 +214,9 @@ class PipelineRunner:
             # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
             shared = len(arms) if t == 1 else 1
             fetching = lanes[::shared]
-            asked = list(map_fn(partial(self._pool, step, cache), fetching))
-            rows = [source_columns(eq).T for eq, pool in asked if screens(pool, k)]
-            if rows:
-                cache.screen(np.concatenate(rows))
-            ranked = map_fn(partial(self._retrieve, step, cache), fetching, asked)
+            eqs = list(map_fn(self.encoder.encode_query, [lane.state for lane in fetching]))
+            cache.screen(np.concatenate([source_columns(eq).T for eq in eqs]))
+            ranked = map_fn(partial(self._retrieve, step, cache), fetching, eqs)
             list(map_fn(self._advance, lanes, [r for r in ranked for _ in range(shared)]))
         traces = [self._trace(lane) for lane in lanes]
         if len(arms) == 1:

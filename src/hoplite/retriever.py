@@ -11,8 +11,10 @@ whole pool. The corpus and the encoder are checked once, when a
 
 A source row's IVF candidates and its screened maxima depend on that row
 alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
-for the calls it serves (the pipeline passes one per lockstep window). Its
-docstring says why sharing one cannot change a ranking.
+for the calls it serves. The pipeline passes one per lockstep window: at
+each hop it encodes the lanes, screens all of their new rows into the
+cache in one call, then calls `retrieve` once per lane, which finds its
+own pool. `RowCache` says why sharing one cannot change a ranking.
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ def check_corpus_covers(index: TokenIndex, corpus: Corpus) -> None:
 
 def check_encoder(index: TokenIndex, encoder: LexicalEncoder) -> None:
     """Raise ValueError naming the first field of the encoder's fingerprint
-    that differs from the one the index was built with; an index whose
-    encoder is not known (index format 1) passes."""
-    built = index.fingerprint
-    if built is None:
-        return
+    that differs from the one the index was built with; an index with no
+    fingerprint (built in memory) is checked for its dim alone."""
     have = encoder.fingerprint()
+    built = index.fingerprint or replace(have, dim=index.dim)
     for name in ("dim", "max_passage_tokens"):
         if getattr(built, name) != getattr(have, name):
             raise ValueError(
@@ -81,40 +81,12 @@ def check_encoder(index: TokenIndex, encoder: LexicalEncoder) -> None:
         )
 
 
-def retrieval_pool(
-    eq: EncodedQuery,
-    index: TokenIndex,
-    cfg: RetrievalConfig,
-    exclude: frozenset[str] | set[str] = frozenset(),
-    cache: RowCache | None = None,
-) -> np.ndarray:
-    """Ascending positions of the passages `retrieve` ranks: every non-empty
-    passage of a flat index, or the IVF candidates through `cache`, less the
-    excluded pids; none for a query with no rows. ValueError when the query's
-    dim differs from the index's."""
-    if eq.dim != index.dim:
-        raise ValueError(
-            f"query dim {eq.dim} does not match index dim {index.dim}; "
-            "set encoder.dim to the dim the index was built with"
-        )
-    if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp)
-    if index.ivf is None:
-        pool = np.flatnonzero(index.row_counts())
-    else:
-        pool = candidates_for(eq, index, cfg.results_per_vector, cache)
-    if exclude:
-        pool = pool[~np.isin(pool, index.positions_of(exclude))]
-    return pool
-
-
 def retrieve(
     eq: EncodedQuery,
     index: TokenIndex,
     cfg: RetrievalConfig | None = None,
     exclude: frozenset[str] | set[str] = frozenset(),
     cache: RowCache | None = None,
-    pool: np.ndarray | None = None,
 ) -> Ranking:
     """Top-k passages for an encoded query, ties broken by ascending pid.
 
@@ -124,13 +96,22 @@ def retrieve(
     whose dim differs from the index's raises ValueError. Both stages fill
     `cache` (a fresh `RowCache` per call by default); pass one cache to
     many calls so that each distinct row is probed and screened once.
-    `pool`, when given, is `retrieval_pool` of the same arguments, which a
-    caller that screens ahead (the pipeline) has already.
     """
     cfg = cfg or RetrievalConfig()
     cache = row_cache(cache, index)
-    if pool is None:
-        pool = retrieval_pool(eq, index, cfg, exclude, cache)
+    if eq.dim != index.dim:
+        raise ValueError(
+            f"query dim {eq.dim} does not match index dim {index.dim}; "
+            "set encoder.dim to the dim the index was built with"
+        )
+    if eq.query_part.shape[0] + eq.fact_part.shape[0] == 0:
+        return Ranking()
+    if index.ivf is None:
+        pool = np.flatnonzero(index.row_counts())
+    else:
+        pool = candidates_for(eq, index, cfg.results_per_vector, cache)
+    if exclude:
+        pool = pool[~np.isin(pool, index.positions_of(exclude))]
     return rank_pool(eq, index, pool, cfg.k, cfg.focus, cache)
 
 

@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+from hoplite.index import load_index
 from hoplite.pipeline import read_traces
 
 from conftest import subprocess_env
+from test_index import _save_v1
 
 CLI = [sys.executable, "-m", "hoplite.cli"]
 
@@ -349,6 +351,19 @@ def test_corrupt_index_exits_1(workdir, tmp_path):
     )
     assert r.returncode == 1
     assert "error:" in r.stderr
+
+
+def test_format_1_index_exits_1_naming_the_file(workdir, tmp_path):
+    data = workdir / "data"
+    v1 = tmp_path / "v1.hlti"
+    _save_v1(load_index(workdir / "flat.hlti"), v1)
+    out = tmp_path / "out.jsonl"
+    r = run_cli("run", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+                "--index", v1, "--out", out, "--seed", 7)
+    assert r.returncode == 1
+    assert f"{v1}: index format 1" in r.stderr
+    assert "rebuild the index with build-index" in r.stderr
+    assert not out.exists()
 
 
 def test_dim_mismatch_exits_1_naming_both_dims(workdir, tmp_path):

@@ -524,30 +524,16 @@ def _save_v1(index, path):
 
 
 @pytest.mark.parametrize("variant", ["flat", "ivf"])
-def test_format_1_loads_regrouped_with_a_warning(tmp_path, caplog, variant):
+def test_format_1_is_refused_naming_the_file(tmp_path, variant):
+    """Format 1 records no encoder, so loading one would run it unchecked."""
     enc = LexicalEncoder(EncoderConfig(dim=32, seed=1))
     corpus = Corpus([Passage(pid=f"p{i:03d}", title="", sentences=(" ".join(
         f"w{(7 * i + j) % 50:03d}" for j in range(i % 5)) or "!!!",)) for i in range(40)])
     idx = build_index(corpus, enc, IndexConfig(variant=variant, centroid_count=4, nprobe=2))
     path = tmp_path / "v1.hlti"
     _save_v1(idx, path)
-    with caplog.at_level("WARNING", logger="hoplite.index"):
-        loaded = load_index(path)
-    assert "format 1" in caplog.text and str(path) in caplog.text
-    assert loaded.fingerprint is None
-    assert loaded.storage.tobytes() == idx.storage.tobytes()
-    assert np.array_equal(loaded.row_counts(), idx.row_counts())
-    if variant == "ivf":
-        assert np.array_equal(loaded.ivf.assignments, idx.ivf.assignments)
-    eq = enc.encode_query(_query("w001 w017 w023 w031"))
-    for rpv in (2, 512):
-        cfg = RetrievalConfig(k=5, results_per_vector=rpv)
-        assert list(retrieve(eq, loaded, cfg)) == list(retrieve(eq, idx, cfg))
-    raw = bytearray(path.read_bytes())
-    vec_to_pid_at = 4 + struct.calcsize("<BBIQQ") + sum(2 + len(p) for p in idx.pids)
-    raw[vec_to_pid_at : vec_to_pid_at + 4] = struct.pack("<i", 39)  # out of pid order
-    path.write_bytes(bytes(raw))
-    with pytest.raises(IndexFormatError, match="pid order"):
+    with pytest.raises(IndexFormatError, match=re.escape(f"{path}: index format 1") +
+                       ".*rebuild the index with build-index"):
         load_index(path)
 
 
@@ -555,6 +541,17 @@ def test_save_refuses_an_index_without_fingerprint(tmp_path):
     idx = TokenIndex(["a"], [2], np.eye(2, 8, dtype=np.float32))
     with pytest.raises(ValueError, match="fingerprint"):
         save_index(idx, tmp_path / "t.hlti")
+
+
+def test_save_with_an_oversize_pid_leaves_the_file_as_it_was(tmp_path, enc, tiny_corpus):
+    path = tmp_path / "t.hlti"
+    save_index(build_index(tiny_corpus, enc), path)
+    before = path.read_bytes()
+    idx = TokenIndex(["p" * 70_000], [1], np.ones((1, enc.dim), np.float32),
+                     fingerprint=enc.fingerprint())
+    with pytest.raises(ValueError, match="pid too long"):
+        save_index(idx, path)
+    assert path.read_bytes() == before
 
 
 def test_storage_starts_on_an_aligned_file_offset(tmp_path, enc, tiny_corpus):

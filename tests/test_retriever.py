@@ -442,3 +442,13 @@ def test_an_index_refuses_another_encoder(enc, tiny_corpus, other, field):
             make(tiny_corpus, idx, LexicalEncoder(other))
     # query weights leave passage rows as they are, so a reweighted encoder passes
     Retriever(tiny_corpus, idx, enc.reweighted({"rome": 2.0}))
+
+
+def test_an_index_built_in_memory_refuses_an_encoder_of_another_dim(enc, tiny_corpus):
+    idx = TokenIndex.from_passages(tiny_corpus.pids, [enc.encode_passage(p) for p in tiny_corpus])
+    assert idx.fingerprint is None
+    for make in (Retriever, PipelineRunner):
+        with pytest.raises(ValueError, match="encoder.dim 64, but the encoder has 128"):
+            make(tiny_corpus, idx, LexicalEncoder(EncoderConfig(dim=128, seed=3)))
+    # with no fingerprint the dim is all there is to check
+    PipelineRunner(tiny_corpus, idx, LexicalEncoder(EncoderConfig(dim=64, seed=4)))
