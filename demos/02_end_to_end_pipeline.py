@@ -53,7 +53,7 @@ print(f"final query: {trace.final_query_text[:100]}...")
 
 # --- 3. score the whole run ---------------------------------------------------
 
-traces = run_queries(runner, result.queries, threads=4)
+traces = run_queries(runner, result.queries)
 records = [trace_record(t) for t in traces]
 
 # the union is hop-major, 75 pids for a 3x25 run, so Retrieval@k needs k

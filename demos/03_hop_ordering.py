@@ -36,7 +36,7 @@ retriever = Retriever(result.corpus, idx, enc,
 
 cfg = LhoConfig(k_retrieve=25, k_hat=(10, 10, 10), seed=2)
 lho = latent_hop_ordering(retriever, result.queries, cfg)
-rec = order_recovery(lho.sets, truth)
+rec = order_recovery(lho, truth)
 print(f"oracle expansion:   {rec.passage_fraction:.3f} of"
       f" {rec.n_passages} gold passages on the planted hop")
 
@@ -44,7 +44,7 @@ print(f"oracle expansion:   {rec.passage_fraction:.3f} of"
 # discovered facts; only hop-1 golds are reachable, the rest arrive by
 # fallback promotion, which order_recovery refuses to credit
 shuffled = latent_hop_ordering(retriever, result.queries, cfg, expansion="shuffled")
-srec = order_recovery(shuffled.sets, truth)
+srec = order_recovery(shuffled, truth)
 print(f"shuffled expansion: {srec.passage_fraction:.3f}")
 
 # --- 3. one query in detail ---------------------------------------------------
@@ -52,7 +52,7 @@ print(f"shuffled expansion: {srec.passage_fraction:.3f}")
 q = result.queries[0]
 print(f"\nclaim: {q.text}")
 print(f"planted order: {[sorted(h) for h in truth[q.qid]]}")
-for hop in lho.sets.records[q.qid]:
+for hop in lho.records[q.qid]:
     tag = " (fallback)" if hop.fallback else ""
     print(f"  hop {hop.t}: positives {list(hop.positives)}{tag},"
           f" {len(hop.negatives)} negatives mined")
@@ -70,7 +70,7 @@ print(f"\ntitle-graph heuristic: {len(result.queries) - bad}/{len(result.queries
 
 # --- 5. training triples --------------------------------------------------------
 
-triples = build_triples(lho.sets, cap_per_hop=4, seed=0)
+triples = build_triples(lho, cap_per_hop=4, seed=0)
 print(f"\n{len(triples)} triples mined (cap 4 per query-hop); first three:")
 for t in triples[:3]:
     print(f"  hop {t.hop}  +{t.positive}  -{t.negative}  q='{t.query_text[:60]}...'")

@@ -1,7 +1,7 @@
 """Command line surface.
 
 Subcommands: synth, build-index, retrieve, run, lho, heuristic-order,
-eval. Every subcommand accepts --config/--preset/--seed/--threads; flags
+eval. Every subcommand accepts --config/--preset/--seed; flags
 beat environment variables (HOPLITE_*), which beat the config file, which
 beats the preset. The resolved config is logged verbatim at INFO before
 any work happens. Exit codes: 0 success, 1 runtime error, 2 usage error.
@@ -42,7 +42,7 @@ from .supervision import (
 )
 from .evaluation import check_query_texts, evaluate_run, report_json
 from .synth import PlantSpec, generate, write_synth, read_truth
-from .util import derive_seed, write_jsonl
+from .util import derive_seed, replacing, write_jsonl
 
 log = logging.getLogger("hoplite")
 
@@ -52,7 +52,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE", help="JSON config document")
     p.add_argument("--preset", help="config preset: hover, hotpotqa, or one defined in the file")
     p.add_argument("--seed", type=int, help="root seed, overrides config")
-    p.add_argument("--threads", type=int, help="worker threads for per-query work")
     p.add_argument(
         "--log-level",
         default="info",
@@ -79,7 +78,7 @@ def _given(overlay: dict) -> dict:
 
 def _resolve(args: argparse.Namespace, flags: dict | None = None) -> dict:
     """The config document with command flags on top, checked whole before any input is read."""
-    overlay = _given({"seed": args.seed, "threads": args.threads, **(flags or {})})
+    overlay = _given({"seed": args.seed, **(flags or {})})
     cfg = cfgmod.resolve_config(preset=args.preset, config_path=args.config, overrides=overlay)
     log.info("resolved config: %s", json.dumps(cfg, sort_keys=True))
     return cfg
@@ -153,11 +152,8 @@ def cmd_run(args, parser) -> int:
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)
     runner = PipelineRunner(corpus, index, _encoder(cfg), cfgmod.pipeline_config(cfg))
-    traces = run_queries(runner, queries, threads=cfg["threads"])
-    # thread count cannot change results, so it has no place in the recorded config
-    meta_cfg = {k: v for k, v in cfg.items() if k != "threads"}
-    meta = {"config": meta_cfg, "queries": len(queries)}
-    write_traces(args.out, traces, meta=meta)
+    traces = run_queries(runner, queries)
+    write_traces(args.out, traces, meta={"config": cfg, "queries": len(queries)})
     print(
         f"run queries={len(queries)} variant={cfg['pipeline']['variant']} "
         f"hops={len(cfg['pipeline']['per_hop_k'])} out={args.out}"
@@ -184,15 +180,15 @@ def cmd_lho(args, parser) -> int:
     index = _load_or_build_index(args, parser, cfg, corpus)
     retr = Retriever(corpus, index, _encoder(cfg), cfgmod.lho_retrieval_config(cfg))
     expansion = EXPANSION_SHUFFLED if args.shuffled_expansion else EXPANSION_ORACLE
-    result = latent_hop_ordering(retr, queries, cfgmod.lho_config(cfg), expansion=expansion)
-    write_supervision(args.out, result)
+    sets = latent_hop_ordering(retr, queries, cfgmod.lho_config(cfg), expansion=expansion)
+    write_supervision(args.out, sets)
     line = (
         f"lho queries={len(queries)} hops={len(cfg['supervision']['k_hat'])} "
-        f"weak={len(result.weak_qids)} expansion={expansion} out={args.out}"
+        f"weak={len(sets.weak_qids)} expansion={expansion} out={args.out}"
     )
     if args.triples_out:
         triples = build_triples(
-            result.sets,
+            sets,
             cap_per_hop=args.triples_cap,
             seed=derive_seed(cfg["seed"], "triples"),
         )
@@ -200,7 +196,7 @@ def cmd_lho(args, parser) -> int:
         line += f" triples={len(triples)}"
     print(line)
     if truth is not None:
-        rec = order_recovery(result.sets, truth)
+        rec = order_recovery(sets, truth)
         print(
             f"order-recovery passages={rec.passage_fraction:.4f} "
             f"strict_queries={rec.strict_query_fraction:.4f} "
@@ -239,9 +235,8 @@ def cmd_eval(args, parser) -> int:
     report = evaluate_run(records, queries, corpus, cfgmod.eval_config(cfg))
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
-            fh.write("\n")
+        with replacing(args.out, encoding="utf-8") as fh:
+            fh.write(report_json(report) + "\n")
         print(f"eval queries={report.overall.n_queries} out={args.out}")
     return 0
 

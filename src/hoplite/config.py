@@ -57,7 +57,6 @@ def _section(cls, **extra) -> dict:
 
 DEFAULTS: dict = {
     "seed": 0,  # root seed; every component seed is derived from it
-    "threads": 1,  # worker threads for per-query work; no typed config holds it
     "encoder": _section(EncoderConfig),
     "index": _section(IndexConfig, variant=VARIANT_IVF),  # the CLI builds IVF files
     # FocusParams flattened into the retrieval section
@@ -187,8 +186,6 @@ def _check_types(cfg: dict, defaults: Mapping, where: str = "") -> None:
 
 def _check_sections(cfg: dict) -> None:
     """Build every typed config, so a bad value fails before any input is read."""
-    if cfg["threads"] < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg['threads']}")
     checks = (
         ("encoder", encoder_config),
         ("index", index_config),

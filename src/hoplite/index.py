@@ -51,6 +51,7 @@ from .scoring import (
     F32_UNIT,
     FocusParams,
     Ranking,
+    flipr_score,
     focused_sums,
     gamma,
     rank_scored,
@@ -59,6 +60,7 @@ from .scoring import (
     screen_sums,
     source_columns,
 )
+from .util import replacing
 
 logger = logging.getLogger(__name__)
 
@@ -313,10 +315,8 @@ class RowCache:
     `screen_maxima` call, in blocks under SCREEN_BYTES) gets the maxima it
     gets alone up to float32 summation order, which the screen's error
     bound covers; and the band is still rescored by the float64 kernel,
-    whose scores do not depend on pool or stack. Nor can it race: entries
-    are only ever added, each the same value whoever adds it, so threads
-    may share a cache. It takes distinct screened rows x passages x 4
-    bytes; `row_cache` refuses it for another index.
+    whose scores do not depend on pool or stack. It takes distinct screened
+    rows x passages x 4 bytes; `row_cache` refuses it for another index.
     """
 
     def __init__(self, index: TokenIndex):
@@ -525,19 +525,19 @@ def exact_topk_oracle(
     k: int = 20,
     encodings: dict[str, np.ndarray] | None = None,
 ) -> Ranking:
-    """Reference ranking of every passage: no index file, no candidate generation.
+    """Reference ranking of every passage: no index, no screen, no stacks.
 
-    Ranks through `rank_pool` over a flat index of the encodings, the
-    kernel `retrieve` uses, so both produce the same float64 scores. Default
-    focus; ties break by ascending pid. Pass precomputed encodings to
+    Scores each passage alone with `flipr_score` (default focus) and sorts
+    by score descending, then pid ascending, so it checks `retrieve`'s
+    batched kernel instead of sharing it. Pass precomputed encodings to
     amortize repeated corpus scans. Passages that encode to zero rows are
     unscorable and skipped.
     """
-    mats = [encodings[p.pid] if encodings else encoder.encode_passage(p) for p in corpus]
-    if not mats:
-        return Ranking()
-    index = TokenIndex.from_passages(corpus.pids, mats)
-    return rank_pool(eq, index, np.flatnonzero(index.row_counts()), k, FocusParams())
+    mats = ((p.pid, encodings[p.pid] if encodings else encoder.encode_passage(p)) for p in corpus)
+    scored = [flipr_score(eq, rows, pid=pid) for pid, rows in mats if rows.shape[0]]
+    top = sorted(scored, key=lambda sp: (-sp.score, sp.pid))[:k]
+    return Ranking(tuple(sp.pid for sp in top), np.array([sp.s_query for sp in top]),
+                   np.array([sp.s_fact for sp in top]))
 
 
 def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
@@ -546,27 +546,25 @@ def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarr
 
 
 def save_index(index: TokenIndex, path: str | Path) -> None:
-    """Write `index` in format 2; ValueError, with nothing written, for an index
-    with no encoder fingerprint (one not made by `build_index` or loaded) or
-    a pid too long for the pid table."""
+    """Write `index` in format 2; ValueError, with `path` left as it was, for
+    an index with no encoder fingerprint (one not made by `build_index` or
+    loaded) or a pid too long for the pid table."""
     fp = index.fingerprint
     if fp is None:
         raise ValueError("index has no encoder fingerprint to save; build it with build_index")
-    pid_table = []
-    for pid in index.pids:
-        raw = pid.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ValueError(f"pid too long to serialize: {pid[:32]!r}...")
-        pid_table += [struct.pack("<H", len(raw)), raw]
     variant = 0 if index.ivf is None else 1
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
         fh.write(
             struct.pack(_HEADER, _INDEX_VERSION, variant, index.dim, index.n_vectors,
                         len(index.pids))
         )
         fh.write(struct.pack(_FINGERPRINT, fp.max_passage_tokens, fp.digest))
-        fh.write(b"".join(pid_table))
+        for pid in index.pids:
+            raw = pid.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"pid too long to serialize: {pid[:32]!r}...")
+            fh.write(struct.pack("<H", len(raw)) + raw)
         fh.write(index.row_counts().astype("<u4").tobytes())
         fh.write(bytes(-fh.tell() % STORAGE_ALIGN))
         fh.write(np.ascontiguousarray(index.storage, dtype="<f4").tobytes())

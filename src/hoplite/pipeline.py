@@ -21,11 +21,8 @@ rows x passages x 4 bytes of screened maxima. Each hop takes three steps:
 encode every lane; screen the rows of all of them that the cache has not
 seen, one `TokenIndex.screen_maxima` call in blocks under
 `index.SCREEN_BYTES`; then `retrieve` once per lane, which finds its own
-pool (band and float64 rescore), and condense. The per-lane steps run
-across the thread pool when threads > 1. Every row is screened before the
-retrievals, so the threads only add candidate entries; `index.RowCache`
-says why neither the window nor the shared cache can change a ranking or
-race. Traces are the bytes a fresh cache per retrieval writes.
+pool (band and float64 rescore), and condense. Traces are the bytes a
+fresh cache per retrieval writes; `index.RowCache` says why.
 """
 
 from __future__ import annotations
@@ -33,12 +30,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,10 +145,6 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.idf = IdfTable.from_corpus(corpus)
 
-    def _retrieve(self, step: RetrievalConfig, cache: RowCache, lane: _Lane, eq) -> tuple:
-        """`lane`'s ranking for this hop, of its encoded query `eq`."""
-        return tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache))
-
     def _advance(self, lane: _Lane, ranked: tuple[ScoredPassage, ...]) -> None:
         """Record `lane`'s hop, then extend its query with the condenser's kept
         facts (condensed) or the top passage's sentences (rerank)."""
@@ -193,17 +184,14 @@ class PipelineRunner:
             verdict=verdict,
         )
 
-    def _window(
-        self, queries: Sequence[QueryRecord], map_fn: Callable = map
-    ) -> list[HopTrace | HybridTrace]:
+    def _window(self, queries: Sequence[QueryRecord]) -> list[HopTrace | HybridTrace]:
         """Traces of `queries`, run hop by hop together through one `RowCache`.
 
         A lane per query, two per hybrid query (its condensed arm, then its
         rerank arm). Each hop encodes every lane, screens the rows of all of
         them in one `RowCache.screen` call, then retrieves, and condenses or
-        reranks, each lane; `map_fn` (a thread pool's `map` in `run_queries`)
-        runs the per-lane steps. Hybrid retrieves hop 1 once per query and
-        gives it to both arms.
+        reranks, each lane. Hybrid retrieves hop 1 once per query and gives
+        it to both arms.
         """
         cfg = self.cfg
         arms = (False, True) if cfg.variant == VARIANT_HYBRID else (cfg.variant == VARIANT_RERANK,)
@@ -214,10 +202,12 @@ class PipelineRunner:
             # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
             shared = len(arms) if t == 1 else 1
             fetching = lanes[::shared]
-            eqs = list(map_fn(self.encoder.encode_query, [lane.state for lane in fetching]))
+            eqs = [self.encoder.encode_query(lane.state) for lane in fetching]
             cache.screen(np.concatenate([source_columns(eq).T for eq in eqs]))
-            ranked = map_fn(partial(self._retrieve, step, cache), fetching, eqs)
-            list(map_fn(self._advance, lanes, [r for r in ranked for _ in range(shared)]))
+            ranked = [tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache))
+                      for lane, eq in zip(fetching, eqs)]
+            for i, lane in enumerate(lanes):
+                self._advance(lane, ranked[i // shared])
         traces = [self._trace(lane) for lane in lanes]
         if len(arms) == 1:
             return traces
@@ -235,20 +225,16 @@ class PipelineRunner:
 def run_queries(
     runner: PipelineRunner, queries: Sequence[QueryRecord], threads: int = 1
 ) -> list[HopTrace | HybridTrace]:
-    """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time.
-
-    Each window runs hop by hop, its queries' lanes sharing one `RowCache`:
-    each hop's new source rows, of every lane, are screened by one
-    `screen_maxima` call, and with threads > 1 each hop's per-lane work
-    (encoding, rescoring, condensing) is split across a thread pool. Traces
-    do not depend on the window or the thread count (see `RowCache`).
+    """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time,
+    each window run hop by hop on the calling thread (`threads` must be 1).
+    A window's lanes share one `RowCache`, so each hop's new source rows, of
+    every lane, are screened by one `screen_maxima` call; traces do not
+    depend on the window (see `RowCache`).
     """
-    windows = [queries[at : at + LOCKSTEP_QUERIES]
-               for at in range(0, len(queries), LOCKSTEP_QUERIES)]
-    if threads <= 1:
-        return [trace for window in windows for trace in runner._window(window)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [trace for window in windows for trace in runner._window(window, pool.map)]
+    if threads != 1:
+        raise ValueError(f"run_queries runs on one thread; threads must be 1, got {threads!r}")
+    return [trace for at in range(0, len(queries), LOCKSTEP_QUERIES)
+            for trace in runner._window(queries[at : at + LOCKSTEP_QUERIES])]
 
 
 def merge_hybrid(

@@ -95,17 +95,10 @@ class SupervisionSet:
                 out[pid] = (hop.t, hop.fallback)
         return out
 
-
-@dataclass(frozen=True)
-class LhoResult:
-    sets: SupervisionSet
-
     @property
     def weak_qids(self) -> frozenset[str]:
         """Queries with at least one hop whose positive came from a fallback."""
-        return frozenset(
-            qid for qid, hops in self.sets.records.items() if any(h.fallback for h in hops)
-        )
+        return frozenset(qid for qid, hops in self.records.items() if any(h.fallback for h in hops))
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ def latent_hop_ordering(
     queries: Sequence[QueryRecord],
     cfg: LhoConfig | None = None,
     expansion: str = EXPANSION_ORACLE,
-) -> LhoResult:
+) -> SupervisionSet:
     """Assign each query's gold passages to hops, mining negatives as we go.
 
     Runs cfg.hops rounds of discover -> expand -> train; each hop after the
@@ -287,7 +280,7 @@ def latent_hop_ordering(
         )
         current = trainer.train(current, batch)
 
-    return LhoResult(SupervisionSet({qid: tuple(rec) for qid, rec in records.items()}))
+    return SupervisionSet({qid: tuple(rec) for qid, rec in records.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +447,10 @@ def order_recovery(
     )
 
 
-def supervision_records(result: LhoResult) -> list[dict]:
-    weak = result.weak_qids
+def supervision_records(sets: SupervisionSet) -> list[dict]:
+    weak = sets.weak_qids
     out = []
-    for qid in sorted(result.sets.records):
+    for qid in sorted(sets.records):
         out.append(
             {
                 "qid": qid,
@@ -470,7 +463,7 @@ def supervision_records(result: LhoResult) -> list[dict]:
                         "fallback": hop.fallback,
                         "query_text": hop.query_text,
                     }
-                    for hop in result.sets.records[qid]
+                    for hop in sets.records[qid]
                 ],
             }
         )
@@ -490,8 +483,8 @@ def triple_records(triples: Sequence[TrainingTriple]) -> list[dict]:
     ]
 
 
-def write_supervision(path: str | Path, result: LhoResult) -> None:
-    write_jsonl(path, supervision_records(result))
+def write_supervision(path: str | Path, sets: SupervisionSet) -> None:
+    write_jsonl(path, supervision_records(sets))
 
 
 def write_triples(path: str | Path, triples: Sequence[TrainingTriple]) -> None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -50,8 +52,19 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
+    """`path` written via a temporary file beside it: whole, or unchanged if the block raises."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    with replacing(path, encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)

@@ -580,7 +580,7 @@ def _cmd(workdir, tmp_path, command):
         ("eval", [], {"HOPLITE_EVAL_SUPPORTED_ONLY": "yes"}, "supported_only"),
         ("run", [], {"HOPLITE_PIPELINE_HYBRID_TOTAL": "-1"}, "hybrid_total"),
         ("run", [], {"HOPLITE_PIPELINE_PER_HOP_K": "[2.5]"}, "per_hop_k"),
-        ("run", ["--threads", "-3"], {}, "threads"),
+        ("run", [], {"HOPLITE_THREADS": "2"}, "unknown key HOPLITE_THREADS"),
     ],
 )
 def test_bad_config_value_exits_2_before_reading_input(
@@ -591,6 +591,21 @@ def test_bad_config_value_exits_2_before_reading_input(
     assert key in r.stderr
     assert "loaded" not in r.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_threads_flag_and_config_key_exit_2_before_reading_input(workdir, tmp_path):
+    """Every window runs on the calling thread: no flag or config key sets a thread count."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+    for flags, message in (
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["--config", cfg], "unknown key 'threads'"),
+    ):
+        r = run_cli(*_cmd(workdir, tmp_path, "run"), *flags, "--seed", 7)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+        assert "loaded" not in r.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_inherited_config_variables_do_not_reach_the_cli(workdir, monkeypatch):

@@ -28,7 +28,6 @@ from hoplite.util import derive_seed
 def test_defaults_resolve_cleanly():
     cfg = resolve_config(environ={})
     assert cfg["seed"] == 0
-    assert cfg["threads"] == 1
     assert cfg["encoder"]["dim"] == 128
     assert cfg["retrieval"]["k"] == 25
     assert cfg["pipeline"]["variant"] == "condensed"
@@ -141,14 +140,14 @@ def test_env_json_values():
 
 def test_precedence_flags_beat_env_beat_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 1, "threads": 3}), encoding="utf-8")
+    path.write_text(json.dumps({"seed": 1, "retrieval": {"k": 3}}), encoding="utf-8")
     cfg = resolve_config(
         config_path=path,
         overrides={"seed": 5},
-        environ={"HOPLITE_SEED": "2", "HOPLITE_THREADS": "7"},
+        environ={"HOPLITE_SEED": "2", "HOPLITE_RETRIEVAL_K": "7"},
     )
     assert cfg["seed"] == 5  # flag wins
-    assert cfg["threads"] == 7  # env beats file
+    assert cfg["retrieval"]["k"] == 7  # env beats file
 
 
 def test_bad_config_file(tmp_path):
@@ -224,7 +223,7 @@ def test_int_keys_require_ints(tmp_path):
     path.write_text(json.dumps({"encoder": {"dim": 64.0}}), encoding="utf-8")
     with pytest.raises(ConfigError, match="encoder.dim"):
         resolve_config(config_path=path, environ={})
-    assert resolve_config(environ={"HOPLITE_THREADS": "2"})["threads"] == 2
+    assert resolve_config(environ={"HOPLITE_RETRIEVAL_K": "2"})["retrieval"]["k"] == 2
 
 
 def test_type_check_leaves_none_float_and_list_keys_alone():
@@ -246,6 +245,16 @@ def test_old_verifier_key_is_unknown(tmp_path):
         resolve_config(config_path=path, environ={})
     with pytest.raises(ConfigError, match="HOPLITE_PIPELINE_VERIFIER"):
         resolve_config(environ={"HOPLITE_PIPELINE_VERIFIER": "trivial"})
+
+
+def test_threads_key_is_unknown(tmp_path):
+    assert "threads" not in resolve_config(environ={})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 1}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        resolve_config(config_path=path, environ={})
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        resolve_config(overrides={"threads": 1}, environ={})
 
 
 def test_float_keys_require_numbers():
@@ -271,7 +280,8 @@ BAD_VALUES = [
     ("HOPLITE_INDEX_NPROBE", "abc", "nprobe"),
     ("HOPLITE_INDEX_CENTROID_COUNT", "abc", "centroid_count"),
     ("HOPLITE_EVAL_SUPPORTED_ONLY", "yes", "supported_only"),
-    ("HOPLITE_THREADS", "0", "threads"),
+    # `threads` is no config key: every window runs on the calling thread
+    ("HOPLITE_THREADS", "2", "unknown key HOPLITE_THREADS"),
 ]
 
 

@@ -304,9 +304,20 @@ def test_exact_topk_oracle_matches_manual_loop(enc, tiny_corpus):
     manual.sort(key=lambda sp: (-sp.score, sp.pid))
     got = exact_topk_oracle(eq, tiny_corpus, enc, k=3)
     assert [sp.pid for sp in got] == [sp.pid for sp in manual[:3]]
-    # one batched GEMM vs one per passage: equal up to BLAS rounding
-    for a, b in zip(got, manual):
-        assert abs(a.score - b.score) <= 1e-12
+    assert [(sp.pid, sp.score) for sp in got] == [(sp.pid, sp.score) for sp in manual[:3]]
+
+
+def test_exact_topk_oracle_uses_no_index_code(enc, tiny_corpus, monkeypatch):
+    """The oracle checks `retrieve`'s pool ranking, so it must not run it."""
+    eq = enc.encode_query(_query("carthage fought rome"))
+    want = [(sp.pid, sp.score) for sp in exact_topk_oracle(eq, tiny_corpus, enc, k=4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran index code")
+
+    for name in ("rank_pool", "TokenIndex", "rank_scored", "screen_sums"):
+        monkeypatch.setattr(f"hoplite.index.{name}", refuse)
+    assert [(sp.pid, sp.score) for sp in exact_topk_oracle(eq, tiny_corpus, enc, k=4)] == want
 
 
 def test_exact_topk_oracle_with_precomputed_encodings(enc, tiny_corpus):
@@ -552,6 +563,25 @@ def test_save_with_an_oversize_pid_leaves_the_file_as_it_was(tmp_path, enc, tiny
     with pytest.raises(ValueError, match="pid too long"):
         save_index(idx, path)
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.hlti"]
+
+
+def test_save_that_fails_after_the_header_leaves_the_file_as_it_was(
+    tmp_path, enc, tiny_corpus, monkeypatch
+):
+    path = tmp_path / "t.hlti"
+    idx = build_index(tiny_corpus, enc)
+    save_index(idx, path)
+    before = path.read_bytes()
+
+    def boom(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(TokenIndex, "row_counts", boom)  # written after the header and pids
+    with pytest.raises(OSError, match="disk full"):
+        save_index(idx, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.hlti"]
 
 
 def test_storage_starts_on_an_aligned_file_offset(tmp_path, enc, tiny_corpus):

@@ -23,7 +23,6 @@ from hoplite.pipeline import HopRecord, HopTrace, read_traces, trace_record, wri
 from hoplite.scoring import ScoredPassage
 from hoplite.supervision import (
     HopSupervision,
-    LhoResult,
     SupervisionSet,
     TrainingTriple,
     supervision_records,
@@ -87,12 +86,11 @@ def _trace():
     )
 
 
-def _lho_result():
+def _supervision_set():
     hop = HopSupervision(
         t=1, positives=("p-é",), negatives=("p2",), fallback=False, query_text=TEXT
     )
-    sets = SupervisionSet({"q-é": (hop,)})
-    return LhoResult(sets=sets)
+    return SupervisionSet({"q-é": (hop,)})
 
 
 def test_dump_corpus_bytes(tmp_path):
@@ -157,10 +155,10 @@ def test_read_traces_meta_only_from_line_one(tmp_path):
 
 def test_write_supervision_bytes(tmp_path):
     path = tmp_path / "sup.jsonl"
-    result = _lho_result()
-    write_supervision(path, result)
+    sets = _supervision_set()
+    write_supervision(path, sets)
     raw = path.read_bytes()
-    assert raw == _lines(supervision_records(result))
+    assert raw == _lines(supervision_records(sets))
     _assert_raw_utf8(raw)
 
 

@@ -1,5 +1,4 @@
 import json
-import sys
 import weakref
 from dataclasses import replace
 from functools import lru_cache
@@ -215,17 +214,19 @@ def test_no_verifier_means_none(enc, tiny_corpus):
     assert runner.run(_qrec("q", "tiber")).verdict is None
 
 
-def test_run_queries_thread_count_is_invisible(enc, tiny_corpus):
+def test_run_queries_runs_on_one_thread(enc, tiny_corpus):
     runner = _runner(tiny_corpus, enc, per_hop_k=(2, 2))
     queries = [
         _qrec("q1", "carthage fought rome"),
         _qrec("q2", "tiber river sea"),
         _qrec("q3", "silver dye traders"),
     ]
-    seq = run_queries(runner, queries, threads=1)
-    par = run_queries(runner, queries, threads=4)
-    assert [t.qid for t in par] == ["q1", "q2", "q3"]
-    assert [trace_record(a) for a in seq] == [trace_record(b) for b in par]
+    traces = run_queries(runner, queries, threads=1)
+    assert [t.qid for t in traces] == ["q1", "q2", "q3"]
+    assert [trace_record(t) for t in traces] == [trace_record(runner.run(q)) for q in queries]
+    for threads in (0, 2, 4):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_queries(runner, queries, threads=threads)
 
 
 @pytest.mark.parametrize("variant", ["condensed", "rerank", "hybrid"])
@@ -246,14 +247,13 @@ def test_one_row_cache_per_query_changes_no_trace(enc, monkeypatch, variant, ind
     def fresh(*args, cache, **kwargs):
         return retrieve(*args, **kwargs)
 
-    for threads in (1, 4):
-        monkeypatch.setattr("hoplite.pipeline.retrieve", recording)
-        shared = [trace_record(t) for t in run_queries(runner, queries, threads)]
-        monkeypatch.setattr("hoplite.pipeline.retrieve", fresh)
-        alone = [trace_record(t) for t in run_queries(runner, queries, threads)]
-        assert shared == alone
-    # one cache per run (six queries fill one window), serving all of its queries
-    assert len(q0_rows) == 2
+    monkeypatch.setattr("hoplite.pipeline.retrieve", recording)
+    shared = [trace_record(t) for t in run_queries(runner, queries)]
+    monkeypatch.setattr("hoplite.pipeline.retrieve", fresh)
+    alone = [trace_record(t) for t in run_queries(runner, queries)]
+    assert shared == alone
+    # one cache for the run (six queries fill one window), serving all of its queries
+    assert len(q0_rows) == 1
     assert all(len(rows) == len(queries) for _, rows in q0_rows.values())
 
 
@@ -274,17 +274,16 @@ def _planted(index_variant):
     per_hop_k=st.lists(st.sampled_from([1, 4, 59, 61, 80]), min_size=1, max_size=3),
     variant=st.sampled_from(["condensed", "rerank", "hybrid"]),
     index_variant=st.sampled_from(["flat", "ivf"]),
-    threads=st.sampled_from([1, 4]),
     screen_bytes=st.sampled_from([1, 64 * 1024, SCREEN_BYTES]),
     accumulate_facts=st.booleans(),
     verify=st.booleans(),
 )
 @example(  # 22 queries: a full window, then six
     picks=list(range(11)) * 2, per_hop_k=[4, 4], variant="hybrid", index_variant="ivf",
-    threads=4, screen_bytes=SCREEN_BYTES, accumulate_facts=True, verify=True,
+    screen_bytes=SCREEN_BYTES, accumulate_facts=True, verify=True,
 )
 def test_lockstep_batches_write_the_traces_of_queries_run_alone(
-    picks, per_hop_k, variant, index_variant, threads, screen_bytes, accumulate_facts, verify
+    picks, per_hop_k, variant, index_variant, screen_bytes, accumulate_facts, verify
 ):
     """`run_queries` over a batch (up to past one window, repeats and a query
     that encodes to no rows included) writes the traces each query gets run
@@ -314,15 +313,10 @@ def test_lockstep_batches_write_the_traces_of_queries_run_alone(
     def fresh(*args, cache, **kwargs):
         return retrieve(*args, **kwargs)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads hand over often, so a race would show
-    try:
-        with patch("hoplite.index.SCREEN_BYTES", screen_bytes), \
-                patch("hoplite.pipeline.RowCache", Tracked), \
-                patch("hoplite.pipeline.retrieve", recording):
-            batch = [trace_record(t) for t in run_queries(runner, queries, threads)]
-    finally:
-        sys.setswitchinterval(interval)
+    with patch("hoplite.index.SCREEN_BYTES", screen_bytes), \
+            patch("hoplite.pipeline.RowCache", Tracked), \
+            patch("hoplite.pipeline.retrieve", recording):
+        batch = [trace_record(t) for t in run_queries(runner, queries)]
     with patch("hoplite.pipeline.retrieve", fresh):
         alone = [trace_record(runner.run(q)) for q in queries]
     assert batch == alone

@@ -169,9 +169,9 @@ def test_latent_hop_ordering_structure():
     retriever = _retriever(result)
     cfg = LhoConfig(k_retrieve=20, k_hat=(5, 5))
     lho = latent_hop_ordering(retriever, result.queries, cfg)
-    assert set(lho.sets.records) == {q.qid for q in result.queries}
+    assert set(lho.records) == {q.qid for q in result.queries}
     for q in result.queries:
-        hops = lho.sets.records[q.qid]
+        hops = lho.records[q.qid]
         assert [h.t for h in hops] == [1, 2]
         assigned = []
         for hop in hops:
@@ -191,7 +191,7 @@ def test_latent_hop_ordering_recovers_planted_order():
     retriever = _retriever(result)
     lho = latent_hop_ordering(retriever, result.queries, LhoConfig(k_retrieve=20, k_hat=(5, 5)))
     truth = {qid: [set(g) for g in groups] for qid, groups in result.truth.items()}
-    rec = order_recovery(lho.sets, truth)
+    rec = order_recovery(lho, truth)
     assert rec.n_queries == len(result.queries)
     assert rec.passage_fraction >= 0.75
 
@@ -241,12 +241,12 @@ def test_weak_queries_are_those_with_a_fallback_hop():
     )
     lho = latent_hop_ordering(retriever, queries, LhoConfig(k_retrieve=10, k_hat=(1, 1)))
     fell_back = {
-        qid for qid, hops in lho.sets.records.items() if any(h.fallback for h in hops)
+        qid for qid, hops in lho.records.items() if any(h.fallback for h in hops)
     }
     assert fell_back == {"weak", "late"}
     assert lho.weak_qids == fell_back
-    assert [h.fallback for h in lho.sets.records["weak"]] == [True, True]
-    assert [h.fallback for h in lho.sets.records["late"]] == [False, True]
+    assert [h.fallback for h in lho.records["weak"]] == [True, True]
+    assert [h.fallback for h in lho.records["late"]] == [False, True]
     for rec in supervision_records(lho):
         assert rec["weak"] == (rec["qid"] in fell_back)
 
@@ -526,7 +526,7 @@ def test_supervision_and_triples_round_trip(tmp_path):
         for hop in row["hops"]:
             assert set(hop) == {"t", "positives", "negatives", "fallback", "query_text"}
 
-    triples = build_triples(lho.sets, cap_per_hop=8, seed=0)
+    triples = build_triples(lho, cap_per_hop=8, seed=0)
     tri_path = tmp_path / "triples.jsonl"
     write_triples(tri_path, triples)
     t_rows = [json.loads(l) for l in tri_path.read_text(encoding="utf-8").splitlines()]

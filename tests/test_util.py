@@ -63,3 +63,23 @@ def test_write_jsonl_one_line_per_record(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[0]) == {"a": 2, "b": 1}
     assert json.loads(lines[1]) == {"nested": {"x": [1, 2]}}
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_write_jsonl_that_fails_leaves_the_file_as_it_was(tmp_path, error):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"old": 1}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 1}
+        yield {"b": 2}
+        raise error("third record")
+
+    with pytest.raises(error, match="third record"):
+        write_jsonl(path, records())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+    with pytest.raises(error):
+        write_jsonl(tmp_path / "new.jsonl", records())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
