@@ -43,7 +43,7 @@ runner = PipelineRunner(result.corpus, idx, enc, cfg)
 
 trace = runner.run(q)
 for hop in trace.hops:
-    head = ", ".join(sp.pid for sp in hop.ranked[:4])
+    head = ", ".join(hop.ranked.pids[:4])
     kept = "; ".join(f"{f.pid}#{f.sentence_index}" for f in hop.kept_facts)
     print(f"\nhop {hop.t}: top [{head}]")
     print(f"  kept facts: {kept or '(none)'}")

@@ -87,7 +87,7 @@ for pid in sorted(q.gold_pids):
 full = runs["condensed"]
 print(f"\nunion size: full {len(full.union_pids)}")
 for n in (5, 1):
-    pids = [sp.pid for hop in full.hops for sp in hop.ranked[:n]]
+    pids = [pid for hop in full.hops for pid in hop.ranked.pids[:n]]
     print(f"  top-{n} per hop: {len(pids)} pids, gold {sorted(q.gold_pids & set(pids))}")
 
 assert len(hybrid.merged) == min(cfg.hybrid_total, len(set(hybrid.merged)))

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import config as cfgmod
@@ -21,6 +22,7 @@ from .corpus import Fact, MultiHopQuery, load_corpus, load_queryset
 from .encoder import LexicalEncoder
 from .index import VARIANT_FLAT, VARIANT_IVF, IndexConfig, build_index, load_index, save_index
 from .pipeline import (
+    LOCKSTEP_QUERIES,
     VARIANT_CONDENSED,
     VARIANT_HYBRID,
     VARIANT_RERANK,
@@ -152,8 +154,11 @@ def cmd_run(args, parser) -> int:
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)
     runner = PipelineRunner(corpus, index, _encoder(cfg), cfgmod.pipeline_config(cfg))
-    traces = run_queries(runner, queries)
-    write_traces(args.out, traces, meta={"config": cfg, "queries": len(queries)})
+    # one window at a time, so only one window's traces are held
+    windows = (run_queries(runner, queries[at : at + LOCKSTEP_QUERIES])
+               for at in range(0, len(queries), LOCKSTEP_QUERIES))
+    write_traces(args.out, chain.from_iterable(windows),
+                 meta={"config": cfg, "queries": len(queries)})
     print(
         f"run queries={len(queries)} variant={cfg['pipeline']['variant']} "
         f"hops={len(cfg['pipeline']['per_hop_k'])} out={args.out}"

@@ -8,7 +8,9 @@ Three inference variants share one hop loop:
 
 Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
-concatenation (the trace union) has no duplicates.
+concatenation (the trace union) has no duplicates. A trace keeps each hop's
+`Ranking` as the arrays `retrieve` returned; its union, final query and
+each hop's exclusion set are derived from them when read or written.
 
 Every query runs the same hop schedule, so `run_queries` runs
 LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
@@ -31,7 +33,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -42,7 +44,7 @@ from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import RowCache, TokenIndex
 from .retriever import RetrievalConfig, check_corpus_covers, check_encoder, retrieve
-from .scoring import ScoredPassage, source_columns
+from .scoring import Ranking, source_columns
 from .util import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -88,10 +90,9 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class HopRecord:
     t: int
-    ranked: tuple[ScoredPassage, ...]
+    ranked: Ranking  # as `retrieve` returned it
     kept_facts: tuple[Fact, ...]
     context_pid: str | None
-    excluded: frozenset[str]  # exclusion set in effect for this hop
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,16 @@ class HopTrace:
     variant: str
     per_hop_k: tuple[int, ...]
     hops: tuple[HopRecord, ...]
-    union_pids: tuple[str, ...]
     final_facts: tuple[Fact, ...]
-    final_query_text: str
     verdict: bool | None = None
+
+    @property
+    def union_pids(self) -> tuple[str, ...]:
+        return tuple(pid for hop in self.hops for pid in hop.ranked.pids)
+
+    @property
+    def final_query_text(self) -> str:
+        return MultiHopQuery(self.qid, self.q0_text, self.final_facts).text
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.idf = IdfTable.from_corpus(corpus)
 
-    def _advance(self, lane: _Lane, ranked: tuple[ScoredPassage, ...]) -> None:
+    def _advance(self, lane: _Lane, ranked: Ranking) -> None:
         """Record `lane`'s hop, then extend its query with the condenser's kept
         facts (condensed) or the top passage's sentences (rerank)."""
         kept: list[Fact] = []
@@ -154,22 +161,21 @@ class PipelineRunner:
         if lane.rerank:
             if ranked:
                 # The retriever's score already ranks passages, so rank 1 is the context.
-                context_pid = ranked[0].pid
+                context_pid = ranked.pids[0]
                 passage = self.corpus.get(context_pid)
                 new_facts = [
                     Fact(pid=context_pid, sentence_index=i, text=s)
                     for i, s in enumerate(passage.sentences)
                 ]
         else:
-            passages = [self.corpus.get(sp.pid) for sp in ranked]
+            passages = [self.corpus.get(pid) for pid in ranked.pids]
             kept = new_facts = condense(lane.state, passages, self.cfg.condenser, self.idf)
         t = len(lane.hops) + 1
-        lane.hops.append(HopRecord(t, ranked, tuple(kept), context_pid, lane.excluded))
-        lane.excluded |= {sp.pid for sp in ranked}
+        lane.hops.append(HopRecord(t, ranked, tuple(kept), context_pid))
+        lane.excluded = lane.excluded.union(ranked.pids)
         lane.state = lane.state.extended(new_facts if self.cfg.accumulate_facts else ())
 
     def _trace(self, lane: _Lane) -> HopTrace:
-        union = [sp.pid for hop in lane.hops for sp in hop.ranked]
         # Baseline verifier: supported iff every hop kept at least one fact.
         verdict = all(hop.kept_facts for hop in lane.hops) if self.cfg.verify else None
         return HopTrace(
@@ -178,9 +184,7 @@ class PipelineRunner:
             variant=VARIANT_RERANK if lane.rerank else VARIANT_CONDENSED,
             per_hop_k=self.cfg.per_hop_k,
             hops=tuple(lane.hops),
-            union_pids=tuple(union),
             final_facts=lane.state.facts,
-            final_query_text=lane.state.text,
             verdict=verdict,
         )
 
@@ -204,7 +208,7 @@ class PipelineRunner:
             fetching = lanes[::shared]
             eqs = [self.encoder.encode_query(lane.state) for lane in fetching]
             cache.screen(np.concatenate([source_columns(eq).T for eq in eqs]))
-            ranked = [tuple(retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache))
+            ranked = [retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache)
                       for lane, eq in zip(fetching, eqs)]
             for i, lane in enumerate(lanes):
                 self._advance(lane, ranked[i // shared])
@@ -260,15 +264,15 @@ def merge_hybrid(
     out: list[str] = []
     seen: set[str] = set()
 
-    def take(ranked: Sequence[ScoredPassage], quota: int) -> None:
+    def take(ranked: Ranking, quota: int) -> None:
         taken = 0
-        for sp in ranked:
+        for pid in ranked.pids:
             if len(out) >= total or taken >= quota:
                 break
-            if sp.pid in seen:
+            if pid in seen:
                 continue
-            seen.add(sp.pid)
-            out.append(sp.pid)
+            seen.add(pid)
+            out.append(pid)
             taken += 1
 
     for h in range(n_hops):
@@ -297,8 +301,9 @@ def _fact_record(f: Fact) -> dict:
     }
 
 
-def _scored_record(sp: ScoredPassage) -> dict:
-    return {"pid": sp.pid, "score": sp.score, "s_query": sp.s_query, "s_fact": sp.s_fact}
+def _ranked_records(ranked: Ranking) -> list[dict]:
+    scores = zip(ranked.pids, ranked.s_query.tolist(), ranked.s_fact.tolist())
+    return [{"pid": pid, "score": q + f, "s_query": q, "s_fact": f} for pid, q, f in scores]
 
 
 def trace_record(trace: HopTrace | HybridTrace) -> dict:
@@ -310,6 +315,8 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
             "condensed": trace_record(trace.condensed),
             "rerank": trace_record(trace.rerank),
         }
+    union = list(trace.union_pids)
+    starts = accumulate((len(hop.ranked) for hop in trace.hops), initial=0)
     rec = {
         "qid": trace.qid,
         "q0": trace.q0_text,
@@ -318,14 +325,14 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
         "hops": [
             {
                 "t": hop.t,
-                "ranked": [_scored_record(sp) for sp in hop.ranked],
+                "ranked": _ranked_records(hop.ranked),
                 "kept_facts": [_fact_record(f) for f in hop.kept_facts],
                 "context_pid": hop.context_pid,
-                "excluded": sorted(hop.excluded),
+                "excluded": sorted(union[:at]),  # the earlier hops' pids
             }
-            for hop in trace.hops
+            for hop, at in zip(trace.hops, starts)
         ],
-        "union": list(trace.union_pids),
+        "union": union,
         "final_facts": [_fact_record(f) for f in trace.final_facts],
         "final_query": trace.final_query_text,
     }

@@ -57,7 +57,11 @@ def replacing(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
     """`path` written via a temporary file beside it: whole, or unchanged if the block raises."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the output asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

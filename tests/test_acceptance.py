@@ -27,7 +27,7 @@ from hoplite.pipeline import (
     run_queries,
 )
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
-from hoplite.scoring import FocusParams, ScoredPassage, colbert_score, flipr_score
+from hoplite.scoring import FocusParams, Ranking, colbert_score, flipr_score
 from hoplite.supervision import (
     LhoConfig,
     heuristic_order,
@@ -368,13 +368,9 @@ def _mk_trace(hop_pids, variant="condensed"):
     hops = tuple(
         HopRecord(
             t=t,
-            ranked=tuple(
-                ScoredPassage(pid=p, score=float(-i), s_query=0.0, s_fact=0.0)
-                for i, p in enumerate(pids)
-            ),
+            ranked=Ranking(tuple(pids), -np.arange(len(pids), dtype=float), np.zeros(len(pids))),
             kept_facts=(),
             context_pid=None,
-            excluded=frozenset(),
         )
         for t, pids in enumerate(hop_pids, start=1)
     )
@@ -384,9 +380,7 @@ def _mk_trace(hop_pids, variant="condensed"):
         variant=variant,
         per_hop_k=tuple(max(len(p), 1) for p in hop_pids),
         hops=hops,
-        union_pids=tuple(p for pids in hop_pids for p in pids),
         final_facts=(),
-        final_query_text="q0",
     )
 
 

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from hoplite.cli import main
+from hoplite.corpus import load_corpus, load_queryset
 from hoplite.index import load_index
-from hoplite.pipeline import read_traces
+from hoplite.pipeline import LOCKSTEP_QUERIES, read_traces, run_queries
 
 from conftest import subprocess_env
 from test_index import _save_v1
@@ -195,6 +197,51 @@ def test_run_without_index_builds_flat_in_memory(workdir, tmp_path):
     r2 = run_cli(*args, "--out", without)
     assert r1.returncode == 0 and r2.returncode == 0
     assert read_traces(with_idx)[1] == read_traces(without)[1]
+
+
+def test_run_that_fails_in_its_second_window_leaves_the_out_file_as_it_was(
+    tmp_path, monkeypatch, capsys
+):
+    """`run` writes its traces window by window into one temporary file, so
+    a failure after the first window leaves an earlier output byte-unchanged."""
+    data, out = tmp_path / "data", tmp_path / "traces.jsonl"
+    n = LOCKSTEP_QUERIES + 4
+    assert main(["synth", "--out", str(data), "--hops", "2", "--queries", str(n),
+                 "--corpus-size", "200", "--seed", "7"]) == 0
+    run = ["run", "--corpus", str(data / "corpus.jsonl"), "--queries",
+           str(data / "queries.jsonl"), "--out", str(out), "--seed", "7"]
+    assert main(run) == 0
+    corpus = load_corpus(data / "corpus.jsonl")
+    qids = [q.qid for q in load_queryset(data / "queries.jsonl", corpus)]
+    assert [rec["qid"] for rec in read_traces(out)[1]] == qids
+    earlier = out.read_bytes()
+    windows = []
+
+    def failing(runner, queries):
+        windows.append(len(queries))
+        if len(windows) == 2:
+            raise RuntimeError("second window failed")
+        return run_queries(runner, queries)
+
+    monkeypatch.setattr("hoplite.cli.run_queries", failing)
+    capsys.readouterr()
+    assert main(run) == 1
+    assert "second window failed" in capsys.readouterr().err
+    assert windows == [LOCKSTEP_QUERIES, 4]
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "traces.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["run", "build-index"])
+def test_out_in_a_missing_directory_exits_1_naming_the_out_path(workdir, tmp_path, command):
+    data = workdir / "data"
+    out = tmp_path / "missing" / "t.jsonl"
+    inputs = ["--queries", data / "queries.jsonl"] if command == "run" else []
+    r = run_cli(command, "--corpus", data / "corpus.jsonl", *inputs, "--out", out, "--seed", 7)
+    assert r.returncode == 1
+    assert f"No such file or directory: '{out}'" in r.stderr
+    assert ".tmp" not in r.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lho_and_eval_flow(workdir, tmp_path):

@@ -7,6 +7,7 @@ a change to the shared writer shows up as a byte difference in every format.
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hoplite.corpus import (
@@ -20,7 +21,7 @@ from hoplite.corpus import (
     query_record,
 )
 from hoplite.pipeline import HopRecord, HopTrace, read_traces, trace_record, write_traces
-from hoplite.scoring import ScoredPassage
+from hoplite.scoring import Ranking
 from hoplite.supervision import (
     HopSupervision,
     SupervisionSet,
@@ -69,10 +70,9 @@ def _trace():
     fact = Fact(pid="p-é", sentence_index=0, text=TEXT, stage1_score=0.5, stage2_score=0.25)
     hop = HopRecord(
         t=1,
-        ranked=(ScoredPassage(pid="p-é", score=1.5, s_query=1.0, s_fact=0.5),),
+        ranked=Ranking(("p-é",), np.array([1.0]), np.array([0.5])),
         kept_facts=(fact,),
         context_pid=None,
-        excluded=frozenset(),
     )
     return HopTrace(
         qid="q-é",
@@ -80,9 +80,7 @@ def _trace():
         variant="condensed",
         per_hop_k=(1,),
         hops=(hop,),
-        union_pids=("p-é",),
         final_facts=(fact,),
-        final_query_text=f"{TEXT} {TEXT}",
     )
 
 
@@ -117,7 +115,7 @@ def test_write_traces_bytes_and_sorted_meta(tmp_path):
         "queries": 2,
         "config": {"z": {"b": 1, "a": [{"y": 2, "x": TEXT}]}, "a": None},
     }
-    second = replace(_trace(), qid="q2", final_query_text=TEXT)
+    second = replace(_trace(), qid="q2", final_facts=())
     write_traces(path, [_trace(), second], meta=meta)
     raw = path.read_bytes()
     head = json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True) + "\n"
@@ -132,6 +130,11 @@ def test_write_traces_without_meta(tmp_path):
     path = tmp_path / "traces.jsonl"
     write_traces(path, [_trace()])
     assert path.read_bytes() == _lines([trace_record(_trace())])
+    rec = trace_record(_trace())
+    ranked = [{"pid": "p-é", "score": 1.5, "s_query": 1.0, "s_fact": 0.5}]
+    assert rec["hops"][0]["ranked"] == ranked
+    assert (rec["hops"][0]["excluded"], rec["union"]) == ([], ["p-é"])
+    assert rec["final_query"] == f"{TEXT} {TEXT}"
     assert read_traces(path) == (None, [trace_record(_trace())])
 
 

@@ -1,9 +1,11 @@
+import gc
 import json
 import weakref
 from dataclasses import replace
 from functools import lru_cache
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from hoplite.pipeline import (
     write_traces,
 )
 from hoplite.retriever import retrieve
-from hoplite.scoring import ScoredPassage
+from hoplite.scoring import Ranking, ScoredPassage
 from hoplite.synth import PlantSpec, generate
 
 
@@ -46,23 +48,16 @@ def _mk_trace(hop_pids, variant="condensed", qid="q"):
     """Fabricate a trace whose hop t ranks hop_pids[t] in order."""
     hops = []
     for t, pids in enumerate(hop_pids, start=1):
-        ranked = tuple(
-            ScoredPassage(pid=p, score=float(len(pids) - i), s_query=0.0, s_fact=0.0)
-            for i, p in enumerate(pids)
-        )
-        hops.append(
-            HopRecord(t=t, ranked=ranked, kept_facts=(), context_pid=None, excluded=frozenset())
-        )
-    union = [p for pids in hop_pids for p in pids]
+        scores = np.arange(len(pids), 0, -1, dtype=float)
+        ranked = Ranking(tuple(pids), scores, np.zeros(len(pids)))
+        hops.append(HopRecord(t=t, ranked=ranked, kept_facts=(), context_pid=None))
     return HopTrace(
         qid=qid,
         q0_text="q0",
         variant=variant,
         per_hop_k=tuple(len(p) for p in hop_pids),
         hops=tuple(hops),
-        union_pids=tuple(union),
         final_facts=(),
-        final_query_text="q0",
     )
 
 
@@ -127,18 +122,27 @@ _WORDS = ["carthage", "fought", "rome", "tiber", "river", "ships", "silver", "si
 def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_k, variant, ivf):
     idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf" if ivf else "flat"))
     cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
-    trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", " ".join(words)))
+    excluded = []  # the exclusion set of each retrieve call, sorted
+
+    def recording(*args, exclude, **kwargs):
+        excluded.append(sorted(exclude))
+        return retrieve(*args, exclude=exclude, **kwargs)
+
+    with patch("hoplite.pipeline.retrieve", recording):
+        trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", " ".join(words)))
+    rec = trace_record(trace)
     seen = set()
-    for hop, k in zip(trace.hops, per_hop_k):
-        pids = {sp.pid for sp in hop.ranked}
-        assert len(pids) == len(hop.ranked) <= k
+    for hop, k in zip(rec["hops"], per_hop_k):
+        pids = {sp["pid"] for sp in hop["ranked"]}
+        assert len(pids) == len(hop["ranked"]) <= k
         assert not pids & seen
-        assert hop.excluded == frozenset(seen)
+        assert hop["excluded"] == sorted(seen)
         seen |= pids
-    assert trace.union_pids == tuple(
-        sp.pid for hop in trace.hops for sp in hop.ranked
-    )
-    assert len(set(trace.union_pids)) == len(trace.union_pids)
+    # the written exclusion sets are the ones the hops were retrieved under
+    assert [hop["excluded"] for hop in rec["hops"]] == excluded
+    assert rec["union"] == [sp["pid"] for hop in rec["hops"] for sp in hop["ranked"]]
+    assert rec["union"] == list(trace.union_pids)
+    assert len(set(rec["union"])) == len(rec["union"])
 
 
 def test_accumulate_facts_ablation(enc, tiny_corpus):
@@ -160,7 +164,7 @@ def test_rerank_appends_whole_context_passage(enc, tiny_corpus):
     f_idx = 0
     for hop in trace.hops:
         assert hop.kept_facts == ()  # rerank keeps passages, not condensed facts
-        assert hop.context_pid == hop.ranked[0].pid
+        assert hop.context_pid == hop.ranked.pids[0]
         sentences = tiny_corpus.get(hop.context_pid).sentences
         chunk = trace.final_facts[f_idx : f_idx + len(sentences)]
         assert [f.text for f in chunk] == list(sentences)
@@ -199,6 +203,33 @@ def test_hybrid_retrieves_hop_one_once(enc, tiny_corpus, monkeypatch, per_hop_k)
     # the shared hop 1 leaves the rerank arm as a standalone rerank run writes it
     rerank = PipelineRunner(tiny_corpus, runner.index, enc, replace(runner.cfg, variant="rerank"))
     assert trace_record(trace.rerank) == trace_record(rerank.run(query))
+
+
+def _reachable(roots):
+    """Every object reachable from `roots` through `gc.get_referents`; classes
+    are not entered, so the walk stays inside the instances."""
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("variant", ["condensed", "rerank", "hybrid"])
+def test_traces_hold_arrays_not_objects(enc, tiny_corpus, variant):
+    runner = _runner(tiny_corpus, enc, per_hop_k=(3, 3, 3), variant=variant)
+    queries = [_qrec("q1", "carthage fought rome"), _qrec("q2", "tiber river sea")]
+    traces = run_queries(runner, queries)
+    hop_traces = [arm for t in traces
+                  for arm in ((t.condensed, t.rerank) if isinstance(t, HybridTrace) else (t,))]
+    assert all(isinstance(hop.ranked, Ranking) for t in hop_traces for hop in t.hops)
+    assert sum(len(hop.ranked) for t in hop_traces for hop in t.hops) > 0
+    held = [o for o in _reachable(traces) if isinstance(o, (ScoredPassage, set, frozenset))]
+    assert held == []
 
 
 def test_trivial_verifier(enc, tiny_corpus):
