@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .config import ConfigError
-from .corpus import Fact, MultiHopQuery, load_corpus, load_queryset
+from .corpus import CorpusFormatError, Fact, MultiHopQuery, load_corpus, load_queryset
 from .encoder import LexicalEncoder
 from .index import VARIANT_FLAT, VARIANT_IVF, IndexConfig, build_index, load_index, save_index
 from .pipeline import (
@@ -44,7 +44,7 @@ from .supervision import (
 )
 from .evaluation import check_query_texts, evaluate_run, report_json
 from .synth import PlantSpec, generate, write_synth, read_truth
-from .util import derive_seed, replacing, write_jsonl
+from .util import derive_seed, replacing, tokenize, write_jsonl
 
 log = logging.getLogger("hoplite")
 
@@ -138,6 +138,8 @@ def cmd_build_index(args, parser) -> int:
 
 def cmd_retrieve(args, parser) -> int:
     cfg = _resolve(args, {"retrieval": {"k": args.k}})
+    if not tokenize(args.query):
+        raise CorpusFormatError(f"--query {args.query!r} holds no token to rank by")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = load_index(_require(parser, args.index, "index"))
     retr = Retriever(corpus, index, _encoder(cfg), cfgmod.retrieval_config(cfg))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Fact, MultiHopQuery, Passage
-from .encoder import tokenize
+from .util import tokenize
 
 STAGE1_FACTS_INFERENCE = 9
 DEFAULT_TAU = 0.1

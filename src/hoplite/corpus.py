@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
-from .util import read_jsonl, write_jsonl
+from .util import read_jsonl, tokenize, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -170,6 +170,8 @@ def _query_from_obj(obj: object, corpus: Corpus | None, where: str) -> QueryReco
         raise CorpusFormatError(f"{where}: qid must be a non-empty string")
     if not isinstance(text, str):
         raise CorpusFormatError(f"{where}: text must be a string")
+    if not tokenize(text):
+        raise CorpusFormatError(f"{where}: qid {qid!r} text {text!r} holds no token to rank by")
     gold_pids = obj["gold_pids"]
     if not isinstance(gold_pids, list) or not all(isinstance(p, str) for p in gold_pids):
         raise CorpusFormatError(f"{where}: gold_pids must be a list of strings")

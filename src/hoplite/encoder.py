@@ -22,27 +22,17 @@ dim or passage cap) is refused instead of scoring garbage.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .corpus import MultiHopQuery, Passage
-from .util import hash64
-
-# \w minus underscore: Unicode alphanumerics only.
-_TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
-
+from .util import hash64, tokenize
 
 # The text whose rows `LexicalEncoder.fingerprint` digests: trigrams enough
 # that every seed gives other bits.
 FINGERPRINT_PROBE = "hoplite encoder fingerprint probe 0123456789"
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs, dropping empties."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)

@@ -156,46 +156,20 @@ class MetricsReport:
             ("Verification Acc", "verification_accuracy"),
         ]
         width = max(len(name) for name, _ in metrics) + 2
-        header = "".ljust(width) + "".join(c.rjust(12) for c in cols)
-        lines = [header]
-        lines.append(
-            "queries".ljust(width)
-            + "".join(str(blocks[c].n_queries).rjust(12) for c in cols)
-        )
-        for name, attr in metrics:
-            lines.append(
-                name.ljust(width)
-                + "".join(pct(getattr(blocks[c], attr)).rjust(12) for c in cols)
-            )
-        return "\n".join(lines)
+        rows = [("", cols), ("queries", [str(blocks[c].n_queries) for c in cols])]
+        rows += [(name, [pct(getattr(blocks[c], attr)) for c in cols]) for name, attr in metrics]
+        return "\n".join(name.ljust(width) + "".join(v.rjust(12) for v in values)
+                         for name, values in rows)
 
 
 def _trace_views(rec: dict) -> tuple[list[str], list[dict], list[str], bool | None]:
-    """(union pids, kept fact dicts, context pids, verdict) for one record."""
-    variant = rec.get("variant", "condensed")
-    if variant == "hybrid":
-        union = list(rec["merged"])
-        inner = rec["condensed"]
-        kept = [f for hop in inner["hops"] for f in hop["kept_facts"]]
-        ctx = [
-            hop["context_pid"]
-            for hop in rec["rerank"]["hops"]
-            if hop.get("context_pid")
-        ]
-        verdict = inner.get("verdict")
-        return union, kept, ctx, verdict
-    union = list(rec["union"])
-    kept = [f for hop in rec["hops"] for f in hop["kept_facts"]]
-    ctx = [hop["context_pid"] for hop in rec["hops"] if hop.get("context_pid")]
-    return union, kept, ctx, rec.get("verdict")
-
-
-def _predicted_passages(variant: str, kept: list[dict], ctx: list[str]) -> set[str]:
-    # Condensed runs predict the passages that contributed kept facts;
-    # rerank runs predict the per-hop context passages.
-    if variant == "rerank":
-        return set(ctx)
-    return {f["pid"] for f in kept}
+    """(union pids, kept fact dicts, context pids, verdict) for one record; a
+    hybrid record's union is `merged`, and its condensed arm keeps the facts."""
+    hybrid = rec.get("variant") == "hybrid"
+    facts, contexts = (rec["condensed"], rec["rerank"]) if hybrid else (rec, rec)
+    kept = [f for hop in facts["hops"] for f in hop["kept_facts"]]
+    ctx = [hop["context_pid"] for hop in contexts["hops"] if hop.get("context_pid")]
+    return list(rec["merged" if hybrid else "union"]), kept, ctx, facts.get("verdict")
 
 
 def check_query_texts(records: Sequence[dict], queries: Sequence[QueryRecord]) -> None:
@@ -237,7 +211,8 @@ def evaluate_run(
         if q.gold_pids:
             if not supported_only or q.label is not False:
                 row.retrieval_at_k = retrieval_at_k(union, set(q.gold_pids), cfg.retrieval_k)
-            predicted = _predicted_passages(rec.get("variant", "condensed"), kept, ctx)
+            # rerank predicts its context passages, the others those of their kept facts
+            predicted = set(ctx) if rec.get("variant") == "rerank" else {f["pid"] for f in kept}
             row.passage_em, row.passage_f1 = set_em_f1(predicted, set(q.gold_pids))
         if q.gold_facts:
             pred_sent = {(f["pid"], f["sentence_index"]) for f in kept}

@@ -51,7 +51,6 @@ from .scoring import (
     F32_UNIT,
     FocusParams,
     Ranking,
-    flipr_score,
     focused_sums,
     gamma,
     rank_scored,
@@ -308,6 +307,9 @@ class RowCache:
     float64 bits, `maxima` holds the row's screened maxima (every passage's
     best float32 dot product with it) and `candidates`, per
     results_per_vector, the pid positions `candidates_for` finds for it.
+    `expected` holds the rows of the calls still to come in a hop (set by
+    `pipeline.retrieve_hop`): the next screen takes them along, so a hop
+    screens once if any of its calls prunes and never if none does.
 
     Why sharing a cache, across hops, queries or a pipeline window, cannot
     change a ranking: both entries are functions of the index, the row's
@@ -323,21 +325,21 @@ class RowCache:
         self.index = index
         self.maxima: dict[bytes, np.ndarray] = {}
         self.candidates: dict[int, dict[bytes, np.ndarray]] = {}
-
-    def screen(self, rows: np.ndarray) -> None:
-        """Screen the distinct float64 source rows not screened yet, all in one
-        `screen_maxima` call."""
-        new = {key: row for key, row in zip(map(np.ndarray.tobytes, rows), rows)
-               if key not in self.maxima}
-        if new:
-            maxima = self.index.screen_maxima(np.array(list(new.values())))
-            self.maxima.update(zip(new, maxima))
+        self.expected = np.zeros((0, index.dim))
 
     def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Float32 (len(pool), len(rows)): the screened maxima of the passages at
-        `pool` for each float64 source row, screening only the rows not seen yet."""
-        self.screen(rows)
-        return np.array([self.maxima[row.tobytes()] for row in rows]).T[pool]
+        `pool` for each float64 source row. Rows not screened yet are screened
+        with the `expected` rows not screened yet, in one `screen_maxima`
+        call, which drops the expected rows."""
+        keys = list(map(np.ndarray.tobytes, rows))
+        if any(key not in self.maxima for key in keys):
+            both = np.concatenate([self.expected, rows])
+            new = {key: row for key, row in zip(map(np.ndarray.tobytes, both), both)
+                   if key not in self.maxima}
+            self.maxima.update(zip(new, self.index.screen_maxima(np.array(list(new.values())))))
+            self.expected = self.expected[:0]
+        return np.array([self.maxima[key] for key in keys]).T[pool]
 
 
 def row_cache(cache: RowCache | None, index: TokenIndex) -> RowCache:
@@ -516,33 +518,6 @@ def rank_pool(
     order = rank_scored(s_query + s_fact, index.pid_rank[positions], k)
     pids = tuple(index.pids[i] for i in positions[order].tolist())
     return Ranking(pids, s_query[order], s_fact[order])
-
-
-def exact_topk_oracle(
-    eq: EncodedQuery,
-    corpus: Corpus,
-    encoder: LexicalEncoder,
-    k: int = 20,
-    encodings: dict[str, np.ndarray] | None = None,
-) -> Ranking:
-    """Reference ranking of every passage: no index, no screen, no stacks.
-
-    Scores each passage alone with `flipr_score` (default focus) and sorts
-    by score descending, then pid ascending, so it checks `retrieve`'s
-    batched kernel instead of sharing it. Pass precomputed encodings to
-    amortize repeated corpus scans. Passages that encode to zero rows are
-    unscorable and skipped.
-    """
-    mats = ((p.pid, encodings[p.pid] if encodings else encoder.encode_passage(p)) for p in corpus)
-    scored = [flipr_score(eq, rows, pid=pid) for pid, rows in mats if rows.shape[0]]
-    top = sorted(scored, key=lambda sp: (-sp.score, sp.pid))[:k]
-    return Ranking(tuple(sp.pid for sp in top), np.array([sp.s_query for sp in top]),
-                   np.array([sp.s_fact for sp in top]))
-
-
-def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
-    """Precompute passage encodings keyed by pid (for the oracle hot path)."""
-    return {p.pid: encoder.encode_passage(p) for p in corpus}
 
 
 def save_index(index: TokenIndex, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Multi-hop retrieval pipelines and trace bookkeeping.
+"""Multi-hop retrieval pipelines, their hop step, and trace bookkeeping.
 
 Three inference variants share one hop loop:
   condensed - append the condenser's kept facts to the query each hop;
@@ -16,15 +16,14 @@ Every query runs the same hop schedule, so `run_queries` runs
 LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
 holds a lane per query, two per hybrid query (its condensed and rerank
 arms, which share hop 1: it is retrieved once from q0 and given to both).
-Its lanes share one `index.RowCache` across all of their hops: a hop's
-rows repeat the earlier hops' rows, and each distinct row is probed and
-screened once per window. The cache holds at most one window's distinct
-rows x passages x 4 bytes of screened maxima. Each hop takes three steps:
-encode every lane; screen the rows of all of them that the cache has not
-seen, one `TokenIndex.screen_maxima` call in blocks under
-`index.SCREEN_BYTES`; then `retrieve` once per lane, which finds its own
-pool (band and float64 rescore), and condense. Traces are the bytes a
-fresh cache per retrieval writes; `index.RowCache` says why.
+Its lanes share one `index.RowCache` across all of their hops, which holds
+at most one window's distinct rows x passages x 4 bytes of screened maxima.
+Each hop is one `retrieve_hop`, the step latent hop ordering takes too: it
+encodes every lane, then `retrieve` finds each lane's pool; the first lane
+that prunes (2k < pool) screens every lane's unseen rows in one
+`TokenIndex.screen_maxima` call, and a hop where none prunes screens
+nothing. Traces are the bytes a fresh cache per retrieval writes;
+`index.RowCache` says why.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import RowCache, TokenIndex
-from .retriever import RetrievalConfig, check_corpus_covers, check_encoder, retrieve
+from .retriever import RetrievalConfig, Retriever, retrieve
 from .scoring import Ranking, source_columns
 from .util import read_jsonl, write_jsonl
 
@@ -144,12 +143,8 @@ class PipelineRunner:
         encoder: LexicalEncoder,
         cfg: PipelineConfig | None = None,
     ):
-        check_corpus_covers(index, corpus)
-        check_encoder(index, encoder)
-        self.corpus = corpus
-        self.index = index
-        self.encoder = encoder
         self.cfg = cfg or PipelineConfig()
+        self.retriever = Retriever(corpus, index, encoder, self.cfg.retrieval)
         self.idf = IdfTable.from_corpus(corpus)
 
     def _advance(self, lane: _Lane, ranked: Ranking) -> None:
@@ -162,13 +157,13 @@ class PipelineRunner:
             if ranked:
                 # The retriever's score already ranks passages, so rank 1 is the context.
                 context_pid = ranked.pids[0]
-                passage = self.corpus.get(context_pid)
+                passage = self.retriever.corpus.get(context_pid)
                 new_facts = [
                     Fact(pid=context_pid, sentence_index=i, text=s)
                     for i, s in enumerate(passage.sentences)
                 ]
         else:
-            passages = [self.corpus.get(pid) for pid in ranked.pids]
+            passages = [self.retriever.corpus.get(pid) for pid in ranked.pids]
             kept = new_facts = condense(lane.state, passages, self.cfg.condenser, self.idf)
         t = len(lane.hops) + 1
         lane.hops.append(HopRecord(t, ranked, tuple(kept), context_pid))
@@ -192,24 +187,20 @@ class PipelineRunner:
         """Traces of `queries`, run hop by hop together through one `RowCache`.
 
         A lane per query, two per hybrid query (its condensed arm, then its
-        rerank arm). Each hop encodes every lane, screens the rows of all of
-        them in one `RowCache.screen` call, then retrieves, and condenses or
-        reranks, each lane. Hybrid retrieves hop 1 once per query and gives
-        it to both arms.
+        rerank arm). Each hop is one `retrieve_hop` over the lanes, then
+        condenses or reranks each lane. Hybrid retrieves hop 1 once per
+        query and gives it to both arms.
         """
         cfg = self.cfg
         arms = (False, True) if cfg.variant == VARIANT_HYBRID else (cfg.variant == VARIANT_RERANK,)
         lanes = [_Lane(q, rerank, MultiHopQuery(q.qid, q.text)) for q in queries for rerank in arms]
-        cache = RowCache(self.index)
+        cache = RowCache(self.retriever.index)
         for t, k in enumerate(cfg.per_hop_k, start=1):
-            step = replace(cfg.retrieval, k=k)
             # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
             shared = len(arms) if t == 1 else 1
             fetching = lanes[::shared]
-            eqs = [self.encoder.encode_query(lane.state) for lane in fetching]
-            cache.screen(np.concatenate([source_columns(eq).T for eq in eqs]))
-            ranked = [retrieve(eq, self.index, step, exclude=lane.excluded, cache=cache)
-                      for lane, eq in zip(fetching, eqs)]
+            ranked = retrieve_hop(self.retriever, k, [lane.state for lane in fetching],
+                                  [lane.excluded for lane in fetching], cache)
             for i, lane in enumerate(lanes):
                 self._advance(lane, ranked[i // shared])
         traces = [self._trace(lane) for lane in lanes]
@@ -226,14 +217,32 @@ class PipelineRunner:
         return self._window([query])[0]
 
 
+def retrieve_hop(
+    retriever: Retriever,
+    k: int,
+    states: Sequence[MultiHopQuery],
+    excludes: Iterable[frozenset[str]],
+    cache: RowCache,
+) -> list[Ranking]:
+    """The top k of each state less its excluded pids, in order, as `retrieve`
+    ranks them: one hop of many lanes through `cache`, whose next screen
+    covers every lane's source rows (see `RowCache`)."""
+    step = replace(retriever.cfg, k=k)
+    eqs = [retriever.encoder.encode_query(state) for state in states]
+    rows = [source_columns(eq).T for eq in eqs]
+    cache.expected = np.concatenate(rows) if rows else cache.expected[:0]
+    return [retrieve(eq, retriever.index, step, exclude=exclude, cache=cache)
+            for eq, exclude in zip(eqs, excludes)]
+
+
 def run_queries(
     runner: PipelineRunner, queries: Sequence[QueryRecord], threads: int = 1
 ) -> list[HopTrace | HybridTrace]:
     """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time,
     each window run hop by hop on the calling thread (`threads` must be 1).
     A window's lanes share one `RowCache`, so each hop's new source rows, of
-    every lane, are screened by one `screen_maxima` call; traces do not
-    depend on the window (see `RowCache`).
+    every lane, are screened by at most one `screen_maxima` call; traces do
+    not depend on the window (see `RowCache`).
     """
     if threads != 1:
         raise ValueError(f"run_queries runs on one thread; threads must be 1, got {threads!r}")

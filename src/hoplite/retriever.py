@@ -6,15 +6,14 @@ passage straight from the index storage, then float64 rescoring of the pool
 passages the screen's error bound cannot rule out of the top k (all of them
 when k is at least half the pool). A passage's scores are the bits
 `flipr_score` gives it alone, so rankings are the float64 rankings of the
-whole pool. The corpus and the encoder are checked once, when a
-`Retriever` or `pipeline.PipelineRunner` is built, not per call.
+whole pool. The corpus and the encoder are checked once, when a `Retriever`
+is built, not per call.
 
 A source row's IVF candidates and its screened maxima depend on that row
 alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
-for the calls it serves. The pipeline passes one per lockstep window: at
-each hop it encodes the lanes, screens all of their new rows into the
-cache in one call, then calls `retrieve` once per lane, which finds its
-own pool. `RowCache` says why sharing one cannot change a ranking.
+for the calls it serves: `pipeline.retrieve_hop` passes one cache to every
+`retrieve` call of a hop's window, and `RowCache` says why sharing it
+cannot change a ranking.
 """
 
 from __future__ import annotations
@@ -51,13 +50,6 @@ class RetrievalConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.results_per_vector < 1:
             raise ValueError("results_per_vector must be positive")
-
-
-def check_corpus_covers(index: TokenIndex, corpus: Corpus) -> None:
-    """Raise KeyError naming the first pid of the index that the corpus lacks."""
-    missing = [pid for pid in index.pids if pid not in corpus]
-    if missing:
-        raise KeyError(f"index pid {missing[0]!r} is not in the corpus")
 
 
 def check_encoder(index: TokenIndex, encoder: LexicalEncoder) -> None:
@@ -129,7 +121,9 @@ class Retriever:
         encoder: LexicalEncoder,
         cfg: RetrievalConfig | None = None,
     ):
-        check_corpus_covers(index, corpus)
+        missing = next((pid for pid in index.pids if pid not in corpus), None)
+        if missing is not None:
+            raise KeyError(f"index pid {missing!r} is not in the corpus")
         check_encoder(index, encoder)
         self.corpus = corpus
         self.index = index

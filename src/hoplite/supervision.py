@@ -19,15 +19,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
-from .encoder import tokenize
+from .index import RowCache
+from .pipeline import LOCKSTEP_QUERIES, retrieve_hop
 from .retriever import Retriever
-from .util import derive_seed, normalize_answer_text, write_jsonl
+from .scoring import Ranking
+from .util import derive_seed, normalize_answer_text, tokenize, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -162,17 +165,17 @@ TRAINERS = {"identity": IdentityTrainer, "term_weight": TermWeightTrainer}
 
 
 def discover_positives(
-    retriever: Retriever,
+    rankings: dict[str, Ranking],
     states: dict[str, MultiHopQuery],
     queries: dict[str, QueryRecord],
     remaining: dict[str, set[str]],
     t: int,
     k_hat: int | None,
-    cfg: LhoConfig,
 ) -> dict[str, HopSupervision]:
-    """Hop t of positive/negative mining for every active query.
+    """Hop t of positive/negative mining for every query of `states`, from the
+    ranking of each one with gold left.
 
-    Positives are the remaining gold pids intersected with the retriever's
+    Positives are the remaining gold pids intersected with the ranking's
     top-k_hat; negatives are all non-gold pids in the ranking, in rank
     order. An empty intersection promotes the single best-ranked remaining
     gold (fallback), so every query keeps making progress.
@@ -184,7 +187,7 @@ def discover_positives(
         if not left:
             out[qid] = HopSupervision(t, (), (), False, state.text)
             continue
-        ranked_pids = retriever.retrieve(state, k=cfg.k_retrieve).pids
+        ranked_pids = rankings[qid].pids
         gold = queries[qid].gold_pids
         positives = sorted(p for p in ranked_pids[:k_hat] if p in left)
         fallback = not positives
@@ -228,10 +231,13 @@ def latent_hop_ordering(
 ) -> SupervisionSet:
     """Assign each query's gold passages to hops, mining negatives as we go.
 
-    Runs cfg.hops rounds of discover -> expand -> train; each hop after the
-    first retrieves with the retriever the trainer produced from the hop
-    before (unchanged for the identity trainer). Records hold per-hop
-    positives, negatives, the query text used, and fallback flags.
+    Runs cfg.hops rounds of retrieve -> discover -> expand -> train; each hop
+    after the first retrieves with the retriever the trainer produced from
+    the hop before (unchanged for the identity trainer). A hop mines its
+    queries LOCKSTEP_QUERIES at a time, each window once `pipeline.retrieve_hop`
+    has ranked those with gold left through the window's own `RowCache`.
+    Records hold per-hop positives, negatives, the query text used, and
+    fallback flags.
     """
     cfg = cfg or LhoConfig()
     if expansion not in (EXPANSION_ORACLE, EXPANSION_SHUFFLED):
@@ -252,9 +258,17 @@ def latent_hop_ordering(
     trainer = TRAINERS[cfg.trainer]()
 
     current = retriever
+    qids = sorted(states)
     for t, k_hat in enumerate(cfg.k_hat, start=1):
-        outcomes = discover_positives(current, states, by_qid, remaining, t, k_hat, cfg)
-        for qid in sorted(states):
+        outcomes: dict[str, HopSupervision] = {}
+        for at in range(0, len(qids), LOCKSTEP_QUERIES):
+            window = {qid: states[qid] for qid in qids[at : at + LOCKSTEP_QUERIES]}
+            active = [qid for qid in window if remaining[qid]]
+            ranked = retrieve_hop(current, cfg.k_retrieve, [states[qid] for qid in active],
+                                  repeat(frozenset()), RowCache(current.index))
+            rankings = dict(zip(active, ranked))
+            outcomes.update(discover_positives(rankings, window, by_qid, remaining, t, k_hat))
+        for qid in qids:
             outcome = outcomes[qid]
             records[qid].append(outcome)
             if not outcome.positives:

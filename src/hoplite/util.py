@@ -1,4 +1,4 @@
-"""Small shared helpers: stable hashing, seed derivation, text normalization."""
+"""Small shared helpers: stable hashing, seed derivation, tokens, text normalization."""
 
 from __future__ import annotations
 
@@ -30,6 +30,16 @@ def derive_seed(root_seed: int, name: str) -> int:
     stream so reordering one consumer cannot perturb another.
     """
     return hash64(name, key=root_seed)
+
+
+# \w minus underscore: Unicode alphanumerics only.
+_TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumeric runs, dropping empties: the
+    encoder's one token rule."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 _NON_WORD = re.compile(r"[^\w\s]|_", flags=re.UNICODE)

@@ -18,7 +18,7 @@ from hoplite.config import pipeline_config, resolve_config
 from hoplite.corpus import Corpus, MultiHopQuery, Passage, QueryRecord
 from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
 from hoplite.evaluation import EvalConfig, evaluate_run, set_em_f1
-from hoplite.index import IndexConfig, build_index, encode_corpus, exact_topk_oracle
+from hoplite.index import IndexConfig, build_index
 from hoplite.pipeline import (
     HopRecord,
     HopTrace,
@@ -37,6 +37,7 @@ from hoplite.supervision import (
 from hoplite.synth import PlantSpec, generate
 
 from conftest import subprocess_env
+from oracle import encode_corpus, exact_topk_oracle
 
 
 def _unit(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

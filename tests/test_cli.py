@@ -505,6 +505,30 @@ def test_index_pid_missing_from_corpus_exits_1_naming_it(workdir, tmp_path, comm
     assert r.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("text", ["   ", "!!! ..."], ids=["blank", "punctuation"])
+@pytest.mark.parametrize("command", ["retrieve", "run", "lho"])
+def test_a_query_without_tokens_exits_1_naming_it(workdir, tmp_path, command, text):
+    # such a query retrieves nothing: `retrieve` printed nothing, `run` wrote an
+    # empty hop-1 ranking, and `lho` marked it weak with a fallback, each exiting 0
+    data = workdir / "data"
+    lines = (data / "queries.jsonl").read_text().splitlines()
+    blank = {**json.loads(lines[1]), "text": text}
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("\n".join([lines[0], json.dumps(blank), *lines[2:]]) + "\n")
+    out = tmp_path / "out.jsonl"
+    args = {
+        "retrieve": ["--query", text],
+        "run": ["--queries", queries, "--out", out],
+        "lho": ["--queries", queries, "--out", out],
+    }[command]
+    r = run_cli(command, "--corpus", data / "corpus.jsonl", "--index", workdir / "flat.hlti",
+                *args, "--seed", 7)
+    assert r.returncode == 1
+    where = "--query" if command == "retrieve" else f"{queries}: line 2: qid {blank['qid']!r}"
+    assert where in r.stderr and "holds no token" in r.stderr
+    assert r.stdout == "" and not out.exists()
+
+
 def test_env_var_overrides_config(workdir, tmp_path):
     data = workdir / "data"
     out = tmp_path / "t.jsonl"

@@ -20,13 +20,13 @@ from hoplite.index import (
     _cluster_sums,
     build_index,
     candidates_for,
-    encode_corpus,
-    exact_topk_oracle,
     load_index,
     save_index,
 )
 from hoplite.retriever import RetrievalConfig, retrieve
 from hoplite.scoring import FocusParams, flipr_score
+
+from oracle import encode_corpus, exact_topk_oracle
 
 
 def _word_corpus(n_passages: int, tokens_per: int, seed: int) -> Corpus:

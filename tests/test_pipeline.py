@@ -88,7 +88,7 @@ def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
 
     state = MultiHopQuery(qid="q1", q0_text=query.text)
     eq = enc.encode_query(state)
-    ranked = retrieve(eq, runner.index, replace(runner.cfg.retrieval, k=4))
+    ranked = retrieve(eq, runner.retriever.index, replace(runner.cfg.retrieval, k=4))
     kept = condense(
         state,
         [tiny_corpus.get(sp.pid) for sp in ranked],
@@ -201,7 +201,8 @@ def test_hybrid_retrieves_hop_one_once(enc, tiny_corpus, monkeypatch, per_hop_k)
     assert len(calls) == 2 * len(per_hop_k) - 1
     assert trace.rerank.hops[0].ranked == trace.condensed.hops[0].ranked
     # the shared hop 1 leaves the rerank arm as a standalone rerank run writes it
-    rerank = PipelineRunner(tiny_corpus, runner.index, enc, replace(runner.cfg, variant="rerank"))
+    rerank = PipelineRunner(tiny_corpus, runner.retriever.index, enc,
+                            replace(runner.cfg, variant="rerank"))
     assert trace_record(trace.rerank) == trace_record(rerank.run(query))
 
 
@@ -357,11 +358,12 @@ def test_lockstep_batches_write_the_traces_of_queries_run_alone(
     assert max(most_alive) == 1
 
 
-# k = 70 on 120 passages is scored in one pass (2k >= pool), and its hop still screens
-@pytest.mark.parametrize("per_hop_k, screened_hops", [((5, 5, 5), 3), ((5, 70, 5), 3)])
+# k = 70 on 120 passages is scored in one pass (2k >= pool), and its hop screens nothing
+@pytest.mark.parametrize("per_hop_k, screened_hops", [((5, 5, 5), 3), ((5, 70, 5), 2)])
 def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
-    """A flat condensed batch of 10 screens each hop with one `screen_maxima`
-    call, screens the rows its queries screen alone, and writes their traces."""
+    """A flat condensed batch of 10 screens each hop that prunes with one
+    `screen_maxima` call, screens the rows its queries screen alone, and
+    writes their traces."""
     enc, planted, idx = _planted("flat")
     runner = PipelineRunner(planted.corpus, idx, enc, PipelineConfig(per_hop_k=per_hop_k))
     queries = planted.queries
@@ -377,6 +379,24 @@ def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
     assert len(stacked) == screened_hops
     assert len(sizes) == screened_hops * len(queries)
     assert sum(stacked) == sum(sizes)
+
+
+# 2k < pool at k = 5; at k = 70 no hop's pool exceeds 2k = 140
+@pytest.mark.parametrize("per_hop_k, pruning_hops",
+                         [((5, 5, 5), 3), ((5, 70, 5), 2), ((70, 70, 70), 0)])
+def test_a_hop_screens_once_per_window_if_its_lanes_prune(per_hop_k, pruning_hops):
+    """Over two windows, a flat condensed batch calls `screen_maxima` once per
+    window in each hop whose lanes prune, and never in a hop whose lanes
+    are scored in one pass."""
+    enc, planted, idx = _planted("flat")
+    runner = PipelineRunner(planted.corpus, idx, enc, PipelineConfig(per_hop_k=per_hop_k))
+    queries = planted.queries * 2  # a window of LOCKSTEP_QUERIES, then one of 4
+    assert LOCKSTEP_QUERIES < len(queries) <= 2 * LOCKSTEP_QUERIES
+    calls = []
+    screen = idx.screen_maxima
+    with patch.object(idx, "screen_maxima", lambda src: calls.append(len(src)) or screen(src)):
+        run_queries(runner, queries)
+    assert len(calls) == 2 * pruning_hops
 
 
 def test_a_batch_screens_a_repeated_query_once():

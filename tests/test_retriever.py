@@ -15,7 +15,6 @@ from hoplite.index import (
     TokenIndex,
     build_index,
     candidates_for,
-    exact_topk_oracle,
     rank_pool,
 )
 from hoplite.pipeline import PipelineRunner
@@ -24,6 +23,7 @@ from hoplite.scoring import FocusParams, flipr_score, screen_error
 from hoplite.supervision import TermWeightTrainer
 
 from conftest import unit_rows
+from oracle import exact_topk_oracle
 
 
 def _query(text: str) -> MultiHopQuery:

@@ -1,13 +1,19 @@
 import json
 import logging
 import time
+import weakref
+from functools import lru_cache
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from hoplite.corpus import Corpus, Passage, QueryRecord
-from hoplite.index import build_index
-from hoplite.retriever import RetrievalConfig, Retriever
+from hoplite.encoder import EncoderConfig, LexicalEncoder
+from hoplite.index import IndexConfig, RowCache, build_index
+from hoplite.pipeline import LOCKSTEP_QUERIES
+from hoplite.retriever import RetrievalConfig, Retriever, retrieve
 from hoplite.scoring import Ranking
 from hoplite.supervision import (
     HopSupervision,
@@ -29,15 +35,8 @@ from hoplite.supervision import (
 from hoplite.synth import PlantSpec, generate
 
 
-class StubRetriever:
-    """Fixed ranking, enough surface for discover_positives."""
-
-    def __init__(self, ranking):
-        self.ranking = list(ranking)
-
-    def retrieve(self, state, k=None):
-        pids = tuple(self.ranking if k is None else self.ranking[:k])
-        return Ranking(pids, np.arange(len(pids), 0, -1, dtype=np.float64), np.zeros(len(pids)))
+def _ranking(pids):
+    return Ranking(tuple(pids), np.arange(len(pids), 0, -1, dtype=np.float64), np.zeros(len(pids)))
 
 
 def _qrec(qid, text, gold=(), facts=(), answer=None):
@@ -61,13 +60,12 @@ def _states(queries):
 def test_discover_positives_head_intersection():
     q = _qrec("q", "text", gold={"A", "B"})
     out = discover_positives(
-        StubRetriever(["A", "x", "y", "B"]),
+        {"q": _ranking(["A", "x", "y", "B"])},
         _states([q]),
         {"q": q},
         {"q": {"A", "B"}},
         t=1,
         k_hat=2,
-        cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
     )["q"]
     assert out.positives == ("A",)
     assert out.fallback is False
@@ -79,13 +77,12 @@ def test_discover_positives_head_intersection():
 def test_discover_positives_none_in_head_promotes_best_gold():
     q = _qrec("q", "text", gold={"B"})
     out = discover_positives(
-        StubRetriever(["x", "y", "z", "B"]),
+        {"q": _ranking(["x", "y", "z", "B"])},
         _states([q]),
         {"q": q},
         {"q": {"B"}},
         t=1,
         k_hat=2,
-        cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
     )["q"]
     assert out.positives == ("B",)
     assert out.fallback is True
@@ -95,13 +92,12 @@ def test_discover_positives_none_in_head_promotes_best_gold():
 def test_discover_positives_unranked_gold_still_promoted():
     q = _qrec("q", "text", gold={"ghost"})
     out = discover_positives(
-        StubRetriever(["x", "y"]),
+        {"q": _ranking(["x", "y"])},
         _states([q]),
         {"q": q},
         {"q": {"ghost"}},
         t=1,
         k_hat=1,
-        cfg=LhoConfig(k_retrieve=10, k_hat=(1,)),
     )["q"]
     assert out.positives == ("ghost",)
     assert out.fallback is True
@@ -109,15 +105,7 @@ def test_discover_positives_unranked_gold_still_promoted():
 
 def test_discover_positives_exhausted_query_is_inactive():
     q = _qrec("q", "text", gold={"A"})
-    out = discover_positives(
-        StubRetriever(["A", "x"]),
-        _states([q]),
-        {"q": q},
-        {"q": set()},
-        t=1,
-        k_hat=2,
-        cfg=LhoConfig(k_retrieve=10, k_hat=(2,)),
-    )["q"]
+    out = discover_positives({}, _states([q]), {"q": q}, {"q": set()}, t=1, k_hat=2)["q"]
     assert out.positives == ()
     assert out.negatives == ()
     assert out.fallback is False
@@ -216,18 +204,7 @@ def test_shuffled_expansion_is_seeded():
         latent_hop_ordering(retriever, result.queries, cfg7, expansion="random")
 
 
-class RankingPerQuery:
-    """A fixed ranking per qid behind the Retriever surface LHO uses."""
-
-    def __init__(self, corpus, rankings):
-        self.corpus = corpus
-        self.rankings = rankings
-
-    def retrieve(self, state, k=None):
-        return StubRetriever(self.rankings[state.qid]).retrieve(state, k=k)
-
-
-def test_weak_queries_are_those_with_a_fallback_hop():
+def test_weak_queries_are_those_with_a_fallback_hop(monkeypatch):
     corpus = Corpus(
         [Passage(pid=p, title="", sentences=(f"{p} words",)) for p in ("A", "B", "x", "y")]
     )
@@ -236,9 +213,13 @@ def test_weak_queries_are_those_with_a_fallback_hop():
         _qrec("strong", "claim", gold={"A"}),
         _qrec("late", "claim", gold={"A", "B"}),  # B is left for hop 2's fallback
     ]
-    retriever = RankingPerQuery(
-        corpus, {"weak": ["x", "A", "B"], "strong": ["A", "x"], "late": ["A", "x", "y"]}
-    )
+    rankings = {"weak": ["x", "A", "B"], "strong": ["A", "x"], "late": ["A", "x", "y"]}
+    # a fixed ranking per qid in place of each hop's retrieval
+    monkeypatch.setattr("hoplite.supervision.RowCache", lambda index: None)
+    monkeypatch.setattr("hoplite.supervision.retrieve_hop",
+                        lambda retriever, k, states, excludes, cache:
+                        [_ranking(rankings[state.qid]) for state in states])
+    retriever = SimpleNamespace(corpus=corpus, index=None)
     lho = latent_hop_ordering(retriever, queries, LhoConfig(k_retrieve=10, k_hat=(1, 1)))
     fell_back = {
         qid for qid, hops in lho.records.items() if any(h.fallback for h in hops)
@@ -249,6 +230,80 @@ def test_weak_queries_are_those_with_a_fallback_hop():
     assert [h.fallback for h in lho.records["late"]] == [False, True]
     for rec in supervision_records(lho):
         assert rec["weak"] == (rec["qid"] in fell_back)
+
+
+@lru_cache(maxsize=None)
+def _two_windows(index_variant):
+    """A 3-hop planted corpus with LOCKSTEP_QUERIES + 4 queries (two windows)
+    and 140 passages, an encoder, and the corpus's index."""
+    result = _planted(hops=3, queries=LOCKSTEP_QUERIES + 4, seed=2)
+    enc = LexicalEncoder(EncoderConfig(dim=64, seed=1))
+    return result, enc, build_index(result.corpus, enc, IndexConfig(variant=index_variant))
+
+
+def _active(sets, hops):
+    """Per hop, per window of LOCKSTEP_QUERIES qids in sorted order, the
+    queries with gold left: a query's hop has a positive iff it had gold left."""
+    qids = sorted(sets.records)
+    return [[sum(bool(sets.records[qid][t].positives) for qid in qids[at : at + LOCKSTEP_QUERIES])
+             for at in range(0, len(qids), LOCKSTEP_QUERIES)] for t in range(hops)]
+
+
+# k_retrieve 4: 2k is under every pool, so every hop prunes; 80: 2k is at
+# least the 140 passages, so no hop does
+@pytest.mark.parametrize("k_retrieve", [4, 80])
+@pytest.mark.parametrize("trainer", ["identity", "term_weight"])
+@pytest.mark.parametrize("index_variant", ["flat", "ivf"])
+def test_lho_in_windows_mines_what_each_query_mines_alone(index_variant, trainer, k_retrieve):
+    """LHO over two windows writes the supervision each query gets retrieved
+    alone by `Retriever.retrieve` with a fresh cache, and calls
+    `screen_maxima` once per window of a hop whose lanes prune, never in a
+    hop whose lanes do not."""
+    result, enc, idx = _two_windows(index_variant)
+    retriever = Retriever(result.corpus, idx, enc, RetrievalConfig(k=k_retrieve))
+    cfg = LhoConfig(k_retrieve=k_retrieve, k_hat=(2, None, None), trainer=trainer)
+    calls = []
+    screen = idx.screen_maxima
+    with patch.object(idx, "screen_maxima", lambda src: calls.append(len(src)) or screen(src)):
+        windows = latent_hop_ordering(retriever, result.queries, cfg)
+    with patch("hoplite.supervision.retrieve_hop", lambda retriever, k, states, excludes, cache:
+               [retriever.retrieve(state, k=k) for state in states]):
+        alone = latent_hop_ordering(retriever, result.queries, cfg)
+    assert supervision_records(windows) == supervision_records(alone)
+    active = _active(windows, cfg.hops)
+    assert active[0] == [LOCKSTEP_QUERIES, 4]
+    pruning = k_retrieve == 4
+    assert len(calls) == sum(n > 0 for hop in active for n in hop) * pruning
+
+
+def test_lho_holds_one_window_cache_at_a_time(monkeypatch):
+    """Each hop's window of LOCKSTEP_QUERIES queries gets a fresh `RowCache`
+    for its queries with gold left, and at most one is alive at a time: one
+    cache per call would grow with the queryset."""
+    result, enc, idx = _two_windows("ivf")
+    retriever = Retriever(result.corpus, idx, enc, RetrievalConfig(k=20))
+    served = []  # retrieve calls per cache, in the order the caches were made
+    alive = weakref.WeakSet()  # caches not yet freed
+    most_alive = []
+
+    class Tracked(RowCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.serial = len(served)
+            served.append(0)
+            alive.add(self)
+
+    def recording(eq, *args, cache, **kwargs):
+        served[cache.serial] += 1
+        most_alive.append(len(alive))
+        return retrieve(eq, *args, cache=cache, **kwargs)
+
+    monkeypatch.setattr("hoplite.supervision.RowCache", Tracked)
+    monkeypatch.setattr("hoplite.pipeline.retrieve", recording)
+    cfg = LhoConfig(k_retrieve=20, k_hat=(5, None, None))
+    sets = latent_hop_ordering(retriever, result.queries, cfg)
+    assert served == [n for hop in _active(sets, cfg.hops) for n in hop]
+    assert max(most_alive) == 1
 
 
 def test_oversize_gold_warning(caplog):

@@ -1,0 +1,56 @@
+#!/bin/sh
+# Writes a fixed set of `hoplite` outputs, so that two checkouts can be
+# compared byte for byte:
+#
+#   tools/cli_outputs.sh CHECKOUT OUTDIR
+#   tools/cli_outputs.sh PARENT_CHECKOUT OTHER_OUTDIR
+#   diff -r OUTDIR OTHER_OUTDIR
+#
+# It runs the package in CHECKOUT/src (nothing is installed) from inside
+# OUTDIR, with relative paths, so every file, stdout.txt included, depends
+# only on the code. Every command gets --seed 1. The set:
+#   synth/            600 passages, 40 queries, 3 hops
+#   flat.idx ivf.idx  both index variants
+#   run-*.jsonl       condensed, rerank and hybrid on each index, and a
+#                     condensed run whose hop 2 is scored in one pass
+#   lho-*.jsonl       lho with --truth and --triples-out, with the
+#                     term_weight trainer, with --k-hat 2,all,all, and
+#                     with a k_retrieve whose hops screen
+#   eval.json         eval --out of the condensed flat run
+#   stdout.txt        what every command printed, in order
+set -eu
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 CHECKOUT OUTDIR" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)/src
+mkdir -p "$2"
+cd "$2"
+
+hoplite() {
+    PYTHONPATH="$src" python3 -m hoplite.cli "$@" --seed 1 --log-level warning >> stdout.txt
+}
+
+: > stdout.txt
+hoplite synth --out synth --queries 40 --corpus-size 600 --hops 3
+data="--corpus synth/corpus.jsonl --queries synth/queries.jsonl"
+for variant in flat ivf; do
+    hoplite build-index --corpus synth/corpus.jsonl --variant "$variant" --out "$variant.idx"
+    for mode in condensed rerank hybrid; do
+        hoplite run $data --index "$variant.idx" --variant "$mode" --out "run-$variant-$mode.jsonl"
+    done
+done
+# 2k = 800 at hop 2 is at least the pool: that hop is scored in one pass
+export HOPLITE_PIPELINE_PER_HOP_K="[5, 400, 5]"
+hoplite run $data --index flat.idx --out run-flat-one-pass.jsonl
+unset HOPLITE_PIPELINE_PER_HOP_K
+hoplite lho $data --index ivf.idx --truth synth/truth.jsonl \
+    --out lho-ivf.jsonl --triples-out lho-ivf-triples.jsonl
+hoplite lho $data --index ivf.idx --trainer term_weight --out lho-ivf-term-weight.jsonl
+hoplite lho $data --index flat.idx --k-hat 2,all,all --out lho-flat-k-hat.jsonl
+# 2k = 100 is under the pool: every lho hop screens
+export HOPLITE_SUPERVISION_K_RETRIEVE=50
+hoplite lho $data --index flat.idx --out lho-flat-screened.jsonl
+unset HOPLITE_SUPERVISION_K_RETRIEVE
+hoplite eval $data --traces run-flat-condensed.jsonl --out eval.json
