@@ -5,6 +5,8 @@ passages of a trace's union list. Passage and sentence EM/F1 compare
 predicted sets against gold sets. Answer recall checks for the answer
 string (normalized) in the top-k passage texts, skipping yes/no answers.
 Verification accuracy is computed only when traces carry verdicts.
+`pipeline.trace_view` reads each trace record, and raises ValueError naming
+the first field these metrics read that is missing or of the wrong kind.
 
 Every metric is a fraction in [0, 1]; the text table renders percentages
 with one decimal. Results are stratified by hop count, and each overall
@@ -18,6 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import Corpus, QueryRecord
+from .pipeline import trace_view
 from .util import normalize_answer_text
 
 DEFAULT_RETRIEVAL_K = 100
@@ -76,20 +79,6 @@ class EvalConfig:
             )
 
 
-@dataclass
-class _Row:
-    """Per-query metric values; None when the query is outside a denominator."""
-
-    num_hops: int | None
-    retrieval_at_k: int | None = None
-    passage_em: float | None = None
-    passage_f1: float | None = None
-    sentence_em: float | None = None
-    sentence_f1: float | None = None
-    answer_recall_at_k: int | None = None
-    verification_accuracy: int | None = None
-
-
 @dataclass(frozen=True)
 class MetricBlock:
     n_queries: int
@@ -107,27 +96,24 @@ class MetricBlock:
     verification_n: int
 
 
-def _mean(pairs: list[float]) -> float | None:
-    return sum(pairs) / len(pairs) if pairs else None
+# Each metric, the MetricBlock field counting the queries it is defined for,
+# and its table label ({r} and {a}: the retrieval and answer k).
+_METRICS = (
+    ("retrieval_at_k", "retrieval_n", "Retrieval@{r}"),
+    ("passage_em", "passage_n", "Passage EM"),
+    ("passage_f1", "passage_n", "Passage F1"),
+    ("sentence_em", "sentence_n", "Sentence EM"),
+    ("sentence_f1", "sentence_n", "Sentence F1"),
+    ("answer_recall_at_k", "answer_n", "Answer-Recall@{a}"),
+    ("verification_accuracy", "verification_n", "Verification Acc"),
+)
 
 
-# Each _Row metric and the MetricBlock field counting the rows that have it.
-_COUNTS = {
-    "retrieval_at_k": "retrieval_n",
-    "passage_em": "passage_n",
-    "passage_f1": "passage_n",
-    "sentence_em": "sentence_n",
-    "sentence_f1": "sentence_n",
-    "answer_recall_at_k": "answer_n",
-    "verification_accuracy": "verification_n",
-}
-
-
-def _aggregate(rows: list[_Row]) -> MetricBlock:
+def _aggregate(rows: list[dict]) -> MetricBlock:
     block: dict = {"n_queries": len(rows)}
-    for metric, count in _COUNTS.items():
-        values = [getattr(r, metric) for r in rows if getattr(r, metric) is not None]
-        block[metric] = _mean(values)
+    for metric, count, _ in _METRICS:
+        values = [row[metric] for row in rows if metric in row]
+        block[metric] = sum(values) / len(values) if values else None
         block[count] = len(values)
     return MetricBlock(**block)
 
@@ -146,30 +132,12 @@ class MetricsReport:
 
         cols = ["overall"] + sorted(self.by_hops)
         blocks = {"overall": self.overall, **self.by_hops}
-        metrics = [
-            (f"Retrieval@{self.retrieval_k}", "retrieval_at_k"),
-            ("Passage EM", "passage_em"),
-            ("Passage F1", "passage_f1"),
-            ("Sentence EM", "sentence_em"),
-            ("Sentence F1", "sentence_f1"),
-            (f"Answer-Recall@{self.answer_k}", "answer_recall_at_k"),
-            ("Verification Acc", "verification_accuracy"),
-        ]
-        width = max(len(name) for name, _ in metrics) + 2
         rows = [("", cols), ("queries", [str(blocks[c].n_queries) for c in cols])]
-        rows += [(name, [pct(getattr(blocks[c], attr)) for c in cols]) for name, attr in metrics]
+        rows += [(label.format(r=self.retrieval_k, a=self.answer_k),
+                  [pct(getattr(blocks[c], metric)) for c in cols]) for metric, _, label in _METRICS]
+        width = max(len(name) for name, _ in rows) + 2
         return "\n".join(name.ljust(width) + "".join(v.rjust(12) for v in values)
                          for name, values in rows)
-
-
-def _trace_views(rec: dict) -> tuple[list[str], list[dict], list[str], bool | None]:
-    """(union pids, kept fact dicts, context pids, verdict) for one record; a
-    hybrid record's union is `merged`, and its condensed arm keeps the facts."""
-    hybrid = rec.get("variant") == "hybrid"
-    facts, contexts = (rec["condensed"], rec["rerank"]) if hybrid else (rec, rec)
-    kept = [f for hop in facts["hops"] for f in hop["kept_facts"]]
-    ctx = [hop["context_pid"] for hop in contexts["hops"] if hop.get("context_pid")]
-    return list(rec["merged" if hybrid else "union"]), kept, ctx, facts.get("verdict")
 
 
 def check_query_texts(records: Sequence[dict], queries: Sequence[QueryRecord]) -> None:
@@ -178,12 +146,11 @@ def check_query_texts(records: Sequence[dict], queries: Sequence[QueryRecord]) -
     Synth names qids alike under every seed, so only the text tells two
     querysets apart. Records without a `q0` and unknown qids pass."""
     texts = {q.qid: q.text for q in queries}
-    for rec in records:
-        q0 = (rec["condensed"] if rec.get("variant") == "hybrid" else rec).get("q0")
-        text = texts.get(rec["qid"])
-        if None not in (q0, text) and q0 != text:
+    for view in map(trace_view, records):
+        text = texts.get(view.qid)
+        if None not in (view.q0, text) and view.q0 != text:
             raise ValueError(
-                f"the trace of qid {rec['qid']!r} ran the query {q0!r}, but the queryset's "
+                f"the trace of qid {view.qid!r} ran the query {view.q0!r}, but the queryset's "
                 f"text for it is {text!r}: traces of another queryset?"
             )
 
@@ -194,39 +161,35 @@ def evaluate_run(
     corpus: Corpus,
     cfg: EvalConfig | None = None,
 ) -> MetricsReport:
+    """The report over parsed records; ValueError on a record `trace_view` refuses."""
     cfg = cfg or EvalConfig()
+    views = [trace_view(rec) for rec in records]
     by_qid = {q.qid: q for q in queries}
-    missing = sorted({rec["qid"] for rec in records} - set(by_qid))
+    missing = sorted({view.qid for view in views} - set(by_qid))
     if missing:
         raise ValueError(f"traces reference unknown qids: {missing}")
     supported_only = cfg.supported_only
     if supported_only is None:
         supported_only = any(q.label is not None for q in queries)
 
-    rows: list[_Row] = []
-    for rec in records:
-        q = by_qid[rec["qid"]]
-        union, kept, ctx, verdict = _trace_views(rec)
-        row = _Row(num_hops=q.num_hops)
+    rows: list[dict] = []
+    strata: dict[str, list[dict]] = {}
+    for view in views:
+        q = by_qid[view.qid]
+        row: dict = {}
         if q.gold_pids:
             if not supported_only or q.label is not False:
-                row.retrieval_at_k = retrieval_at_k(union, set(q.gold_pids), cfg.retrieval_k)
-            # rerank predicts its context passages, the others those of their kept facts
-            predicted = set(ctx) if rec.get("variant") == "rerank" else {f["pid"] for f in kept}
-            row.passage_em, row.passage_f1 = set_em_f1(predicted, set(q.gold_pids))
+                row["retrieval_at_k"] = retrieval_at_k(view.union, set(q.gold_pids),
+                                                       cfg.retrieval_k)
+            row["passage_em"], row["passage_f1"] = set_em_f1(set(view.passages), set(q.gold_pids))
         if q.gold_facts:
-            pred_sent = {(f["pid"], f["sentence_index"]) for f in kept}
-            row.sentence_em, row.sentence_f1 = set_em_f1(pred_sent, set(q.gold_facts))
+            row["sentence_em"], row["sentence_f1"] = set_em_f1(set(view.kept), set(q.gold_facts))
         if q.answer is not None and normalize_answer_text(q.answer) not in _YES_NO:
-            row.answer_recall_at_k = answer_recall(union, q.answer, cfg.answer_k, corpus)
-        if q.label is not None and verdict is not None:
-            row.verification_accuracy = 1 if verdict == q.label else 0
+            row["answer_recall_at_k"] = answer_recall(view.union, q.answer, cfg.answer_k, corpus)
+        if q.label is not None and view.verdict is not None:
+            row["verification_accuracy"] = 1 if view.verdict == q.label else 0
         rows.append(row)
-
-    strata: dict[str, list[_Row]] = {}
-    for row in rows:
-        key = str(row.num_hops) if row.num_hops is not None else "unknown"
-        strata.setdefault(key, []).append(row)
+        strata.setdefault("unknown" if q.num_hops is None else str(q.num_hops), []).append(row)
     return MetricsReport(
         overall=_aggregate(rows),
         by_hops={k: _aggregate(v) for k, v in strata.items()},

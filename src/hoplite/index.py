@@ -5,8 +5,8 @@ matrix. Storage keeps the passages grouped by row count L: buckets in
 ascending L, passages within a bucket in pid-table order. Each bucket is
 then one contiguous (n, L, dim) block, so the screen folds strided views
 of its similarity matrix and the exact kernel slices whole passages out
-of it. The pid table stays in corpus order; `rows_for`, `row_counts` and
-`vec_to_pid` follow from the row counts. Search on the flat variant is
+of it. The pid table stays in corpus order; `row_counts` and `vec_to_pid`
+follow from the row counts. Search on the flat variant is
 exact: retrieval scores every passage. The IVF variant buckets vectors
 under k-means centroids; `candidates_for` probes the nearest few lists
 per source vector and keeps each vector's top results_per_vector hits,
@@ -253,11 +253,6 @@ class TokenIndex:
     def positions_of(self, pids: Iterable[str]) -> list[int]:
         """Positions in the pid table of those of `pids` the index holds."""
         return [self._pid_to_idx[pid] for pid in pids if pid in self._pid_to_idx]
-
-    def rows_for(self, pid: str) -> tuple[int, int]:
-        """The storage rows [lo, hi) of one passage."""
-        i = self._pid_to_idx[pid]
-        return int(self._starts[i]), int(self._starts[i] + self._counts[i])
 
     def row_counts(self) -> np.ndarray:
         """Each pid's number of rows, in pid-table order (read-only)."""

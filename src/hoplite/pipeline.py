@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -300,16 +300,6 @@ def merge_hybrid(
 # Trace serialization (JSON Lines; optional meta record first).
 
 
-def _fact_record(f: Fact) -> dict:
-    return {
-        "pid": f.pid,
-        "sentence_index": f.sentence_index,
-        "text": f.text,
-        "stage1_score": f.stage1_score,
-        "stage2_score": f.stage2_score,
-    }
-
-
 def _ranked_records(ranked: Ranking) -> list[dict]:
     scores = zip(ranked.pids, ranked.s_query.tolist(), ranked.s_fact.tolist())
     return [{"pid": pid, "score": q + f, "s_query": q, "s_fact": f} for pid, q, f in scores]
@@ -335,14 +325,14 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
             {
                 "t": hop.t,
                 "ranked": _ranked_records(hop.ranked),
-                "kept_facts": [_fact_record(f) for f in hop.kept_facts],
+                "kept_facts": [vars(f) for f in hop.kept_facts],  # the Facts' own dicts: read-only
                 "context_pid": hop.context_pid,
                 "excluded": sorted(union[:at]),  # the earlier hops' pids
             }
             for hop, at in zip(trace.hops, starts)
         ],
         "union": union,
-        "final_facts": [_fact_record(f) for f in trace.final_facts],
+        "final_facts": [vars(f) for f in trace.final_facts],
         "final_query": trace.final_query_text,
     }
     if trace.verdict is not None:
@@ -361,41 +351,74 @@ def write_traces(
     write_jsonl(path, records)
 
 
-def _missing(obj: object, what: str, keys: Sequence[str]) -> Iterator[str]:
-    if not isinstance(obj, dict):
-        yield f"{what} is not a JSON object"
-        return
-    yield from (f"{what} has no {key!r} field" for key in keys if key not in obj)
+class TraceView(NamedTuple):
+    """What `eval` reads of one trace record; a hybrid's is its condensed arm's."""
+
+    qid: str
+    q0: str | None  # None: not recorded
+    union: list[str]
+    passages: list[str]  # its context pids for rerank, else the pids of its kept facts
+    kept: list[tuple[str, int]]  # (pid, sentence_index) of each kept fact, hop by hop
+    verdict: bool | None
 
 
-def _not_lists(obj: dict, keys: Sequence[str]) -> Iterator[str]:
-    yield from (f"{key!r} is not a list" for key in keys if not isinstance(obj[key], list))
+def _need(ok: bool, problem: str) -> None:
+    if not ok:
+        raise ValueError(problem)
 
 
-def _trace_problems(rec: object, what: str = "trace record") -> Iterator[str]:
-    """Why a parsed line is not a trace record with the fields readers use;
-    lazy, so the first problem stops the walk before it indexes a bad value."""
-    if isinstance(rec, dict) and rec.get("variant") == VARIANT_HYBRID:
-        yield from _missing(rec, what, ("qid", "merged", "condensed", "rerank"))
-        yield from _not_lists(rec, ("merged",))
-        yield from _trace_problems(rec["condensed"], "'condensed' trace")
-        yield from _trace_problems(rec["rerank"], "'rerank' trace")
-        return
-    yield from _missing(rec, what, ("qid", "union", "hops"))
-    yield from _not_lists(rec, ("union", "hops"))
-    for hop in rec["hops"]:
-        yield from _missing(hop, "hop", ("kept_facts",))
-        yield from _not_lists(hop, ("kept_facts",))
-        for fact in hop["kept_facts"]:
-            yield from _missing(fact, "kept fact", ("pid", "sentence_index"))
+def _fields(obj: object, what: str, keys: Sequence[str]) -> None:
+    _need(isinstance(obj, dict), f"{what} is not a JSON object")
+    for key in keys:
+        _need(key in obj, f"{what} has no {key!r} field")
+
+
+def _list(obj: dict, key: str, strings: bool = False) -> list:
+    _need(isinstance(obj[key], list), f"{key!r} is not a list")
+    _need(not strings or all(type(v) is str for v in obj[key]), f"{key!r} has a non-string entry")
+    return obj[key]
+
+
+def trace_view(rec: object, what: str = "trace record") -> TraceView:
+    """What `eval` reads of one parsed trace record, or ValueError naming the
+    first field that is missing or of the wrong kind (`read_traces` lists them).
+    A hybrid record reads as its condensed arm with its own qid and `merged`."""
+    hybrid = isinstance(rec, dict) and rec.get("variant") == VARIANT_HYBRID
+    keys = ("qid", "merged", "condensed", "rerank") if hybrid else ("qid", "union", "hops")
+    _fields(rec, what, keys)
+    _need(isinstance(rec["qid"], str), "'qid' is not a string")
+    if hybrid:
+        merged = _list(rec, "merged", strings=True)
+        condensed = trace_view(rec["condensed"], "'condensed' trace")
+        trace_view(rec["rerank"], "'rerank' trace")
+        return condensed._replace(qid=rec["qid"], union=merged)
+    union = _list(rec, "union", strings=True)
+    kept, contexts = [], []
+    for hop in _list(rec, "hops"):
+        _fields(hop, "hop", ("kept_facts",))
+        for fact in _list(hop, "kept_facts"):
+            _fields(fact, "kept fact", ("pid", "sentence_index"))
+            _need(isinstance(fact["pid"], str), "kept fact 'pid' is not a string")
+            _need(type(fact["sentence_index"]) is int, "'sentence_index' is not an integer")
+            kept.append((fact["pid"], fact["sentence_index"]))
+        context = hop.get("context_pid")
+        _need(context is None or isinstance(context, str), "'context_pid' is not a string or null")
+        if context:
+            contexts.append(context)
+    _need(type(rec.get("verdict")) in (bool, type(None)), "'verdict' is not true, false or null")
+    passages = contexts if rec.get("variant") == VARIANT_RERANK else [pid for pid, _ in kept]
+    return TraceView(rec["qid"], rec.get("q0"), union, passages, kept, rec.get("verdict"))
 
 
 def read_traces(path: str | Path) -> tuple[dict | None, list[dict]]:
     """Returns (meta, records); meta is None when the file has no meta line.
 
-    A record that is not an object, lacks a field readers use, or holds a
-    non-list where readers iterate (`union`, `hops`, `kept_facts`, `merged`)
-    raises ValueError naming the file, the line and the field.
+    Each record is returned as parsed once `trace_view` has read it: an object
+    with a string `qid`, a `union` list of pid strings and a `hops` list of
+    objects with a `kept_facts` list of objects with a string `pid` and an
+    integer `sentence_index` (`verdict` and `context_pid`, if not null, are a
+    bool and a string), or a hybrid record with `qid`, `merged` and two such
+    records. Else ValueError names the file, the line and the field at fault.
     """
     meta = None
     records: list[dict] = []
@@ -403,8 +426,9 @@ def read_traces(path: str | Path) -> tuple[dict | None, list[dict]]:
         if lineno == 1 and isinstance(obj, dict) and "meta" in obj:
             meta = obj["meta"]
             continue
-        problem = next(_trace_problems(obj), None)
-        if problem:
-            raise ValueError(f"{path}: line {lineno}: {problem}")
+        try:
+            trace_view(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.append(obj)
     return meta, records

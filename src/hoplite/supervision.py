@@ -19,9 +19,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, product, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,21 +402,8 @@ def build_triples(
             need = min(len(neg), math.ceil(cap_per_hop / len(pos)))
             picked = sorted(rng.choice(len(neg), size=need, replace=False).tolist())
             sampled = [neg[i] for i in picked]
-            emitted = 0
-            for p in pos:
-                for n in sampled:
-                    if emitted >= cap_per_hop:
-                        break
-                    triples.append(
-                        TrainingTriple(
-                            qid=qid,
-                            hop=hop.t,
-                            query_text=hop.query_text,
-                            positive=p,
-                            negative=n,
-                        )
-                    )
-                    emitted += 1
+            triples.extend(TrainingTriple(qid, hop.t, hop.query_text, p, n)
+                           for p, n in islice(product(pos, sampled), cap_per_hop))
     return triples
 
 
@@ -461,45 +448,39 @@ def order_recovery(
     )
 
 
-def supervision_records(sets: SupervisionSet) -> list[dict]:
+def supervision_records(sets: SupervisionSet) -> Iterator[dict]:
     weak = sets.weak_qids
-    out = []
     for qid in sorted(sets.records):
-        out.append(
-            {
-                "qid": qid,
-                "weak": qid in weak,
-                "hops": [
-                    {
-                        "t": hop.t,
-                        "positives": list(hop.positives),
-                        "negatives": list(hop.negatives),
-                        "fallback": hop.fallback,
-                        "query_text": hop.query_text,
-                    }
-                    for hop in sets.records[qid]
-                ],
-            }
-        )
-    return out
+        yield {
+            "qid": qid,
+            "weak": qid in weak,
+            "hops": [
+                {
+                    "t": hop.t,
+                    "positives": list(hop.positives),
+                    "negatives": list(hop.negatives),
+                    "fallback": hop.fallback,
+                    "query_text": hop.query_text,
+                }
+                for hop in sets.records[qid]
+            ],
+        }
 
 
-def triple_records(triples: Sequence[TrainingTriple]) -> list[dict]:
-    return [
-        {
+def triple_records(triples: Iterable[TrainingTriple]) -> Iterator[dict]:
+    for t in triples:
+        yield {
             "qid": t.qid,
             "hop": t.hop,
             "query": t.query_text,
             "positive": t.positive,
             "negative": t.negative,
         }
-        for t in triples
-    ]
 
 
 def write_supervision(path: str | Path, sets: SupervisionSet) -> None:
     write_jsonl(path, supervision_records(sets))
 
 
-def write_triples(path: str | Path, triples: Sequence[TrainingTriple]) -> None:
+def write_triples(path: str | Path, triples: Iterable[TrainingTriple]) -> None:
     write_jsonl(path, triple_records(triples))

@@ -6,6 +6,7 @@ import numpy as np
 
 from hoplite.corpus import Corpus
 from hoplite.encoder import EncodedQuery, LexicalEncoder
+from hoplite.index import TokenIndex
 from hoplite.scoring import Ranking, flipr_score
 
 
@@ -34,3 +35,14 @@ def exact_topk_oracle(
 def encode_corpus(corpus: Corpus, encoder: LexicalEncoder) -> dict[str, np.ndarray]:
     """Precompute passage encodings keyed by pid (for the oracle hot path)."""
     return {p.pid: encoder.encode_passage(p) for p in corpus}
+
+
+def rows_for(index: TokenIndex, pid: str) -> tuple[int, int]:
+    """The storage rows [lo, hi) of one passage, from `row_counts()` alone:
+    storage holds the passages by row count, ascending, and in pid-table
+    order within one row count."""
+    counts = index.row_counts()
+    i = index.pids.index(pid)
+    before = (counts < counts[i]) | ((counts == counts[i]) & (np.arange(len(counts)) < i))
+    lo = int(counts[before].sum())
+    return lo, lo + int(counts[i])

@@ -37,7 +37,7 @@ from hoplite.supervision import (
 from hoplite.synth import PlantSpec, generate
 
 from conftest import subprocess_env
-from oracle import encode_corpus, exact_topk_oracle
+from oracle import encode_corpus, exact_topk_oracle, rows_for
 
 
 def _unit(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -139,7 +139,7 @@ def test_a03_ivf_recall(acceptance_log):
 
     # exact top-20 straight from the flat storage, all math in float64
     storage = flat.storage.astype(np.float64)
-    starts = np.array([flat.rows_for(pid)[0] for pid in flat.pids])
+    starts = np.array([rows_for(flat, pid)[0] for pid in flat.pids])
     pid_arr = np.array(flat.pids)
     exact_sets = []
     for eq in eqs:

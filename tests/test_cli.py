@@ -296,6 +296,11 @@ def test_lho_and_eval_flow(workdir, tmp_path):
 _FACT = {"pid": "p", "sentence_index": 0}
 
 
+def _with_fact(fact):
+    """A trace record whose one hop keeps _FACT, then `fact`."""
+    return {"qid": "q", "union": [], "hops": [{"kept_facts": [_FACT, fact]}]}
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -319,6 +324,27 @@ _FACT = {"pid": "p", "sentence_index": 0}
              "condensed": {"qid": "q", "union": [], "hops": []},
              "rerank": {"qid": "q", "union": [], "hops": []}},
             "'merged' is not a list",
+        ),
+        ({"qid": "q", "union": [["p"]], "hops": []}, "'union' has a non-string entry"),
+        ({"qid": "q", "union": [5], "hops": []}, "'union' has a non-string entry"),
+        (
+            {"qid": "q", "variant": "hybrid", "merged": ["p", 5],
+             "condensed": {"qid": "q", "union": [], "hops": []},
+             "rerank": {"qid": "q", "union": [], "hops": []}},
+            "'merged' has a non-string entry",
+        ),
+        (_with_fact({"pid": ["p"], "sentence_index": 0}), "kept fact 'pid' is not a string"),
+        (_with_fact({"pid": "p", "sentence_index": "0"}), "'sentence_index' is not an integer"),
+        (_with_fact({"pid": "p", "sentence_index": True}), "'sentence_index' is not an integer"),
+        (
+            {"qid": "q", "variant": "rerank", "union": ["p"],
+             "hops": [{"kept_facts": [], "context_pid": ["p"]}]},
+            "'context_pid' is not a string or null",
+        ),
+        ({"qid": ["q"], "union": [], "hops": []}, "'qid' is not a string"),
+        (
+            {"qid": "q", "union": [], "hops": [], "verdict": "yes"},
+            "'verdict' is not true, false or null",
         ),
     ],
 )

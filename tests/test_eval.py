@@ -273,6 +273,42 @@ def test_evaluate_run_rejects_unknown_qid():
         evaluate_run([_rec("ghost", ["A"], [])], _queries(), _corpus())
 
 
+def _drop_hops(rec):
+    del rec["hops"]
+
+
+def _list_in_union(rec):
+    rec["union"].append(["A"])
+
+
+def _list_as_fact_pid(rec):
+    rec["hops"][0]["kept_facts"][0]["pid"] = ["A"]
+
+
+def _bool_as_sentence_index(rec):
+    rec["hops"][0]["kept_facts"][0]["sentence_index"] = False
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_drop_hops, "trace record has no 'hops' field"),
+        (_list_in_union, "'union' has a non-string entry"),
+        (_list_as_fact_pid, "kept fact 'pid' is not a string"),
+        (_bool_as_sentence_index, "'sentence_index' is not an integer"),
+    ],
+)
+def test_evaluate_run_names_the_malformed_field(spoil, message):
+    rec = _rec("q1", ["A", "B"], [("A", 0)])
+    spoil(rec)
+    with pytest.raises(ValueError) as err:
+        evaluate_run([rec], _queries(), _corpus())
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        check_query_texts([rec], _queries())
+    assert str(err.value) == message
+
+
 def test_rerank_records_predict_context_pids():
     corpus = _corpus()
     q = QueryRecord(

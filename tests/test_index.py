@@ -26,7 +26,7 @@ from hoplite.index import (
 from hoplite.retriever import RetrievalConfig, retrieve
 from hoplite.scoring import FocusParams, flipr_score
 
-from oracle import encode_corpus, exact_topk_oracle
+from oracle import encode_corpus, exact_topk_oracle, rows_for
 
 
 def _word_corpus(n_passages: int, tokens_per: int, seed: int) -> Corpus:
@@ -67,7 +67,7 @@ def _brute_force_hits(eq, idx, rpv):
 
 def _pid_rows(idx):
     """The storage rows of `idx` in pid order: passage by passage, row by row."""
-    return np.concatenate([np.arange(*idx.rows_for(pid)) for pid in idx.pids])
+    return np.concatenate([np.arange(*rows_for(idx, pid)) for pid in idx.pids])
 
 
 def test_flat_index_vector_layout():
@@ -85,7 +85,7 @@ def test_flat_index_vector_layout():
     assert idx.dim == 16
     assert idx.pids == ("a", "b", "c")
     assert list(idx.row_counts()) == [4, 4, 4]
-    assert idx.rows_for("b") == (4, 8)
+    assert rows_for(idx, "b") == (4, 8)
     assert np.array_equal(idx.storage[4:8], enc.encode_passage(corpus.get("b")))
     assert idx.storage.dtype == np.float32
 
@@ -100,7 +100,7 @@ def test_index_keeps_tokenless_passage_pid():
     )
     idx = build_index(corpus, enc)
     assert idx.pids == ("a", "empty")
-    assert idx.rows_for("empty") == (0, 0)  # row count 0 sorts before every bucket
+    assert rows_for(idx, "empty") == (0, 0)  # row count 0 sorts before every bucket
     assert list(idx.row_counts()) == [3, 0]
 
 
@@ -113,10 +113,10 @@ def test_storage_groups_passages_by_row_count():
     idx = build_index(corpus, enc)
     assert idx.pids == ("p0", "p1", "p2", "p3", "p4")
     assert list(idx.row_counts()) == [3, 1, 2, 1, 0]
-    assert [idx.rows_for(pid) for pid in idx.pids] == [(4, 7), (0, 1), (2, 4), (1, 2), (0, 0)]
+    assert [rows_for(idx, pid) for pid in idx.pids] == [(4, 7), (0, 1), (2, 4), (1, 2), (0, 0)]
     assert idx.vec_to_pid.tolist() == [1, 3, 2, 2, 0, 0, 0]
     for passage in corpus:
-        lo, hi = idx.rows_for(passage.pid)
+        lo, hi = rows_for(idx, passage.pid)
         assert np.array_equal(idx.storage[lo:hi], enc.encode_passage(passage))
     assert not idx.row_counts().flags.writeable
 
@@ -505,7 +505,7 @@ def test_round_trip_over_mixed_row_counts(lengths, ivf, seed):
         idx = load_index(path)
     assert idx.pids == corpus.pids
     for passage in corpus:
-        lo, hi = idx.rows_for(passage.pid)
+        lo, hi = rows_for(idx, passage.pid)
         assert idx.storage[lo:hi].tobytes() == enc.encode_passage(passage).tobytes()
     rcfg = RetrievalConfig(k=int(rng.integers(1, len(lengths) + 1)),
                            results_per_vector=idx.n_vectors)

@@ -23,7 +23,7 @@ from hoplite.scoring import FocusParams, flipr_score, screen_error
 from hoplite.supervision import TermWeightTrainer
 
 from conftest import unit_rows
-from oracle import exact_topk_oracle
+from oracle import exact_topk_oracle, rows_for
 
 
 def _query(text: str) -> MultiHopQuery:
@@ -172,7 +172,7 @@ def _solo(eq: EncodedQuery, index: TokenIndex, positions, focus: FocusParams) ->
     """Each passage at `positions` scored alone with `flipr_score`."""
     out = []
     for i in positions:
-        lo, hi = index.rows_for(index.pids[i])
+        lo, hi = rows_for(index, index.pids[i])
         out.append(flipr_score(eq, index.storage[lo:hi], focus, pid=index.pids[i]))
     return out
 
@@ -243,7 +243,7 @@ def test_scores_do_not_depend_on_the_pool(case, stack_bytes):
         # exact copies tie, and every tie breaks by ascending pid
         assert ranked == sorted(ranked, key=lambda sp: (-sp.score, sp.pid))
     full = list(retrieve(eq, flat, everything))
-    rows = {pid: flat.storage[slice(*flat.rows_for(pid))].tobytes() for pid in flat.pids}
+    rows = {pid: flat.storage[slice(*rows_for(flat, pid))].tobytes() for pid in flat.pids}
     for a, b in zip(full, full[1:]):
         if rows[a.pid] == rows[b.pid]:
             assert a.score == b.score and a.pid < b.pid

@@ -190,7 +190,7 @@ def test_latent_hop_ordering_deterministic():
     cfg = LhoConfig(k_retrieve=20, k_hat=(5, 5))
     a = latent_hop_ordering(retriever, result.queries, cfg)
     b = latent_hop_ordering(retriever, result.queries, cfg)
-    assert supervision_records(a) == supervision_records(b)
+    assert list(supervision_records(a)) == list(supervision_records(b))
 
 
 def test_shuffled_expansion_is_seeded():
@@ -199,7 +199,7 @@ def test_shuffled_expansion_is_seeded():
     cfg7 = LhoConfig(k_retrieve=20, k_hat=(5, 5), seed=7)
     a = latent_hop_ordering(retriever, result.queries, cfg7, expansion="shuffled")
     b = latent_hop_ordering(retriever, result.queries, cfg7, expansion="shuffled")
-    assert supervision_records(a) == supervision_records(b)
+    assert list(supervision_records(a)) == list(supervision_records(b))
     with pytest.raises(ValueError, match="expansion"):
         latent_hop_ordering(retriever, result.queries, cfg7, expansion="random")
 
@@ -269,7 +269,7 @@ def test_lho_in_windows_mines_what_each_query_mines_alone(index_variant, trainer
     with patch("hoplite.supervision.retrieve_hop", lambda retriever, k, states, excludes, cache:
                [retriever.retrieve(state, k=k) for state in states]):
         alone = latent_hop_ordering(retriever, result.queries, cfg)
-    assert supervision_records(windows) == supervision_records(alone)
+    assert list(supervision_records(windows)) == list(supervision_records(alone))
     active = _active(windows, cfg.hops)
     assert active[0] == [LOCKSTEP_QUERIES, 4]
     pruning = k_retrieve == 4
@@ -511,9 +511,9 @@ def test_build_triples_seed_deterministic():
     sets = _sets({"q": [({"P"}, [f"n{i}" for i in range(40)])]})
     a = build_triples(sets, cap_per_hop=4, seed=5)
     b = build_triples(sets, cap_per_hop=4, seed=5)
-    assert triple_records(a) == triple_records(b)
+    assert list(triple_records(a)) == list(triple_records(b))
     c = build_triples(sets, cap_per_hop=4, seed=6)
-    assert triple_records(a) != triple_records(c)
+    assert list(triple_records(a)) != list(triple_records(c))
 
 
 def test_build_triples_rejects_bad_cap():
@@ -574,7 +574,7 @@ def test_supervision_and_triples_round_trip(tmp_path):
     sup_path = tmp_path / "supervision.jsonl"
     write_supervision(sup_path, lho)
     rows = [json.loads(l) for l in sup_path.read_text(encoding="utf-8").splitlines()]
-    assert rows == supervision_records(lho)
+    assert rows == list(supervision_records(lho))
     assert [r["qid"] for r in rows] == sorted(r["qid"] for r in rows)
     for row in rows:
         assert set(row) == {"qid", "weak", "hops"}
@@ -585,6 +585,6 @@ def test_supervision_and_triples_round_trip(tmp_path):
     tri_path = tmp_path / "triples.jsonl"
     write_triples(tri_path, triples)
     t_rows = [json.loads(l) for l in tri_path.read_text(encoding="utf-8").splitlines()]
-    assert t_rows == triple_records(triples)
+    assert t_rows == list(triple_records(triples))
     for row in t_rows:
         assert set(row) == {"qid", "hop", "query", "positive", "negative"}

@@ -13,10 +13,10 @@
 #   flat.idx ivf.idx  both index variants
 #   run-*.jsonl       condensed, rerank and hybrid on each index, and a
 #                     condensed run whose hop 2 is scored in one pass
+#   eval-*.json       eval --out of each condensed, rerank and hybrid run
 #   lho-*.jsonl       lho with --truth and --triples-out, with the
 #                     term_weight trainer, with --k-hat 2,all,all, and
 #                     with a k_retrieve whose hops screen
-#   eval.json         eval --out of the condensed flat run
 #   stdout.txt        what every command printed, in order
 set -eu
 
@@ -39,6 +39,7 @@ for variant in flat ivf; do
     hoplite build-index --corpus synth/corpus.jsonl --variant "$variant" --out "$variant.idx"
     for mode in condensed rerank hybrid; do
         hoplite run $data --index "$variant.idx" --variant "$mode" --out "run-$variant-$mode.jsonl"
+        hoplite eval $data --traces "run-$variant-$mode.jsonl" --out "eval-$variant-$mode.json"
     done
 done
 # 2k = 800 at hop 2 is at least the pool: that hop is scored in one pass
@@ -53,4 +54,3 @@ hoplite lho $data --index flat.idx --k-hat 2,all,all --out lho-flat-k-hat.jsonl
 export HOPLITE_SUPERVISION_K_RETRIEVE=50
 hoplite lho $data --index flat.idx --out lho-flat-screened.jsonl
 unset HOPLITE_SUPERVISION_K_RETRIEVE
-hoplite eval $data --traces run-flat-condensed.jsonl --out eval.json
