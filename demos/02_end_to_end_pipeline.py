@@ -49,7 +49,7 @@ for hop in trace.hops:
     print(f"  kept facts: {kept or '(none)'}")
 print(f"\nfinal context: {len(trace.final_facts)} facts,"
       f" union of {len(trace.union_pids)} passages")
-print(f"final query: {trace.final_query_text[:100]}...")
+print(f"final query: {trace.query.text[:100]}...")
 
 # --- 3. score the whole run ---------------------------------------------------
 

@@ -70,7 +70,7 @@ print(f"\ntitle-graph heuristic: {len(result.queries) - bad}/{len(result.queries
 
 # --- 5. training triples --------------------------------------------------------
 
-triples = build_triples(lho, cap_per_hop=4, seed=0)
+triples = list(build_triples(lho, cap_per_hop=4, seed=0))
 print(f"\n{len(triples)} triples mined (cap 4 per query-hop); first three:")
 for t in triples[:3]:
     print(f"  hop {t.hop}  +{t.positive}  -{t.negative}  q='{t.query_text[:60]}...'")

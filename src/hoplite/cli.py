@@ -101,17 +101,20 @@ def _load_or_build_index(args, parser, cfg, corpus):
 
 def cmd_synth(args, parser) -> int:
     cfg = _resolve(args)
-    spec = PlantSpec(
-        hops=args.hops,
-        queries=args.queries,
-        corpus_size=args.corpus_size,
-        topic_tokens=args.topic_tokens,
-        bridge_tokens=args.bridge_tokens,
-        distractors_per_query=args.distractors,
-        distractor_overlap=args.overlap,
-        with_answers=args.with_answers,
-        seed=cfg["seed"],
-    )
+    try:
+        spec = PlantSpec(
+            hops=args.hops,
+            queries=args.queries,
+            corpus_size=args.corpus_size,
+            topic_tokens=args.topic_tokens,
+            bridge_tokens=args.bridge_tokens,
+            distractors_per_query=args.distractors,
+            distractor_overlap=args.overlap,
+            with_answers=args.with_answers,
+            seed=cfg["seed"],
+        )
+    except ValueError as exc:  # a flag value the planter cannot honour
+        parser.error(str(exc))
     result = generate(spec)
     paths = write_synth(result, args.out)
     print(
@@ -199,8 +202,7 @@ def cmd_lho(args, parser) -> int:
             cap_per_hop=args.triples_cap,
             seed=derive_seed(cfg["seed"], "triples"),
         )
-        write_triples(args.triples_out, triples)
-        line += f" triples={len(triples)}"
+        line += f" triples={write_triples(args.triples_out, triples)}"
     print(line)
     if truth is not None:
         rec = order_recovery(sets, truth)

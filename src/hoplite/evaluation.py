@@ -141,12 +141,16 @@ class MetricsReport:
 
 
 def check_query_texts(records: Sequence[dict], queries: Sequence[QueryRecord]) -> None:
-    """Raise ValueError naming the first trace whose query text (`q0`, the
-    condensed arm's for hybrid) is not the queryset's text for its qid.
-    Synth names qids alike under every seed, so only the text tells two
-    querysets apart. Records without a `q0` and unknown qids pass."""
+    """Raise ValueError naming the first trace whose qid an earlier one had, or
+    whose query text (`q0`, the condensed arm's for hybrid) is not the queryset's
+    text for its qid: synth names qids alike under every seed, so only the text
+    tells two querysets apart. Records without a `q0` and unknown qids pass."""
     texts = {q.qid: q.text for q in queries}
+    seen: set[str] = set()
     for view in map(trace_view, records):
+        if view.qid in seen:
+            raise ValueError(f"qid {view.qid!r} has a second trace record")
+        seen.add(view.qid)
         text = texts.get(view.qid)
         if None not in (view.q0, text) and view.q0 != text:
             raise ValueError(

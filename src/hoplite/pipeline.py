@@ -9,18 +9,19 @@ Three inference variants share one hop loop:
 Passages ranked in an earlier hop are excluded from later hops, so the
 per-hop ranked lists of one trace are pairwise disjoint and their
 concatenation (the trace union) has no duplicates. A trace keeps each hop's
-`Ranking` as the arrays `retrieve` returned; its union, final query and
-each hop's exclusion set are derived from them when read or written.
+`Ranking` as the arrays `retrieve` returned. It is its query's one record:
+the next hop's query (`HopTrace.query`) and exclusion set are read off it,
+as are the union, final query and each hop's exclusion set it writes.
 
 Every query runs the same hop schedule, so `run_queries` runs
 LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
-holds a lane per query, two per hybrid query (its condensed and rerank
+holds a trace per query, two per hybrid query (its condensed and rerank
 arms, which share hop 1: it is retrieved once from q0 and given to both).
-Its lanes share one `index.RowCache` across all of their hops, which holds
+Its traces share one `index.RowCache` across all of their hops, which holds
 at most one window's distinct rows x passages x 4 bytes of screened maxima.
 Each hop is one `retrieve_hop`, the step latent hop ordering takes too: it
-encodes every lane, then `retrieve` finds each lane's pool; the first lane
-that prunes (2k < pool) screens every lane's unseen rows in one
+encodes every trace's query, then `retrieve` finds each one's pool; the
+first that prunes (2k < pool) screens every query's unseen rows in one
 `TokenIndex.screen_maxima` call, and a hop where none prunes screens
 nothing. Traces are the bytes a fresh cache per retrieval writes;
 `index.RowCache` says why.
@@ -29,7 +30,6 @@ nothing. Traces are the bytes a fresh cache per retrieval writes;
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
@@ -45,8 +45,6 @@ from .index import RowCache, TokenIndex
 from .retriever import RetrievalConfig, Retriever, retrieve
 from .scoring import Ranking, source_columns
 from .util import read_jsonl, write_jsonl
-
-logger = logging.getLogger(__name__)
 
 VARIANT_CONDENSED = "condensed"
 VARIANT_RERANK = "rerank"
@@ -81,10 +79,6 @@ class PipelineConfig:
         if self.hybrid_total < 0:
             raise ValueError(f"hybrid_total must be non-negative, got {self.hybrid_total}")
 
-    @property
-    def hops(self) -> int:
-        return len(self.per_hop_k)
-
 
 @dataclass(frozen=True)
 class HopRecord:
@@ -106,11 +100,12 @@ class HopTrace:
 
     @property
     def union_pids(self) -> tuple[str, ...]:
-        return tuple(pid for hop in self.hops for pid in hop.ranked.pids)
+        return tuple(chain.from_iterable(hop.ranked.pids for hop in self.hops))
 
     @property
-    def final_query_text(self) -> str:
-        return MultiHopQuery(self.qid, self.q0_text, self.final_facts).text
+    def query(self) -> MultiHopQuery:
+        """The query state after the recorded hops: q0 plus the facts they added."""
+        return MultiHopQuery(self.qid, self.q0_text, self.final_facts)
 
 
 @dataclass(frozen=True)
@@ -119,17 +114,6 @@ class HybridTrace:
     merged: tuple[str, ...]
     condensed: HopTrace
     rerank: HopTrace
-
-
-@dataclass
-class _Lane:
-    """One hop loop of a window: a query's variant, or one arm of hybrid."""
-
-    query: QueryRecord
-    rerank: bool
-    state: MultiHopQuery
-    excluded: frozenset[str] = frozenset()  # pids ranked in earlier hops
-    hops: list[HopRecord] = field(default_factory=list)
 
 
 class PipelineRunner:
@@ -147,63 +131,52 @@ class PipelineRunner:
         self.retriever = Retriever(corpus, index, encoder, self.cfg.retrieval)
         self.idf = IdfTable.from_corpus(corpus)
 
-    def _advance(self, lane: _Lane, ranked: Ranking) -> None:
-        """Record `lane`'s hop, then extend its query with the condenser's kept
-        facts (condensed) or the top passage's sentences (rerank)."""
-        kept: list[Fact] = []
+    def _advance(self, trace: HopTrace, ranked: Ranking) -> HopTrace:
+        """`trace` with `ranked` recorded as its next hop and its facts extended by
+        the condenser's kept facts (condensed) or the top passage's sentences (rerank)."""
+        kept: tuple[Fact, ...] = ()
+        new_facts: tuple[Fact, ...] = ()
         context_pid: str | None = None
-        new_facts: list[Fact] = []
-        if lane.rerank:
-            if ranked:
-                # The retriever's score already ranks passages, so rank 1 is the context.
-                context_pid = ranked.pids[0]
-                passage = self.retriever.corpus.get(context_pid)
-                new_facts = [
-                    Fact(pid=context_pid, sentence_index=i, text=s)
-                    for i, s in enumerate(passage.sentences)
-                ]
-        else:
+        if trace.variant == VARIANT_CONDENSED:
             passages = [self.retriever.corpus.get(pid) for pid in ranked.pids]
-            kept = new_facts = condense(lane.state, passages, self.cfg.condenser, self.idf)
-        t = len(lane.hops) + 1
-        lane.hops.append(HopRecord(t, ranked, tuple(kept), context_pid))
-        lane.excluded = lane.excluded.union(ranked.pids)
-        lane.state = lane.state.extended(new_facts if self.cfg.accumulate_facts else ())
-
-    def _trace(self, lane: _Lane) -> HopTrace:
-        # Baseline verifier: supported iff every hop kept at least one fact.
-        verdict = all(hop.kept_facts for hop in lane.hops) if self.cfg.verify else None
-        return HopTrace(
-            qid=lane.query.qid,
-            q0_text=lane.query.text,
-            variant=VARIANT_RERANK if lane.rerank else VARIANT_CONDENSED,
-            per_hop_k=self.cfg.per_hop_k,
-            hops=tuple(lane.hops),
-            final_facts=lane.state.facts,
-            verdict=verdict,
-        )
+            kept = new_facts = tuple(condense(trace.query, passages, self.cfg.condenser, self.idf))
+        elif ranked:
+            # The retriever's score already ranks passages, so rank 1 is the context.
+            context_pid = ranked.pids[0]
+            passage = self.retriever.corpus.get(context_pid)
+            new_facts = tuple(
+                Fact(pid=context_pid, sentence_index=i, text=s)
+                for i, s in enumerate(passage.sentences)
+            )
+        hop = HopRecord(len(trace.hops) + 1, ranked, kept, context_pid)
+        facts = trace.final_facts + new_facts if self.cfg.accumulate_facts else trace.final_facts
+        return replace(trace, hops=trace.hops + (hop,), final_facts=facts)
 
     def _window(self, queries: Sequence[QueryRecord]) -> list[HopTrace | HybridTrace]:
         """Traces of `queries`, run hop by hop together through one `RowCache`.
 
-        A lane per query, two per hybrid query (its condensed arm, then its
-        rerank arm). Each hop is one `retrieve_hop` over the lanes, then
-        condenses or reranks each lane. Hybrid retrieves hop 1 once per
-        query and gives it to both arms.
+        A trace per query, two per hybrid query (its condensed arm, then its
+        rerank arm). Each hop is one `retrieve_hop` over the traces' queries
+        less their unions, then `_advance` of each trace. Hybrid retrieves
+        hop 1 once per query and gives it to both arms.
         """
         cfg = self.cfg
-        arms = (False, True) if cfg.variant == VARIANT_HYBRID else (cfg.variant == VARIANT_RERANK,)
-        lanes = [_Lane(q, rerank, MultiHopQuery(q.qid, q.text)) for q in queries for rerank in arms]
+        arms = ((VARIANT_CONDENSED, VARIANT_RERANK) if cfg.variant == VARIANT_HYBRID
+                else (cfg.variant,))
+        traces = [HopTrace(q.qid, q.text, arm, cfg.per_hop_k, hops=(), final_facts=())
+                  for q in queries for arm in arms]
         cache = RowCache(self.retriever.index)
         for t, k in enumerate(cfg.per_hop_k, start=1):
             # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
             shared = len(arms) if t == 1 else 1
-            fetching = lanes[::shared]
-            ranked = retrieve_hop(self.retriever, k, [lane.state for lane in fetching],
-                                  [lane.excluded for lane in fetching], cache)
-            for i, lane in enumerate(lanes):
-                self._advance(lane, ranked[i // shared])
-        traces = [self._trace(lane) for lane in lanes]
+            fetching = traces[::shared]
+            ranked = retrieve_hop(self.retriever, k, [trace.query for trace in fetching],
+                                  [frozenset(trace.union_pids) for trace in fetching], cache)
+            traces = [self._advance(trace, ranked[i // shared]) for i, trace in enumerate(traces)]
+        if cfg.verify:
+            # Baseline verifier: supported iff every hop kept at least one fact.
+            traces = [replace(trace, verdict=all(hop.kept_facts for hop in trace.hops))
+                      for trace in traces]
         if len(arms) == 1:
             return traces
         return [
@@ -225,8 +198,8 @@ def retrieve_hop(
     cache: RowCache,
 ) -> list[Ranking]:
     """The top k of each state less its excluded pids, in order, as `retrieve`
-    ranks them: one hop of many lanes through `cache`, whose next screen
-    covers every lane's source rows (see `RowCache`)."""
+    ranks them: one hop of many query states through `cache`, whose next screen
+    covers every state's source rows (see `RowCache`)."""
     step = replace(retriever.cfg, k=k)
     eqs = [retriever.encoder.encode_query(state) for state in states]
     rows = [source_columns(eq).T for eq in eqs]
@@ -240,8 +213,8 @@ def run_queries(
 ) -> list[HopTrace | HybridTrace]:
     """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time,
     each window run hop by hop on the calling thread (`threads` must be 1).
-    A window's lanes share one `RowCache`, so each hop's new source rows, of
-    every lane, are screened by at most one `screen_maxima` call; traces do
+    A window's traces share one `RowCache`, so each hop's new source rows, of
+    every trace, are screened by at most one `screen_maxima` call; traces do
     not depend on the window (see `RowCache`).
     """
     if threads != 1:
@@ -333,7 +306,7 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
         ],
         "union": union,
         "final_facts": [vars(f) for f in trace.final_facts],
-        "final_query": trace.final_query_text,
+        "final_query": trace.query.text,
     }
     if trace.verdict is not None:
         rec["verdict"] = trace.verdict

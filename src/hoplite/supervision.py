@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import count, islice, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -383,15 +383,19 @@ class TrainingTriple:
 
 def build_triples(
     sets: SupervisionSet, cap_per_hop: int = 32, seed: int = 0
-) -> list[TrainingTriple]:
-    """Capped cartesian positives x sampled negatives, per query per hop.
+) -> Iterator[TrainingTriple]:
+    """Capped cartesian positives x sampled negatives, per query per hop, yielded
+    as drawn; a cap below 1 raises ValueError at the call.
 
     Negative sampling is seed-deterministic; sampled negatives keep their
     rank order. The cap bounds triples per (query, hop).
     """
     if cap_per_hop < 1:
         raise ValueError("cap_per_hop must be positive")
-    triples: list[TrainingTriple] = []
+    return _triples(sets, cap_per_hop, seed)
+
+
+def _triples(sets: SupervisionSet, cap_per_hop: int, seed: int) -> Iterator[TrainingTriple]:
     for qid in sorted(sets.records):
         for hop in sets.records[qid]:
             pos = sorted(hop.positives)
@@ -402,9 +406,8 @@ def build_triples(
             need = min(len(neg), math.ceil(cap_per_hop / len(pos)))
             picked = sorted(rng.choice(len(neg), size=need, replace=False).tolist())
             sampled = [neg[i] for i in picked]
-            triples.extend(TrainingTriple(qid, hop.t, hop.query_text, p, n)
-                           for p, n in islice(product(pos, sampled), cap_per_hop))
-    return triples
+            yield from (TrainingTriple(qid, hop.t, hop.query_text, p, n)
+                        for p, n in islice(product(pos, sampled), cap_per_hop))
 
 
 @dataclass(frozen=True)
@@ -482,5 +485,8 @@ def write_supervision(path: str | Path, sets: SupervisionSet) -> None:
     write_jsonl(path, supervision_records(sets))
 
 
-def write_triples(path: str | Path, triples: Iterable[TrainingTriple]) -> None:
-    write_jsonl(path, triple_records(triples))
+def write_triples(path: str | Path, triples: Iterable[TrainingTriple]) -> int:
+    """Writes `triples` as they stream and returns how many it wrote."""
+    drawn = count()  # zip draws from it once per triple, and not after the last
+    write_jsonl(path, triple_records(t for t, _ in zip(triples, drawn)))
+    return next(drawn)

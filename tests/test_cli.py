@@ -80,6 +80,21 @@ def test_synth_stats_line(tmp_path):
     assert "synth passages=20 queries=2 hops=2 seed=0" in r.stdout
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--hops", 7], "hops must be in [2, 4], got 7"),
+        (["--queries", 0], "queries must be positive"),
+        (["--corpus-size", 10], "corpus_size 10 cannot hold 1100 planted passages"),
+    ],
+)
+def test_synth_flag_the_planter_refuses_exits_2_naming_it(tmp_path, flags, message):
+    r = run_cli("synth", "--out", tmp_path / "data", *flags, "--seed", 0)
+    assert r.returncode == 2, r.stderr
+    assert f"error: {message}" in r.stderr
+    assert not (tmp_path / "data").exists()
+
+
 def test_build_index_stats_and_determinism(workdir, tmp_path):
     corpus = workdir / "data" / "corpus.jsonl"
     out1, out2 = tmp_path / "a.hlti", tmp_path / "b.hlti"
@@ -504,6 +519,24 @@ def test_eval_against_another_seeds_queryset_exits_1_naming_qid_and_file(workdir
     r = run_cli("eval", "--traces", traces, "--queries", data / "queries.jsonl",
                 "--corpus", data / "corpus.jsonl")
     assert r.returncode == 0, r.stderr
+
+
+def test_eval_of_a_trace_file_holding_a_qid_twice_exits_1_naming_it(workdir, tmp_path):
+    # every record scored again used to print `queries 12` for 6 queries and exit 0
+    data = workdir / "data"
+    traces = tmp_path / "traces.jsonl"
+    r = run_cli("run", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+                "--index", workdir / "flat.hlti", "--out", traces, "--seed", 7)
+    assert r.returncode == 0, r.stderr
+    meta, *records = traces.read_text(encoding="utf-8").splitlines()
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text("\n".join([meta, *records, *records]) + "\n", encoding="utf-8")
+    r = run_cli("eval", "--traces", twice, "--queries", data / "queries.jsonl",
+                "--corpus", data / "corpus.jsonl")
+    assert r.returncode == 1
+    first = json.loads(records[0])["qid"]
+    assert f"{twice}: qid {first!r} has a second trace record" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["retrieve", "run", "lho"])

@@ -42,7 +42,7 @@ def test_default_config_is_a_copy():
 def test_hover_preset():
     cfg = resolve_config(preset="hover", environ={})
     assert cfg["pipeline"]["per_hop_k"] == [25, 25, 25, 25]
-    assert pipeline_config(cfg).hops == 4
+    assert len(pipeline_config(cfg).per_hop_k) == 4
     assert cfg["supervision"]["k_hat"] == [20, None, None, None]
     assert cfg["eval"]["retrieval_k"] == 100
 
@@ -50,7 +50,7 @@ def test_hover_preset():
 def test_hotpotqa_preset():
     cfg = resolve_config(preset="hotpotqa", environ={})
     assert cfg["pipeline"]["per_hop_k"] == [10, 40]
-    assert pipeline_config(cfg).hops == 2
+    assert len(pipeline_config(cfg).per_hop_k) == 2
     assert cfg["supervision"]["k_hat"] == [20, None]
     assert cfg["eval"]["retrieval_k"] == 20
 

@@ -397,7 +397,8 @@ def test_check_query_texts_reads_q0_of_each_variant():
     condensed["q0"] = "claim one"
     hybrid = {"qid": "q1", "variant": "hybrid", "merged": [],
               "condensed": dict(condensed), "rerank": dict(condensed)}
-    check_query_texts([condensed, hybrid], queries)
+    check_query_texts([condensed], queries)
+    check_query_texts([hybrid], queries)
     check_query_texts([_rec("ghost", [], [])], queries)  # unknown qids are evaluate_run's
     no_q0 = _rec("q1", ["A"], [])
     del no_q0["q0"]
@@ -406,3 +407,16 @@ def test_check_query_texts_reads_q0_of_each_variant():
     hybrid["rerank"]["q0"] = "claim one"
     with pytest.raises(ValueError, match="'q1' ran the query 'claim two'.*'claim one'"):
         check_query_texts([hybrid], queries)
+
+
+def test_check_query_texts_refuses_a_qid_recorded_twice():
+    queries = _queries()
+    first, second = _rec("q1", ["A"], []), _rec("q2", ["C"], [])
+    for rec in (first, second):
+        rec["q0"] = next(q.text for q in queries if q.qid == rec["qid"])
+    check_query_texts([first, second], queries)
+    with pytest.raises(ValueError) as err:
+        check_query_texts([first, second, dict(first)], queries)
+    assert str(err.value) == "qid 'q1' has a second trace record"
+    # evaluate_run scores repeats: the benchmark's wrapped-round queries rely on it
+    assert evaluate_run([first, first], queries, _corpus()).overall.n_queries == 2

@@ -23,6 +23,7 @@ from hoplite.pipeline import (
     PipelineRunner,
     merge_hybrid,
     read_traces,
+    retrieve_hop,
     run_queries,
     trace_record,
     write_traces,
@@ -71,7 +72,7 @@ def test_config_validation():
         PipelineConfig(per_hop_k=())
     with pytest.raises(ValueError):
         PipelineConfig(per_hop_k=(0,))
-    assert PipelineConfig(per_hop_k=(10, 40)).hops == 2
+    assert len(PipelineConfig(per_hop_k=(10, 40)).per_hop_k) == 2
     with pytest.raises(ValueError):
         PipelineConfig(variant="mystery")
     with pytest.raises(ValueError):
@@ -101,9 +102,9 @@ def test_single_hop_condensed_equals_manual_composition(enc, tiny_corpus):
     assert list(hop.kept_facts) == kept
     assert trace.union_pids == tuple(sp.pid for sp in ranked)
     assert trace.final_facts == tuple(kept)
-    assert trace.final_query_text.startswith(query.text)
+    assert trace.query.text.startswith(query.text)
     for f in kept:
-        assert f.text in trace.final_query_text
+        assert f.text in trace.query.text
 
 
 _WORDS = ["carthage", "fought", "rome", "tiber", "river", "ships", "silver", "sicily",
@@ -118,18 +119,29 @@ _WORDS = ["carthage", "fought", "rome", "tiber", "river", "ships", "silver", "si
     per_hop_k=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     variant=st.sampled_from(["condensed", "rerank"]),
     ivf=st.booleans(),
+    accumulate_facts=st.booleans(),
 )
-def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_k, variant, ivf):
+def test_hops_are_disjoint_and_exclusion_grows(
+    enc, tiny_corpus, words, per_hop_k, variant, ivf, accumulate_facts
+):
     idx = build_index(tiny_corpus, enc, IndexConfig(variant="ivf" if ivf else "flat"))
-    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant)
+    cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant,
+                         accumulate_facts=accumulate_facts)
     excluded = []  # the exclusion set of each retrieve call, sorted
+    texts = []  # the query text of each hop
 
     def recording(*args, exclude, **kwargs):
         excluded.append(sorted(exclude))
         return retrieve(*args, exclude=exclude, **kwargs)
 
-    with patch("hoplite.pipeline.retrieve", recording):
-        trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", " ".join(words)))
+    def recording_hop(retriever, k, states, excludes, cache):
+        texts.extend(state.text for state in states)
+        return retrieve_hop(retriever, k, states, excludes, cache)
+
+    q0 = " ".join(words)
+    with patch("hoplite.pipeline.retrieve", recording), \
+            patch("hoplite.pipeline.retrieve_hop", recording_hop):
+        trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", q0))
     rec = trace_record(trace)
     seen = set()
     for hop, k in zip(rec["hops"], per_hop_k):
@@ -143,6 +155,20 @@ def test_hops_are_disjoint_and_exclusion_grows(enc, tiny_corpus, words, per_hop_
     assert rec["union"] == [sp["pid"] for hop in rec["hops"] for sp in hop["ranked"]]
     assert rec["union"] == list(trace.union_pids)
     assert len(set(rec["union"])) == len(rec["union"])
+    # hop t asks q0 plus what the hops before it added: kept facts (condensed)
+    # or the context passage's sentences (rerank); q0 alone without accumulation
+    added = []  # the texts each hop adds to the query
+    for hop in rec["hops"]:
+        if variant == "condensed":
+            added.append([f["text"] for f in hop["kept_facts"]])
+        else:
+            context = hop["context_pid"]
+            added.append(list(tiny_corpus.get(context).sentences) if context else [])
+    assert len(texts) == len(per_hop_k)
+    for t, text in enumerate(texts):
+        before = [s for hop in added[:t] for s in hop] if accumulate_facts else []
+        assert text == " ".join([q0] + before)
+    assert rec["final_query"] == " ".join([q0] + [f["text"] for f in rec["final_facts"]])
 
 
 def test_accumulate_facts_ablation(enc, tiny_corpus):
@@ -152,7 +178,7 @@ def test_accumulate_facts_ablation(enc, tiny_corpus):
     q = _qrec("q", "carthage fought rome")
     t_on, t_off = on.run(q), off.run(q)
     assert t_off.final_facts == ()
-    assert t_off.final_query_text == q.text
+    assert t_off.query.text == q.text
     if t_on.hops[0].kept_facts:
         assert t_on.final_facts != ()
 

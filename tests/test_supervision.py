@@ -484,7 +484,7 @@ def _sets(hops_by_qid):
 
 def test_build_triples_single_positive_keeps_rank_order():
     sets = _sets({"q": [({"P"}, ["n1", "n2", "n3"])]})
-    triples = build_triples(sets, cap_per_hop=3, seed=0)
+    triples = list(build_triples(sets, cap_per_hop=3, seed=0))
     assert [(t.positive, t.negative) for t in triples] == [
         ("P", "n1"),
         ("P", "n2"),
@@ -496,7 +496,7 @@ def test_build_triples_single_positive_keeps_rank_order():
 
 def test_build_triples_cap_truncates_cartesian():
     sets = _sets({"q": [({"P1", "P2"}, ["n1", "n2", "n3", "n4", "n5"])]})
-    triples = build_triples(sets, cap_per_hop=3, seed=0)
+    triples = list(build_triples(sets, cap_per_hop=3, seed=0))
     # need = ceil(3/2) = 2 sampled negatives; cartesian 2x2 truncated to 3
     assert len(triples) == 3
     assert len({(t.positive, t.negative) for t in triples}) == 3
@@ -504,16 +504,22 @@ def test_build_triples_cap_truncates_cartesian():
 
 def test_build_triples_empty_sides_yield_nothing():
     sets = _sets({"q": [(set(), ["n1"]), ({"P"}, [])]})
-    assert build_triples(sets, cap_per_hop=8, seed=0) == []
+    assert list(build_triples(sets, cap_per_hop=8, seed=0)) == []
 
 
 def test_build_triples_seed_deterministic():
     sets = _sets({"q": [({"P"}, [f"n{i}" for i in range(40)])]})
-    a = build_triples(sets, cap_per_hop=4, seed=5)
+    a = list(build_triples(sets, cap_per_hop=4, seed=5))
     b = build_triples(sets, cap_per_hop=4, seed=5)
     assert list(triple_records(a)) == list(triple_records(b))
     c = build_triples(sets, cap_per_hop=4, seed=6)
     assert list(triple_records(a)) != list(triple_records(c))
+
+
+def test_build_triples_yields_as_drawn():
+    triples = build_triples(_sets({"q": [({"P"}, ["n1", "n2"])]}), cap_per_hop=2, seed=0)
+    assert iter(triples) is triples
+    assert next(triples).negative == "n1"
 
 
 def test_build_triples_rejects_bad_cap():
@@ -581,9 +587,9 @@ def test_supervision_and_triples_round_trip(tmp_path):
         for hop in row["hops"]:
             assert set(hop) == {"t", "positives", "negatives", "fallback", "query_text"}
 
-    triples = build_triples(lho, cap_per_hop=8, seed=0)
+    triples = list(build_triples(lho, cap_per_hop=8, seed=0))
     tri_path = tmp_path / "triples.jsonl"
-    write_triples(tri_path, triples)
+    assert write_triples(tri_path, triples) == len(triples) > 0
     t_rows = [json.loads(l) for l in tri_path.read_text(encoding="utf-8").splitlines()]
     assert t_rows == list(triple_records(triples))
     for row in t_rows:
