@@ -73,7 +73,7 @@ print(f"\ntitle-graph heuristic: {len(result.queries) - bad}/{len(result.queries
 triples = list(build_triples(lho, cap_per_hop=4, seed=0))
 print(f"\n{len(triples)} triples mined (cap 4 per query-hop); first three:")
 for t in triples[:3]:
-    print(f"  hop {t.hop}  +{t.positive}  -{t.negative}  q='{t.query_text[:60]}...'")
+    print(f"  hop {t.hop}  +{t.positive}  -{t.negative}  q='{t.query[:60]}...'")
 
 assert rec.passage_fraction > 0.9
 assert srec.passage_fraction < 0.5

@@ -187,6 +187,11 @@ def cmd_lho(args, parser) -> int:
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     truth = read_truth(_require(parser, args.truth, "truth file")) if args.truth else None
+    if truth is not None:  # order recovery is scored over the queryset's qids alone
+        missing = [q.qid for q in queries if q.qid not in truth]
+        if missing:
+            raise ValueError(f"{args.truth}: no truth for qid {missing[0]!r} of the queryset")
+        truth = {q.qid: truth[q.qid] for q in queries}
     index = _load_or_build_index(args, parser, cfg, corpus)
     retr = Retriever(corpus, index, _encoder(cfg), cfgmod.lho_retrieval_config(cfg))
     expansion = EXPANSION_SHUFFLED if args.shuffled_expansion else EXPANSION_ORACLE

@@ -7,7 +7,9 @@ latent_hop_ordering lets the retriever itself decide: per hop, the gold
 passages it already ranks highly become that hop's positives, their
 oracle facts expand the query, and the remainder stays for later hops.
 Queries where no gold surfaces get the single best-ranked remaining gold
-promoted and are flagged weak.
+promoted and are flagged weak. A hop works through the queries one window
+of LOCKSTEP_QUERIES at a time: a window is ranked, mined, recorded and
+expanded before the next one is ranked.
 
 heuristic_order uses dataset structure instead: a passage whose text
 contains the answer becomes the final hop, and the rest are ordered by
@@ -172,8 +174,8 @@ def discover_positives(
     t: int,
     k_hat: int | None,
 ) -> dict[str, HopSupervision]:
-    """Hop t of positive/negative mining for every query of `states`, from the
-    ranking of each one with gold left.
+    """Hop t of positive/negative mining for every query of `states` (one
+    window), from the ranking of each one with gold left.
 
     Positives are the remaining gold pids intersected with the ranking's
     top-k_hat; negatives are all non-gold pids in the ranking, in rank
@@ -212,14 +214,21 @@ def oracle_facts(
     ]
 
 
-def _shuffled_facts(corpus: Corpus, rng: np.random.Generator, n: int) -> list[Fact]:
+def _expand(query: QueryRecord, hop: HopSupervision, corpus: Corpus, cfg: LhoConfig,
+            expansion: str) -> list[Fact]:
+    """The facts `hop`'s positives append to `query`'s state: each positive's
+    oracle facts, or (shuffled) as many random corpus sentences per positive,
+    drawn from the query's own stream for hop t. A hop without positives adds none."""
+    if expansion == EXPANSION_ORACLE:
+        return [fact for pid in hop.positives
+                for fact in oracle_facts(query, corpus, pid, cfg.facts_per_expansion)]
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"shuffled:{query.qid}:{hop.t}"))
     pids = corpus.pids
     facts = []
-    for _ in range(n):
-        pid = pids[int(rng.integers(len(pids)))]
-        passage = corpus.get(pid)
+    for _ in range(len(hop.positives) * cfg.facts_per_expansion):
+        passage = corpus.get(pids[int(rng.integers(len(pids)))])
         idx = int(rng.integers(len(passage.sentences)))
-        facts.append(Fact(pid=pid, sentence_index=idx, text=passage.sentences[idx]))
+        facts.append(Fact(pid=passage.pid, sentence_index=idx, text=passage.sentences[idx]))
     return facts
 
 
@@ -233,11 +242,13 @@ def latent_hop_ordering(
 
     Runs cfg.hops rounds of retrieve -> discover -> expand -> train; each hop
     after the first retrieves with the retriever the trainer produced from
-    the hop before (unchanged for the identity trainer). A hop mines its
-    queries LOCKSTEP_QUERIES at a time, each window once `pipeline.retrieve_hop`
-    has ranked those with gold left through the window's own `RowCache`.
-    Records hold per-hop positives, negatives, the query text used, and
-    fallback flags.
+    the hop before (unchanged for the identity trainer). A hop takes its
+    queries LOCKSTEP_QUERIES at a time. A window ranks those with gold left
+    through `pipeline.retrieve_hop` and the window's own `RowCache`, mines
+    them in one `discover_positives` call, and at once records each query's
+    hop, expands its state with the hop's facts and drops the hop's
+    positives from its remaining gold. Records hold per-hop positives,
+    negatives, the query text used, and fallback flags.
     """
     cfg = cfg or LhoConfig()
     if expansion not in (EXPANSION_ORACLE, EXPANSION_SHUFFLED):
@@ -260,37 +271,22 @@ def latent_hop_ordering(
     current = retriever
     qids = sorted(states)
     for t, k_hat in enumerate(cfg.k_hat, start=1):
-        outcomes: dict[str, HopSupervision] = {}
         for at in range(0, len(qids), LOCKSTEP_QUERIES):
             window = {qid: states[qid] for qid in qids[at : at + LOCKSTEP_QUERIES]}
             active = [qid for qid in window if remaining[qid]]
             ranked = retrieve_hop(current, cfg.k_retrieve, [states[qid] for qid in active],
                                   repeat(frozenset()), RowCache(current.index))
             rankings = dict(zip(active, ranked))
-            outcomes.update(discover_positives(rankings, window, by_qid, remaining, t, k_hat))
-        for qid in qids:
-            outcome = outcomes[qid]
-            records[qid].append(outcome)
-            if not outcome.positives:
-                continue
-            if expansion == EXPANSION_ORACLE:
-                new_facts: list[Fact] = []
-                for pid in outcome.positives:
-                    new_facts.extend(
-                        oracle_facts(by_qid[qid], corpus, pid, cfg.facts_per_expansion)
-                    )
-            else:
-                rng = np.random.default_rng(
-                    derive_seed(cfg.seed, f"shuffled:{qid}:{t}")
-                )
-                n = len(outcome.positives) * cfg.facts_per_expansion
-                new_facts = _shuffled_facts(corpus, rng, n)
-            states[qid] = states[qid].extended(new_facts)
-            remaining[qid] -= set(outcome.positives)
+            mined = discover_positives(rankings, window, by_qid, remaining, t, k_hat)
+            for qid, hop in mined.items():
+                records[qid].append(hop)
+                states[qid] = states[qid].extended(
+                    _expand(by_qid[qid], hop, corpus, cfg, expansion))
+                remaining[qid] -= set(hop.positives)
         batch = TrainingBatch(
             queries=dict(states),
-            positives={qid: frozenset(remaining[qid]) for qid in remaining},
-            negatives={qid: outcomes[qid].negatives for qid in outcomes},
+            positives={qid: frozenset(left) for qid, left in remaining.items()},
+            negatives={qid: hops[-1].negatives for qid, hops in records.items()},
         )
         current = trainer.train(current, batch)
 
@@ -376,7 +372,7 @@ def heuristic_order(query: QueryRecord, corpus: Corpus) -> list[tuple[str, ...]]
 class TrainingTriple:
     qid: str
     hop: int
-    query_text: str
+    query: str  # the query text of the hop
     positive: str
     negative: str
 
@@ -454,31 +450,11 @@ def order_recovery(
 def supervision_records(sets: SupervisionSet) -> Iterator[dict]:
     weak = sets.weak_qids
     for qid in sorted(sets.records):
-        yield {
-            "qid": qid,
-            "weak": qid in weak,
-            "hops": [
-                {
-                    "t": hop.t,
-                    "positives": list(hop.positives),
-                    "negatives": list(hop.negatives),
-                    "fallback": hop.fallback,
-                    "query_text": hop.query_text,
-                }
-                for hop in sets.records[qid]
-            ],
-        }
+        yield {"qid": qid, "weak": qid in weak, "hops": [vars(hop) for hop in sets.records[qid]]}
 
 
 def triple_records(triples: Iterable[TrainingTriple]) -> Iterator[dict]:
-    for t in triples:
-        yield {
-            "qid": t.qid,
-            "hop": t.hop,
-            "query": t.query_text,
-            "positive": t.positive,
-            "negative": t.negative,
-        }
+    return map(vars, triples)
 
 
 def write_supervision(path: str | Path, sets: SupervisionSet) -> None:

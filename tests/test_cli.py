@@ -404,6 +404,45 @@ def test_lho_missing_truth_file_exits_2_before_the_run(workdir, tmp_path):
     assert not (tmp_path / "supervision.jsonl").exists()
 
 
+def _head(src, dst, n):
+    """The first n lines of src, written to dst."""
+    dst.write_text("".join(src.read_text(encoding="utf-8").splitlines(True)[:n]), encoding="utf-8")
+    return dst
+
+
+def _recovery_line(workdir, tmp_path, queries, truth):
+    r = run_cli(
+        "lho", "--corpus", workdir / "data" / "corpus.jsonl", "--queries", queries,
+        "--index", workdir / "flat.hlti", "--out", tmp_path / "supervision.jsonl",
+        "--truth", truth, "--seed", 7, "--preset", "hotpotqa",
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1]
+
+
+def test_lho_truth_is_scored_over_the_queryset_qids(workdir, tmp_path):
+    data = workdir / "data"
+    queries = _head(data / "queries.jsonl", tmp_path / "queries.jsonl", 3)
+    line = _recovery_line(workdir, tmp_path, queries, data / "truth.jsonl")
+    assert line.endswith(" n_passages=6 n_queries=3")  # not the truth file's 6 queries
+    cut = _head(data / "truth.jsonl", tmp_path / "truth.jsonl", 3)
+    assert _recovery_line(workdir, tmp_path, queries, cut) == line
+
+
+def test_lho_truth_lacking_a_queryset_qid_exits_1_before_the_run(workdir, tmp_path):
+    data = workdir / "data"
+    truth = _head(data / "truth.jsonl", tmp_path / "truth.jsonl", 3)
+    fourth = json.loads((data / "queries.jsonl").read_text(encoding="utf-8").splitlines()[3])
+    r = run_cli(
+        "lho", "--corpus", data / "corpus.jsonl", "--queries", data / "queries.jsonl",
+        "--index", workdir / "flat.hlti", "--out", tmp_path / "supervision.jsonl",
+        "--truth", truth, "--seed", 7, "--preset", "hotpotqa",
+    )
+    assert r.returncode == 1
+    assert f"{truth}: no truth for qid {fourth['qid']!r}" in r.stderr
+    assert not (tmp_path / "supervision.jsonl").exists()
+
+
 def test_heuristic_order_stdout(workdir):
     data = workdir / "data"
     r = run_cli(

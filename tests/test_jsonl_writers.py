@@ -167,7 +167,7 @@ def test_write_supervision_bytes(tmp_path):
 
 def test_write_triples_bytes(tmp_path):
     path = tmp_path / "triples.jsonl"
-    triples = [TrainingTriple(qid="q-é", hop=1, query_text=TEXT, positive="p-é", negative="p2")]
+    triples = [TrainingTriple(qid="q-é", hop=1, query=TEXT, positive="p-é", negative="p2")]
     assert write_triples(path, triples) == 1
     raw = path.read_bytes()
     assert raw == _lines(triple_records(triples))

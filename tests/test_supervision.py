@@ -250,25 +250,30 @@ def _active(sets, hops):
 
 
 # k_retrieve 4: 2k is under every pool, so every hop prunes; 80: 2k is at
-# least the 140 passages, so no hop does
-@pytest.mark.parametrize("k_retrieve", [4, 80])
+# least the 140 passages, so no hop does. An oracle case's id is its k alone.
+@pytest.mark.parametrize(
+    "k_retrieve, expansion", [(4, "oracle"), (80, "oracle"), (4, "shuffled"), (80, "shuffled")],
+    ids=["4", "80", "4-shuffled", "80-shuffled"],
+)
 @pytest.mark.parametrize("trainer", ["identity", "term_weight"])
 @pytest.mark.parametrize("index_variant", ["flat", "ivf"])
-def test_lho_in_windows_mines_what_each_query_mines_alone(index_variant, trainer, k_retrieve):
+def test_lho_in_windows_mines_what_each_query_mines_alone(
+    index_variant, trainer, expansion, k_retrieve
+):
     """LHO over two windows writes the supervision each query gets retrieved
-    alone by `Retriever.retrieve` with a fresh cache, and calls
-    `screen_maxima` once per window of a hop whose lanes prune, never in a
-    hop whose lanes do not."""
+    alone by `Retriever.retrieve` with a fresh cache, under either expansion,
+    and calls `screen_maxima` once per window of a hop whose lanes prune,
+    never in a hop whose lanes do not."""
     result, enc, idx = _two_windows(index_variant)
     retriever = Retriever(result.corpus, idx, enc, RetrievalConfig(k=k_retrieve))
     cfg = LhoConfig(k_retrieve=k_retrieve, k_hat=(2, None, None), trainer=trainer)
     calls = []
     screen = idx.screen_maxima
     with patch.object(idx, "screen_maxima", lambda src: calls.append(len(src)) or screen(src)):
-        windows = latent_hop_ordering(retriever, result.queries, cfg)
+        windows = latent_hop_ordering(retriever, result.queries, cfg, expansion)
     with patch("hoplite.supervision.retrieve_hop", lambda retriever, k, states, excludes, cache:
                [retriever.retrieve(state, k=k) for state in states]):
-        alone = latent_hop_ordering(retriever, result.queries, cfg)
+        alone = latent_hop_ordering(retriever, result.queries, cfg, expansion)
     assert list(supervision_records(windows)) == list(supervision_records(alone))
     active = _active(windows, cfg.hops)
     assert active[0] == [LOCKSTEP_QUERIES, 4]
@@ -490,7 +495,7 @@ def test_build_triples_single_positive_keeps_rank_order():
         ("P", "n2"),
         ("P", "n3"),
     ]
-    assert triples[0].query_text == "q hop 1"
+    assert triples[0].query == "q hop 1"
     assert triples[0].hop == 1
 
 
@@ -580,7 +585,7 @@ def test_supervision_and_triples_round_trip(tmp_path):
     sup_path = tmp_path / "supervision.jsonl"
     write_supervision(sup_path, lho)
     rows = [json.loads(l) for l in sup_path.read_text(encoding="utf-8").splitlines()]
-    assert rows == list(supervision_records(lho))
+    assert rows == [json.loads(json.dumps(rec)) for rec in supervision_records(lho)]
     assert [r["qid"] for r in rows] == sorted(r["qid"] for r in rows)
     for row in rows:
         assert set(row) == {"qid", "weak", "hops"}

@@ -15,9 +15,13 @@
 #                     condensed run whose hop 2 is scored in one pass
 #   eval-*.json       eval --out of each condensed, rerank and hybrid run
 #   lho-*.jsonl       lho with --truth and --triples-out, with the
-#                     term_weight trainer, with --k-hat 2,all,all, and
-#                     with a k_retrieve whose hops screen
-#   stdout.txt        what every command printed, in order
+#                     term_weight trainer, with --k-hat 2,all,all, with a
+#                     k_retrieve whose hops screen, and with
+#                     --shuffled-expansion, term_weight and --triples-out
+#   heuristic-order.jsonl  heuristic-order --out
+#   stdout.txt        what every command printed, in order: among it,
+#                     retrieve's ranking on each index (the first query
+#                     and one --fact) and heuristic-order without --out
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -35,8 +39,13 @@ hoplite() {
 : > stdout.txt
 hoplite synth --out synth --queries 40 --corpus-size 600 --hops 3
 data="--corpus synth/corpus.jsonl --queries synth/queries.jsonl"
+# the first query's text, and the last sentence of the first passage as a fact
+query=$(sed -n '1s/.*"text": "\([^"]*\)".*/\1/p' synth/queries.jsonl)
+fact=$(sed -n '1s/.*, "\([^"]*\)"\]}$/\1/p' synth/corpus.jsonl)
 for variant in flat ivf; do
     hoplite build-index --corpus synth/corpus.jsonl --variant "$variant" --out "$variant.idx"
+    hoplite retrieve --corpus synth/corpus.jsonl --index "$variant.idx" \
+        --query "$query" --fact "$fact"
     for mode in condensed rerank hybrid; do
         hoplite run $data --index "$variant.idx" --variant "$mode" --out "run-$variant-$mode.jsonl"
         hoplite eval $data --traces "run-$variant-$mode.jsonl" --out "eval-$variant-$mode.json"
@@ -54,3 +63,7 @@ hoplite lho $data --index flat.idx --k-hat 2,all,all --out lho-flat-k-hat.jsonl
 export HOPLITE_SUPERVISION_K_RETRIEVE=50
 hoplite lho $data --index flat.idx --out lho-flat-screened.jsonl
 unset HOPLITE_SUPERVISION_K_RETRIEVE
+hoplite lho $data --index ivf.idx --shuffled-expansion --trainer term_weight \
+    --out lho-ivf-shuffled.jsonl --triples-out lho-ivf-shuffled-triples.jsonl
+hoplite heuristic-order $data
+hoplite heuristic-order $data --out heuristic-order.jsonl

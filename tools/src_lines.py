@@ -2,7 +2,8 @@
 
     python3 tools/src_lines.py [PACKAGE_DIR]
 
-A docstring line is any line of the string literal that opens a module, a
+It prints one line per module, then the package's summary line. A
+docstring line is any line of the string literal that opens a module, a
 class or a function body (by the AST). Every other line, blank lines and
 comments included, counts as other, so total is what `wc -l` prints.
 """
@@ -30,8 +31,10 @@ def main(argv: list[str]) -> int:
     total = docs = 0
     for path in sorted(root.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        total += len(source.splitlines())
-        docs += docstring_lines(source)
+        lines, doc = len(source.splitlines()), docstring_lines(source)
+        print(f"{path.name:<16} total {lines:4d}  docstring {doc:3d}  other {lines - doc:4d}")
+        total += lines
+        docs += doc
     print(f"total {total}  docstring {docs}  other {total - docs}  ({root})")
     return 0
 
