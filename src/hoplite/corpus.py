@@ -90,6 +90,7 @@ class Corpus:
             if p.pid in self._by_pid:
                 raise CorpusFormatError(f"duplicate pid {p.pid!r}")
             self._by_pid[p.pid] = p
+        self._pids = tuple(self._by_pid)
 
     def __len__(self) -> int:
         return len(self._passages)
@@ -102,7 +103,7 @@ class Corpus:
 
     @property
     def pids(self) -> tuple[str, ...]:
-        return tuple(p.pid for p in self._passages)
+        return self._pids
 
     def get(self, pid: str) -> Passage:
         try:

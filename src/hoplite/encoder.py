@@ -9,6 +9,9 @@ and unrelated tokens are near-orthogonal in expectation. Basis vectors
 are seeded by a keyed 64-bit hash, so encodings are bit-identical across
 processes and machines regardless of PYTHONHASHSEED.
 
+A passage's rows are those of `passage_tokens`, its capped token list, so
+an index can count every passage's rows before it encodes one.
+
 `query_weights` scale query rows per token (unnamed tokens keep 1.0);
 passage rows stay unit-norm, so one index serves every weighting.
 `reweighted(weights)` returns an encoder with the weights multiplied in
@@ -116,22 +119,27 @@ class LexicalEncoder:
             self._token_cache[token] = vec
         return vec
 
-    def _matrix(self, tokens: list[str]) -> np.ndarray:
+    def token_rows(self, tokens: list[str]) -> np.ndarray:
+        """Float32 (len(tokens), dim): each token's vector, in order."""
         if not tokens:
             return np.zeros((0, self.cfg.dim), dtype=np.float32)
         return np.stack([self.token_vector(t) for t in tokens])
 
-    def encode_passage(self, passage: Passage) -> np.ndarray:
+    def passage_tokens(self, passage: Passage) -> list[str]:
         """Title tokens, then each sentence's tokens, capped at max_passage_tokens."""
         tokens = tokenize(passage.title)
         for sentence in passage.sentences:
             tokens.extend(tokenize(sentence))
-        return self._matrix(tokens[: self.cfg.max_passage_tokens])
+        return tokens[: self.cfg.max_passage_tokens]
+
+    def encode_passage(self, passage: Passage) -> np.ndarray:
+        """The rows of `passage_tokens`: one per token, in order."""
+        return self.token_rows(self.passage_tokens(passage))
 
     def fingerprint(self) -> EncoderFingerprint:
         """What an index built by this encoder records of it; query weights,
         which leave passage rows alone, do not enter."""
-        rows = self._matrix(tokenize(FINGERPRINT_PROBE))
+        rows = self.token_rows(tokenize(FINGERPRINT_PROBE))
         digest = hashlib.blake2b(rows.astype("<f4").tobytes(), digest_size=16).digest()
         return EncoderFingerprint(self.cfg.dim, self.cfg.max_passage_tokens, digest)
 
@@ -148,7 +156,7 @@ class LexicalEncoder:
         return q_tokens, fact_tokens[:budget]
 
     def _query_matrix(self, tokens: list[str]) -> np.ndarray:
-        rows = self._matrix(tokens)
+        rows = self.token_rows(tokens)
         if not self.query_weights:
             return rows
         scales = np.array([self.query_weights.get(t, 1.0) for t in tokens], dtype=np.float32)

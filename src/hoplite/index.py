@@ -14,7 +14,10 @@ and retrieval scores only those candidate passages, whole.
 results_per_vector therefore applies to IVF indexes only. Each inverted
 list keeps its members in pid order (passage, then row within it): the
 depth cut breaks exact ties by list order, so candidates do not depend on
-the storage layout. k-means samples and assigns the rows in pid order too.
+the storage layout. `build_index` encodes each passage straight into its
+place in storage; k-means samples and assigns the rows in pid order,
+reading storage through `_layout`'s pid-order row map, so no pid-order copy
+of the rows is made.
 A `RowCache` keeps each distinct source row's candidates and screened
 maxima for the calls it serves; its docstring says why that cannot change
 a ranking.
@@ -154,9 +157,9 @@ class TokenIndex:
     """Read-only after construction; safe to share across threads.
 
     `row_counts` holds each pid's number of rows, in pid-table order, and
-    `storage` their rows grouped by row count (see the module docstring);
-    `from_passages` groups passages given in pid order. `fingerprint` names
-    the encoder that built the index, None for an index built in memory without one.
+    `storage` their rows grouped by row count (see the module docstring).
+    `fingerprint` names the encoder that built the index, None for an index
+    built in memory without one.
     """
 
     def __init__(
@@ -217,26 +220,6 @@ class TokenIndex:
         self.max_row_norm = math.sqrt(
             float(squares.max(initial=0.0)) / (1 - gamma(self.dim, F32_UNIT))
         )
-
-    @classmethod
-    def from_passages(
-        cls,
-        pids: Sequence[str],
-        passages: Sequence[np.ndarray],
-        ivf: IvfData | None = None,
-        fingerprint: EncoderFingerprint | None = None,
-    ) -> "TokenIndex":
-        """The index of `passages`, one row matrix per pid in pid order, with
-        their rows copied once into storage grouped by row count; `ivf`'s
-        assignments follow the rows in pid order, as k-means assigns them."""
-        counts = np.array([m.shape[0] for m in passages], dtype=np.intp)
-        order, _, pid_rows = _layout(counts)
-        storage = np.concatenate([passages[i] for i in order.tolist()])
-        if ivf is not None:
-            assignments = np.empty_like(ivf.assignments)
-            assignments[pid_rows] = ivf.assignments
-            ivf = IvfData(ivf.centroids, assignments, ivf.nprobe)
-        return cls(pids, counts, storage, ivf, fingerprint)
 
     @property
     def dim(self) -> int:
@@ -357,37 +340,42 @@ def _cluster_sums(vectors: np.ndarray, assign: np.ndarray, n_clusters: int) -> n
     )
 
 
-def _kmeans(vectors: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
-    """Spherical k-means under dot-product similarity.
+def _kmeans(storage: np.ndarray, pid_rows: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
+    """Spherical k-means under dot-product similarity over the storage rows
+    `pid_rows` (the rows in pid order).
 
-    Fixed-seed sampling and initialization from distinct vectors; empty
-    clusters are reseeded with the largest cluster's farthest member.
-    Returns unit-norm float32 centroids.
+    Fixed-seed sampling of pid-order rows and initialization from distinct
+    vectors; empty clusters are reseeded with the largest cluster's farthest
+    member. Returns unit-norm float32 centroids.
     """
     rng = np.random.default_rng(seed)
-    n = vectors.shape[0]
+    n = pid_rows.size
     if n_centroids > n:
         raise ValueError(f"centroid_count {n_centroids} exceeds vector count {n}")
     target = KMEANS_SAMPLE_FACTOR * n_centroids
     if n > target:
         pick = rng.choice(n, size=target, replace=False)
         pick.sort()
-        train = vectors[pick].astype(np.float64)
-    else:
-        train = vectors.astype(np.float64)
-    distinct = np.unique(train, axis=0)
+        pid_rows = pid_rows[pick]
+    sample = storage[pid_rows]
+    train = sample.astype(np.float64)
+    # float32 rows sort as their float64 casts do, so this is the float64 unique
+    distinct = np.unique(sample, axis=0)
+    del sample
     if distinct.shape[0] < n_centroids:
         raise ValueError(
             f"centroid_count {n_centroids} exceeds {distinct.shape[0]} distinct vectors"
         )
     init = rng.choice(distinct.shape[0], size=n_centroids, replace=False)
-    centroids = distinct[np.sort(init)].copy()
+    centroids = distinct[np.sort(init)].astype(np.float64)
+    del distinct
     norms = np.linalg.norm(centroids, axis=1, keepdims=True)
     centroids /= np.maximum(norms, 1e-12)
 
     prev = None
+    sims = np.empty((train.shape[0], n_centroids))
     for _ in range(KMEANS_ITERS):
-        sims = train @ centroids.T
+        np.matmul(train, centroids.T, out=sims)
         assign = np.argmax(sims, axis=1)
         counts = np.bincount(assign, minlength=n_centroids)
         for c in np.flatnonzero(counts == 0):
@@ -408,34 +396,41 @@ def _kmeans(vectors: np.ndarray, n_centroids: int, seed: int) -> np.ndarray:
     return centroids.astype(np.float32)
 
 
-def _assign_all(storage: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per vector by dot product, float64 math, blocked."""
+def _assign_all(storage: np.ndarray, pid_rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per storage row by dot product, float64 math, in blocks
+    of ASSIGN_BLOCK rows taken in pid order through `pid_rows`."""
     cent = centroids.astype(np.float64)
     out = np.empty(storage.shape[0], dtype=np.int32)
-    for start in range(0, storage.shape[0], ASSIGN_BLOCK):
-        chunk = storage[start : start + ASSIGN_BLOCK].astype(np.float64)
-        out[start : start + chunk.shape[0]] = np.argmax(chunk @ cent.T, axis=1)
+    for start in range(0, pid_rows.size, ASSIGN_BLOCK):
+        rows = pid_rows[start : start + ASSIGN_BLOCK]
+        out[rows] = np.argmax(storage[rows].astype(np.float64) @ cent.T, axis=1)
     return out
 
 
 def build_index(
     corpus: Corpus, encoder: LexicalEncoder, cfg: IndexConfig | None = None
 ) -> TokenIndex:
+    """The index of `corpus`: each passage's rows written once, straight into
+    their place in storage, and on IVF k-means over the rows in pid order."""
     cfg = cfg or IndexConfig()
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    blocks = [np.asarray(encoder.encode_passage(p), dtype=np.float32) for p in corpus]
-    if not any(block.shape[0] for block in blocks):
+    tokens = [encoder.passage_tokens(p) for p in corpus]
+    counts = np.array([len(t) for t in tokens], dtype=np.intp)
+    if not counts.any():
         raise ValueError("corpus produced no token vectors")
+    _, starts, pid_rows = _layout(counts)
+    storage = np.empty((int(counts.sum()), encoder.dim), dtype=np.float32)
+    for start, passage_tokens in zip(starts.tolist(), tokens):
+        storage[start : start + len(passage_tokens)] = encoder.token_rows(passage_tokens)
+    del tokens
     ivf = None
     if cfg.variant == VARIANT_IVF:
-        rows = np.concatenate(blocks)  # pid order, as k-means samples and assigns rows
-        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(rows.shape[0]))
-        centroids = _kmeans(rows, n_centroids, seed=cfg.seed)
+        n_centroids = cfg.centroid_count or math.ceil(math.sqrt(storage.shape[0]))
+        centroids = _kmeans(storage, pid_rows, n_centroids, seed=cfg.seed)
         nprobe = cfg.nprobe or max(1, n_centroids // 64)
-        ivf = IvfData(centroids, _assign_all(rows, centroids), nprobe)
-        del rows
-    idx = TokenIndex.from_passages(corpus.pids, blocks, ivf, encoder.fingerprint())
+        ivf = IvfData(centroids, _assign_all(storage, pid_rows, centroids), nprobe)
+    idx = TokenIndex(corpus.pids, counts, storage, ivf, encoder.fingerprint())
     logger.info(
         "built %s index: %d passages, %d vectors, dim %d",
         idx.variant,

@@ -219,6 +219,8 @@ def _expand(query: QueryRecord, hop: HopSupervision, corpus: Corpus, cfg: LhoCon
     """The facts `hop`'s positives append to `query`'s state: each positive's
     oracle facts, or (shuffled) as many random corpus sentences per positive,
     drawn from the query's own stream for hop t. A hop without positives adds none."""
+    if not hop.positives:
+        return []
     if expansion == EXPANSION_ORACLE:
         return [fact for pid in hop.positives
                 for fact in oracle_facts(query, corpus, pid, cfg.facts_per_expansion)]

@@ -25,6 +25,7 @@ def test_passage_text_without_title():
 
 def test_corpus_preserves_file_order_and_lookup(tiny_corpus):
     assert tiny_corpus.pids[:3] == ("p1", "p2", "p3")
+    assert tiny_corpus.pids is tiny_corpus.pids  # built once
     assert tiny_corpus.get("p2").title == "rome"
     assert "p3" in tiny_corpus
     assert "zzz" not in tiny_corpus

@@ -77,7 +77,8 @@ def test_passage_encoding_layout(enc, tiny_corpus):
 def test_passage_token_cap():
     enc = LexicalEncoder(EncoderConfig(dim=64, seed=0, max_passage_tokens=5))
     p = Passage(pid="p", title="one two", sentences=("three four five six", "seven"))
-    assert enc.encode_passage(p).shape[0] == 5
+    assert enc.passage_tokens(p) == ["one", "two", "three", "four", "five"]
+    assert np.array_equal(enc.encode_passage(p), enc.token_rows(enc.passage_tokens(p)))
 
 
 def test_query_token_cap(enc):

@@ -1,6 +1,7 @@
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoplite import index as index_mod
 from hoplite.corpus import Corpus, MultiHopQuery, Passage
 from hoplite.encoder import EncodedQuery, EncoderConfig, LexicalEncoder
 from hoplite.index import (
@@ -25,8 +27,15 @@ from hoplite.index import (
 )
 from hoplite.retriever import RetrievalConfig, retrieve
 from hoplite.scoring import FocusParams, flipr_score
+from hoplite.synth import PlantSpec, generate
 
-from oracle import encode_corpus, exact_topk_oracle, rows_for
+from oracle import (
+    build_index_pid_order,
+    encode_corpus,
+    exact_topk_oracle,
+    from_passages,
+    rows_for,
+)
 
 
 def _word_corpus(n_passages: int, tokens_per: int, seed: int) -> Corpus:
@@ -221,8 +230,8 @@ def test_cached_candidates_are_the_brute_force_hits(seed, dim, n_calls):
     n_c = int(rng.integers(1, 6))
     centroids = rng.standard_normal((n_c, dim)).astype(np.float32)
     ivf = IvfData(centroids, np.argmax(storage @ centroids.T, axis=1), nprobe=n_c)
-    idx = TokenIndex.from_passages([f"p{i}" for i in range(n_passages)],
-                                   np.split(storage, np.cumsum(counts)[:-1]), ivf)
+    idx = from_passages([f"p{i}" for i in range(n_passages)],
+                        np.split(storage, np.cumsum(counts)[:-1]), ivf)
     rpv = int(rng.integers(1, storage.shape[0] + 1))
     base = rng.standard_normal((6, dim)).astype(np.float32)
     base[3:, :-1] = base[:3, :-1]  # rows that differ in their last entry only
@@ -271,6 +280,73 @@ def test_kmeans_deterministic():
     b = build_index(corpus, enc, cfg)
     assert np.array_equal(a.ivf.centroids, b.ivf.centroids)
     assert np.array_equal(a.ivf.assignments, b.ivf.assignments)
+
+
+def _mixed_corpus() -> Corpus:
+    """Passages of 0 to 7 rows in no order of row count, words shared among them."""
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i:02d}" for i in range(40)]
+    texts = [" ".join(rng.choice(vocab, size=n, replace=False)) if n else "!!!"
+             for n in rng.integers(0, 8, 60)]
+    return Corpus([Passage(pid=f"p{i}", title="", sentences=(t,)) for i, t in enumerate(texts)])
+
+
+# One row per passage, w38 repeated: at this seed and 4 centroids a cluster
+# empties and k-means reseeds it.
+_RESEED_WORDS = ("w38 w38 w47 w38 w41 w53 w38 w20 w38 w2 w28 w38 w38 w20 w20 w38 w38 w38 w38 "
+                 "w38 w38 w22 w38 w38 w38 w15 w38 w38 w38 w38 w2 w38 w38 w22 w38 w38 w13 w47 "
+                 "w38 w38 w53 w38 w38").split()
+
+
+def _synth_corpus(size: int) -> Corpus:
+    return generate(PlantSpec(corpus_size=size, queries=size // 24, seed=3)).corpus
+
+
+@pytest.mark.parametrize("case", ["flat", "unsampled", "sampled", "empty-passages",
+                                  "short-tail-block", "reseed"])
+def test_build_index_writes_the_bytes_of_the_pid_order_build(tmp_path, monkeypatch, case):
+    # build_index encodes into storage order and reads k-means' rows through
+    # the pid-order row map; the oracle concatenates the rows in pid order
+    # and runs the plain k-means. The saved files must be the same bytes.
+    enc = LexicalEncoder(EncoderConfig(dim=32, seed=1))
+    corpus = _word_corpus(60, 8, seed=2)  # 480 rows, 22 centroids: unsampled
+    cfg = IndexConfig(variant="ivf", seed=5)
+    if case == "flat":
+        cfg = IndexConfig()
+    elif case == "sampled":  # 4,699 rows over 64 x 69 centroids
+        corpus, enc = _synth_corpus(600), LexicalEncoder()
+    elif case == "empty-passages":
+        corpus, cfg = _mixed_corpus(), IndexConfig(variant="ivf", centroid_count=4, seed=5)
+    elif case == "short-tail-block":  # 240 rows: blocks of 7, 2 in the last
+        monkeypatch.setattr(index_mod, "ASSIGN_BLOCK", 7)
+        corpus = _mixed_corpus()
+    elif case == "reseed":
+        corpus = Corpus([Passage(pid=f"p{i:02d}", title="", sentences=(w,))
+                         for i, w in enumerate(_RESEED_WORDS)])
+        enc = LexicalEncoder(EncoderConfig(dim=8, seed=0))
+        cfg = IndexConfig(variant="ivf", centroid_count=4, seed=14058)
+    reseeds = []
+    argmin = np.argmin  # k-means calls it only to reseed an empty cluster
+    monkeypatch.setattr(np, "argmin", lambda *a, **kw: reseeds.append(1) or argmin(*a, **kw))
+    save_index(build_index(corpus, enc, cfg), tmp_path / "built.idx")
+    monkeypatch.setattr(np, "argmin", argmin)
+    assert bool(reseeds) == (case == "reseed")
+    save_index(build_index_pid_order(corpus, enc, cfg), tmp_path / "oracle.idx")
+    assert (tmp_path / "built.idx").read_bytes() == (tmp_path / "oracle.idx").read_bytes()
+
+
+def test_build_index_peak_memory():
+    # tracemalloc's peak over building a 600-passage IVF index (4,699 rows):
+    # 18.8 MiB with the rows written once into storage, 24.9 MiB when the
+    # build held per-passage blocks and a pid-order copy of them besides.
+    corpus = _synth_corpus(600)
+    tracemalloc.start()
+    try:
+        build_index(corpus, LexicalEncoder(), IndexConfig(variant="ivf", seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 21.5 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("n_big", [3, 1000])
@@ -468,7 +544,7 @@ def test_candidates_cut_exact_ties_in_pid_order(seed):
     pid_order = np.concatenate(passages)
     owner = np.repeat(np.arange(len(passages)), [m.shape[0] for m in passages])
     ivf = IvfData(dup[None, :], np.zeros(pid_order.shape[0], dtype=np.int32), nprobe=1)
-    idx = TokenIndex.from_passages([f"p{i}" for i in range(len(passages))], passages, ivf)
+    idx = from_passages([f"p{i}" for i in range(len(passages))], passages, ivf)
     eq = EncodedQuery(dup[None, :], np.zeros((0, dim), dtype=np.float32))
     ds = pid_order.astype(np.float64) @ dup.astype(np.float64)
     for rpv in range(1, int((pid_order == dup).all(axis=1).sum()) + 1):

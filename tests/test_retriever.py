@@ -23,7 +23,7 @@ from hoplite.scoring import FocusParams, flipr_score, screen_error
 from hoplite.supervision import TermWeightTrainer
 
 from conftest import unit_rows
-from oracle import exact_topk_oracle, rows_for
+from oracle import exact_topk_oracle, from_passages, rows_for
 
 
 def _query(text: str) -> MultiHopQuery:
@@ -149,7 +149,7 @@ def planted_retrievals(draw):
         assign = np.argmax(storage @ centroids.T, axis=1)
         ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
         rpv = int(rng.integers(1, storage.shape[0] + 1))
-    index = TokenIndex.from_passages(pids, passages, ivf)
+    index = from_passages(pids, passages, ivf)
 
     def query_rows(n):
         # near copies of passage rows make strong maxima, as real queries do
@@ -207,7 +207,7 @@ def off_grid_indexes(draw):
     passages = [passages[i] for i in rng.permutation(len(passages))]
     pids = [f"p{i}" for i in range(len(passages))]  # p10 sorts before p2
     storage = np.concatenate(passages)  # in pid order, as IVF assignments are made
-    flat = TokenIndex.from_passages(pids, passages)
+    flat = from_passages(pids, passages)
     n_c = int(rng.integers(1, 6))
     centroids = unit_rows(rng, n_c, dim)
     assign = np.argmax(storage @ centroids.T, axis=1)
@@ -224,7 +224,7 @@ def off_grid_indexes(draw):
         focus=focus,
     )
     exclude = {pid for pid in pids if rng.random() < 0.2}
-    return flat, TokenIndex.from_passages(pids, passages, ivf), eq, cfg, exclude
+    return flat, from_passages(pids, passages, ivf), eq, cfg, exclude
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,7 +273,7 @@ def cached_call_sequences(draw):
         assign = np.argmax(storage @ centroids.T, axis=1)
         ivf = IvfData(centroids, assign, nprobe=int(rng.integers(1, n_c + 1)))
         rpv = int(rng.integers(1, storage.shape[0] + 1))
-    index = TokenIndex.from_passages(pids, passages, ivf)
+    index = from_passages(pids, passages, ivf)
 
     base = rng.standard_normal((int(rng.integers(2, 12)), dim)).astype(np.float32)
     base[1::2, :-1] = base[::2, :-1][: len(base) // 2]  # pairs differing in one entry
@@ -445,7 +445,7 @@ def test_an_index_refuses_another_encoder(enc, tiny_corpus, other, field):
 
 
 def test_an_index_built_in_memory_refuses_an_encoder_of_another_dim(enc, tiny_corpus):
-    idx = TokenIndex.from_passages(tiny_corpus.pids, [enc.encode_passage(p) for p in tiny_corpus])
+    idx = from_passages(tiny_corpus.pids, [enc.encode_passage(p) for p in tiny_corpus])
     assert idx.fingerprint is None
     for make in (Retriever, PipelineRunner):
         with pytest.raises(ValueError, match="encoder.dim 64, but the encoder has 128"):

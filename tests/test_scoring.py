@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoplite.encoder import EncodedQuery
-from hoplite.index import TokenIndex
 from hoplite.scoring import (
     FocusParams,
     Ranking,
@@ -19,6 +18,8 @@ from hoplite.scoring import (
     screen_sums,
     source_columns,
 )
+
+from oracle import from_passages
 
 
 def _eq(query_rows, fact_rows, dim=2):
@@ -302,8 +303,8 @@ def test_partitioned_screen_sums_stay_within_the_screen_bound(
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, 7, int(rng.integers(1, 21)))
     storage = rng.standard_normal((int(counts.sum()), dim)).astype(np.float32)
-    idx = TokenIndex.from_passages([f"p{i}" for i in range(counts.size)],
-                                   np.split(storage, np.cumsum(counts)[:-1]))
+    idx = from_passages([f"p{i}" for i in range(counts.size)],
+                        np.split(storage, np.cumsum(counts)[:-1]))
     dtype = np.float64 if float64_query else np.float32
     scale = rng.uniform(0.25, 4.0, (n_query, 1))
     eq = EncodedQuery((rng.standard_normal((n_query, dim)) * scale).astype(dtype),

@@ -21,6 +21,7 @@ from hoplite.supervision import (
     SupervisionSet,
     TermWeightTrainer,
     TrainingBatch,
+    _expand,
     build_triples,
     discover_positives,
     heuristic_order,
@@ -202,6 +203,14 @@ def test_shuffled_expansion_is_seeded():
     assert list(supervision_records(a)) == list(supervision_records(b))
     with pytest.raises(ValueError, match="expansion"):
         latent_hop_ordering(retriever, result.queries, cfg7, expansion="random")
+
+
+@pytest.mark.parametrize("expansion", ["oracle", "shuffled"])
+def test_a_hop_without_positives_expands_nothing(expansion):
+    # the corpus is not read: shuffled expansion neither seeds a stream nor lists the pids
+    hop = HopSupervision(t=1, positives=(), negatives=("x",), fallback=False, query_text="q")
+    assert _expand(_qrec("q", "claim", gold={"A"}), hop, SimpleNamespace(), LhoConfig(),
+                   expansion) == []
 
 
 def test_weak_queries_are_those_with_a_fallback_hop(monkeypatch):
