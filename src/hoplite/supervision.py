@@ -7,9 +7,12 @@ latent_hop_ordering lets the retriever itself decide: per hop, the gold
 passages it already ranks highly become that hop's positives, their
 oracle facts expand the query, and the remainder stays for later hops.
 Queries where no gold surfaces get the single best-ranked remaining gold
-promoted and are flagged weak. A hop works through the queries one window
-of LOCKSTEP_QUERIES at a time: a window is ranked, mined, recorded and
-expanded before the next one is ranked.
+promoted and are flagged weak. Each query is one `Lane`: its record, its
+current state and the hops mined so far; its remaining golds are read off
+those hops. A hop works through the lanes one window of LOCKSTEP_QUERIES at
+a time: a window is ranked, mined, recorded and expanded before the next
+one is ranked. After each hop, the trainer named in TRAINERS maps the
+retriever and the lanes to the retriever the next hop ranks with.
 
 heuristic_order uses dataset structure instead: a passage whose text
 contains the answer becomes the final hop, and the rest are ordered by
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -106,97 +109,91 @@ class SupervisionSet:
         return frozenset(qid for qid, hops in self.records.items() if any(h.fallback for h in hops))
 
 
-@dataclass(frozen=True)
-class TrainingBatch:
-    """Weakly labeled state after one hop: expanded queries, leftover golds
-    as positives, rank-mined negatives."""
+@dataclass
+class Lane:
+    """One query's latent hop ordering: its record, its query state after the
+    hops mined so far, and those hops."""
 
-    queries: dict[str, MultiHopQuery]
-    positives: dict[str, frozenset[str]]
-    negatives: dict[str, tuple[str, ...]]
+    query: QueryRecord
+    state: MultiHopQuery
+    hops: list[HopSupervision] = field(default_factory=list)
+
+    @property
+    def remaining(self) -> set[str]:
+        """The gold pids no hop has made a positive yet."""
+        return set(self.query.gold_pids).difference(*(hop.positives for hop in self.hops))
 
 
-class IdentityTrainer:
+def identity(retriever: Retriever, lanes: Sequence[Lane]) -> Retriever:
     """No-op trainer: the reference retriever is training-free, so hop
     ordering runs end to end without fitting anything."""
-
-    def train(self, retriever: Retriever, batch: TrainingBatch) -> Retriever:
-        return retriever
+    return retriever
 
 
-class TermWeightTrainer:
+TERM_WEIGHT_ETA = 0.75  # step size of term_weight's log-weight update
+TERM_WEIGHT_MAX_RATIO = 4.0  # term weights are clipped to [1/MAX_RATIO, MAX_RATIO]
+TERM_WEIGHT_NEGATIVES = 8  # top mined negatives of the last hop compared per query
+
+
+def term_weight(retriever: Retriever, lanes: Sequence[Lane]) -> Retriever:
     """Multiplicative query-term reweighting from weak labels.
 
-    Tokens that appear in leftover gold passages more often than in mined
-    negatives get their query-side rows scaled up, and vice versa. Crude,
-    but it nudges the next hop's ranking toward undiscovered golds while
-    staying deterministic.
+    Tokens of each lane's state that appear in its remaining golds more often
+    than in its last hop's top mined negatives get their query-side rows
+    scaled up, and vice versa. Crude, but it nudges the next hop's ranking
+    toward undiscovered golds while staying deterministic for lanes in qid order.
     """
-
-    ETA = 0.75  # step size of the log-weight update
-    MAX_RATIO = 4.0  # weights are clipped to [1/MAX_RATIO, MAX_RATIO]
-    NEGATIVES_USED = 8  # top mined negatives compared per query
-
-    def train(self, retriever: Retriever, batch: TrainingBatch) -> Retriever:
-        delta: dict[str, float] = {}
-        count: dict[str, int] = {}
-        for qid in sorted(batch.queries):
-            state = batch.queries[qid]
-            pos = batch.positives.get(qid) or frozenset()
-            neg = (batch.negatives.get(qid) or ())[: self.NEGATIVES_USED]
-            if not pos or not neg:
-                continue
-            pos_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in sorted(pos)]
-            neg_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in neg]
-            for token in sorted(set(tokenize(state.text))):
-                p_hit = sum(token in s for s in pos_sets) / len(pos_sets)
-                n_hit = sum(token in s for s in neg_sets) / len(neg_sets)
-                delta[token] = delta.get(token, 0.0) + (p_hit - n_hit)
-                count[token] = count.get(token, 0) + 1
-        if not delta:
-            return retriever
-        lo, hi = 1.0 / self.MAX_RATIO, self.MAX_RATIO
-        weights = {
-            t: float(min(hi, max(lo, math.exp(self.ETA * delta[t] / count[t]))))
-            for t in delta
-        }
-        return retriever.with_query_weights(weights)
+    delta: dict[str, float] = {}
+    seen: dict[str, int] = {}
+    for lane in lanes:
+        pos = lane.remaining
+        neg = lane.hops[-1].negatives[:TERM_WEIGHT_NEGATIVES]
+        if not pos or not neg:
+            continue
+        pos_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in sorted(pos)]
+        neg_sets = [set(tokenize(retriever.corpus.get(p).text)) for p in neg]
+        for token in sorted(set(tokenize(lane.state.text))):
+            p_hit = sum(token in s for s in pos_sets) / len(pos_sets)
+            n_hit = sum(token in s for s in neg_sets) / len(neg_sets)
+            delta[token] = delta.get(token, 0.0) + (p_hit - n_hit)
+            seen[token] = seen.get(token, 0) + 1
+    if not delta:
+        return retriever
+    lo, hi = 1.0 / TERM_WEIGHT_MAX_RATIO, TERM_WEIGHT_MAX_RATIO
+    weights = {t: float(min(hi, max(lo, math.exp(TERM_WEIGHT_ETA * delta[t] / seen[t]))))
+               for t in delta}
+    return retriever.with_query_weights(weights)
 
 
-TRAINERS = {"identity": IdentityTrainer, "term_weight": TermWeightTrainer}
+TRAINERS = {"identity": identity, "term_weight": term_weight}
 
 
-def discover_positives(
-    rankings: dict[str, Ranking],
-    states: dict[str, MultiHopQuery],
-    queries: dict[str, QueryRecord],
-    remaining: dict[str, set[str]],
-    t: int,
-    k_hat: int | None,
-) -> dict[str, HopSupervision]:
-    """Hop t of positive/negative mining for every query of `states` (one
-    window), from the ranking of each one with gold left.
+def discover_positives(window: Sequence[Lane], rankings: Iterable[Ranking], t: int,
+                       k_hat: int | None) -> dict[str, HopSupervision]:
+    """Hop t of positive/negative mining for every lane of `window`, from
+    `rankings`: one for each lane with gold left, in window order.
 
     Positives are the remaining gold pids intersected with the ranking's
     top-k_hat; negatives are all non-gold pids in the ranking, in rank
     order. An empty intersection promotes the single best-ranked remaining
-    gold (fallback), so every query keeps making progress.
+    gold (fallback), so every query keeps making progress. A lane without
+    gold left gets an empty hop.
     """
+    ranked = iter(rankings)
     out: dict[str, HopSupervision] = {}
-    for qid in sorted(states):
-        state = states[qid]
-        left = remaining[qid]
+    for lane in window:
+        left = lane.remaining
         if not left:
-            out[qid] = HopSupervision(t, (), (), False, state.text)
+            out[lane.query.qid] = HopSupervision(t, (), (), False, lane.state.text)
             continue
-        ranked_pids = rankings[qid].pids
-        gold = queries[qid].gold_pids
+        ranked_pids = next(ranked).pids
         positives = sorted(p for p in ranked_pids[:k_hat] if p in left)
         fallback = not positives
         if fallback:  # the best-ranked remaining gold, else the least pid
             positives = [next((p for p in ranked_pids if p in left), min(left))]
-        negatives = tuple(p for p in ranked_pids if p not in gold)
-        out[qid] = HopSupervision(t, tuple(positives), negatives, fallback, state.text)
+        negatives = tuple(p for p in ranked_pids if p not in lane.query.gold_pids)
+        out[lane.query.qid] = HopSupervision(t, tuple(positives), negatives, fallback,
+                                             lane.state.text)
     return out
 
 
@@ -242,24 +239,26 @@ def latent_hop_ordering(
 ) -> SupervisionSet:
     """Assign each query's gold passages to hops, mining negatives as we go.
 
-    Runs cfg.hops rounds of retrieve -> discover -> expand -> train; each hop
-    after the first retrieves with the retriever the trainer produced from
-    the hop before (unchanged for the identity trainer). A hop takes its
-    queries LOCKSTEP_QUERIES at a time. A window ranks those with gold left
-    through `pipeline.retrieve_hop` and the window's own `RowCache`, mines
-    them in one `discover_positives` call, and at once records each query's
-    hop, expands its state with the hop's facts and drops the hop's
-    positives from its remaining gold. Records hold per-hop positives,
-    negatives, the query text used, and fallback flags.
+    Each query gets one `Lane`, in qid order; a qid given twice raises
+    ValueError. Runs cfg.hops rounds of retrieve -> discover -> expand ->
+    train; each hop after the first retrieves with the retriever the trainer
+    produced from the lanes after the hop before (unchanged for the identity
+    trainer). A hop takes its lanes LOCKSTEP_QUERIES at a time. A window ranks
+    the states of those with gold left through `pipeline.retrieve_hop` and the
+    window's own `RowCache`, mines them in one `discover_positives` call, and
+    at once appends each lane's hop and extends its state with the hop's
+    facts. Records hold per-hop positives, negatives, the query text used,
+    and fallback flags.
     """
     cfg = cfg or LhoConfig()
     if expansion not in (EXPANSION_ORACLE, EXPANSION_SHUFFLED):
         raise ValueError(f"unknown expansion mode {expansion!r}")
     corpus = retriever.corpus
-    by_qid = {q.qid: q for q in queries}
-    states = {q.qid: MultiHopQuery(qid=q.qid, q0_text=q.text) for q in queries}
-    remaining = {q.qid: set(q.gold_pids) for q in queries}
-    records: dict[str, list[HopSupervision]] = {q.qid: [] for q in queries}
+    lanes = sorted((Lane(q, MultiHopQuery(q.qid, q.text)) for q in queries),
+                   key=lambda lane: lane.query.qid)
+    for a, b in zip(lanes, lanes[1:]):
+        if a.query.qid == b.query.qid:
+            raise ValueError(f"qid {a.query.qid!r} appears twice in the queries")
 
     oversize = [q.qid for q in queries if len(q.gold_pids) > cfg.hops]
     if oversize:
@@ -268,31 +267,22 @@ def latent_hop_ordering(
             len(oversize), cfg.hops,
         )
 
-    trainer = TRAINERS[cfg.trainer]()
-
+    trainer = TRAINERS[cfg.trainer]
     current = retriever
-    qids = sorted(states)
     for t, k_hat in enumerate(cfg.k_hat, start=1):
-        for at in range(0, len(qids), LOCKSTEP_QUERIES):
-            window = {qid: states[qid] for qid in qids[at : at + LOCKSTEP_QUERIES]}
-            active = [qid for qid in window if remaining[qid]]
-            ranked = retrieve_hop(current, cfg.k_retrieve, [states[qid] for qid in active],
+        for at in range(0, len(lanes), LOCKSTEP_QUERIES):
+            window = lanes[at : at + LOCKSTEP_QUERIES]
+            ranked = retrieve_hop(current, cfg.k_retrieve,
+                                  [lane.state for lane in window if lane.remaining],
                                   repeat(frozenset()), RowCache(current.index))
-            rankings = dict(zip(active, ranked))
-            mined = discover_positives(rankings, window, by_qid, remaining, t, k_hat)
-            for qid, hop in mined.items():
-                records[qid].append(hop)
-                states[qid] = states[qid].extended(
-                    _expand(by_qid[qid], hop, corpus, cfg, expansion))
-                remaining[qid] -= set(hop.positives)
-        batch = TrainingBatch(
-            queries=dict(states),
-            positives={qid: frozenset(left) for qid, left in remaining.items()},
-            negatives={qid: hops[-1].negatives for qid, hops in records.items()},
-        )
-        current = trainer.train(current, batch)
+            mined = discover_positives(window, ranked, t, k_hat)
+            for lane in window:
+                hop = mined[lane.query.qid]
+                lane.hops.append(hop)
+                lane.state = lane.state.extended(_expand(lane.query, hop, corpus, cfg, expansion))
+        current = trainer(current, lanes)
 
-    return SupervisionSet({qid: tuple(rec) for qid, rec in records.items()})
+    return SupervisionSet({lane.query.qid: tuple(lane.hops) for lane in lanes})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hoplite.index import (
 from hoplite.pipeline import PipelineRunner
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
 from hoplite.scoring import FocusParams, flipr_score, screen_error
-from hoplite.supervision import TermWeightTrainer
+from hoplite.supervision import TERM_WEIGHT_MAX_RATIO
 
 from conftest import unit_rows
 from oracle import exact_topk_oracle, from_passages, rows_for
@@ -123,7 +123,7 @@ def _on_grid(rows: np.ndarray, bits: int, dtype) -> np.ndarray:
 @st.composite
 def planted_retrievals(draw):
     """An index whose passages include exact and few-ulp copies of each other,
-    a query with rows scaled up to MAX_RATIO (float32 or float64), and a flat
+    a query with rows scaled up to TERM_WEIGHT_MAX_RATIO (float32 or float64), and a flat
     or IVF pool with exclusions; k from 1 to one past the passage count, so
     both sides of the 2k < pool size rule that decides whether to screen."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -154,7 +154,7 @@ def planted_retrievals(draw):
     def query_rows(n):
         # near copies of passage rows make strong maxima, as real queries do
         near = storage[rng.integers(0, storage.shape[0], n)] + 0.1 * unit_rows(rng, n, dim)
-        ratio = TermWeightTrainer.MAX_RATIO
+        ratio = TERM_WEIGHT_MAX_RATIO
         scaled = near * rng.uniform(1 / ratio, ratio, (n, 1))
         # float64 rows off the float32 grid exercise the cast term of the bound
         if draw(st.booleans()):

@@ -9,7 +9,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from hoplite.corpus import Corpus, Passage, QueryRecord
+from hoplite.corpus import Corpus, MultiHopQuery, Passage, QueryRecord
 from hoplite.encoder import EncoderConfig, LexicalEncoder
 from hoplite.index import IndexConfig, RowCache, build_index
 from hoplite.pipeline import LOCKSTEP_QUERIES
@@ -17,10 +17,9 @@ from hoplite.retriever import RetrievalConfig, Retriever, retrieve
 from hoplite.scoring import Ranking
 from hoplite.supervision import (
     HopSupervision,
+    Lane,
     LhoConfig,
     SupervisionSet,
-    TermWeightTrainer,
-    TrainingBatch,
     _expand,
     build_triples,
     discover_positives,
@@ -29,6 +28,7 @@ from hoplite.supervision import (
     oracle_facts,
     order_recovery,
     supervision_records,
+    term_weight,
     triple_records,
     write_supervision,
     write_triples,
@@ -52,22 +52,20 @@ def _qrec(qid, text, gold=(), facts=(), answer=None):
     )
 
 
-def _states(queries):
-    from hoplite.corpus import MultiHopQuery
+def _lane(q, hops=()):
+    """A lane for q whose state is q0 alone, after `hops`."""
+    return Lane(q, MultiHopQuery(qid=q.qid, q0_text=q.text), list(hops))
 
-    return {q.qid: MultiHopQuery(qid=q.qid, q0_text=q.text) for q in queries}
+
+def _mined(qid, positives):
+    """A mined hop whose positives leave a lane's golds."""
+    return HopSupervision(t=1, positives=tuple(positives), negatives=(), fallback=False,
+                          query_text=qid)
 
 
 def test_discover_positives_head_intersection():
     q = _qrec("q", "text", gold={"A", "B"})
-    out = discover_positives(
-        {"q": _ranking(["A", "x", "y", "B"])},
-        _states([q]),
-        {"q": q},
-        {"q": {"A", "B"}},
-        t=1,
-        k_hat=2,
-    )["q"]
+    out = discover_positives([_lane(q)], [_ranking(["A", "x", "y", "B"])], t=1, k_hat=2)["q"]
     assert out.positives == ("A",)
     assert out.fallback is False
     assert (out.t, out.query_text) == (1, "text")
@@ -77,14 +75,7 @@ def test_discover_positives_head_intersection():
 
 def test_discover_positives_none_in_head_promotes_best_gold():
     q = _qrec("q", "text", gold={"B"})
-    out = discover_positives(
-        {"q": _ranking(["x", "y", "z", "B"])},
-        _states([q]),
-        {"q": q},
-        {"q": {"B"}},
-        t=1,
-        k_hat=2,
-    )["q"]
+    out = discover_positives([_lane(q)], [_ranking(["x", "y", "z", "B"])], t=1, k_hat=2)["q"]
     assert out.positives == ("B",)
     assert out.fallback is True
     assert out.negatives == ("x", "y", "z")
@@ -92,24 +83,41 @@ def test_discover_positives_none_in_head_promotes_best_gold():
 
 def test_discover_positives_unranked_gold_still_promoted():
     q = _qrec("q", "text", gold={"ghost"})
-    out = discover_positives(
-        {"q": _ranking(["x", "y"])},
-        _states([q]),
-        {"q": q},
-        {"q": {"ghost"}},
-        t=1,
-        k_hat=1,
-    )["q"]
+    out = discover_positives([_lane(q)], [_ranking(["x", "y"])], t=1, k_hat=1)["q"]
     assert out.positives == ("ghost",)
     assert out.fallback is True
 
 
 def test_discover_positives_exhausted_query_is_inactive():
     q = _qrec("q", "text", gold={"A"})
-    out = discover_positives({}, _states([q]), {"q": q}, {"q": set()}, t=1, k_hat=2)["q"]
+    out = discover_positives([_lane(q, [_mined("q", ["A"])])], [], t=2, k_hat=2)["q"]
     assert out.positives == ()
     assert out.negatives == ()
     assert out.fallback is False
+
+
+def test_discover_positives_pairs_each_ranking_with_its_lane():
+    """Rankings come only for lanes with gold left, in window order: an
+    exhausted lane between two active ones takes none and gets an empty hop."""
+    a = _qrec("a", "text a", gold={"A1", "A2"})
+    b = _qrec("b", "text b", gold={"B1"})
+    c = _qrec("c", "text c", gold={"C1", "C2"})
+    window = [_lane(a), _lane(b, [_mined("b", ["B1"])]), _lane(c, [_mined("c", ["C1"])])]
+    out = discover_positives(window, [_ranking(["xa", "A2", "B1", "C2"]),
+                                      _ranking(["xc", "C2", "A1"])], t=2, k_hat=2)
+    assert list(out) == ["a", "b", "c"]
+    assert (out["a"].positives, out["a"].negatives, out["a"].query_text) == (
+        ("A2",), ("xa", "B1", "C2"), "text a")
+    assert (out["b"].positives, out["b"].negatives, out["b"].fallback) == ((), (), False)
+    assert out["b"].query_text == "text b"
+    assert (out["c"].positives, out["c"].negatives, out["c"].query_text) == (
+        ("C2",), ("xc", "A1"), "text c")
+
+
+def test_lane_remaining_is_gold_less_every_hops_positives():
+    q = _qrec("q", "text", gold={"A", "B", "C"})
+    assert _lane(q).remaining == {"A", "B", "C"}
+    assert _lane(q, [_mined("q", ["B"]), _mined("q", ["A", "x"])]).remaining == {"C"}
 
 
 def test_oracle_facts_prefers_labeled_sentences():
@@ -350,6 +358,16 @@ def test_unknown_trainer_rejected():
         )
 
 
+def test_duplicate_qid_rejected():
+    """Two records under one qid would write one supervision record: refused,
+    naming the qid, before anything is retrieved."""
+    result = _planted(hops=2, queries=3)
+    retriever = SimpleNamespace(corpus=result.corpus, index=None)  # ranks nothing
+    twice = list(result.queries) + [result.queries[1]]
+    with pytest.raises(ValueError, match=f"qid {result.queries[1].qid!r} appears twice"):
+        latent_hop_ordering(retriever, twice, LhoConfig(k_retrieve=20, k_hat=(5, None)))
+
+
 def test_term_weight_trainer_boosts_positive_tokens():
     corpus = Corpus(
         [
@@ -358,24 +376,21 @@ def test_term_weight_trainer_boosts_positive_tokens():
             Passage(pid="neg2", title="", sentences=("plain brown dirt",)),
         ]
     )
-    from hoplite.corpus import MultiHopQuery
     from hoplite.encoder import EncoderConfig, LexicalEncoder
 
     enc = LexicalEncoder(EncoderConfig(dim=32, seed=0))
     retriever = Retriever(corpus, build_index(corpus, enc), enc)
-    batch = TrainingBatch(
-        queries={"q": MultiHopQuery(qid="q", q0_text="zebra plain")},
-        positives={"q": frozenset({"pos"})},
-        negatives={"q": ("neg1", "neg2")},
-    )
-    trained = TermWeightTrainer().train(retriever, batch)
+    # "pos" is the lane's remaining gold; its last hop mined both negatives
+    mined = HopSupervision(t=1, positives=("found",), negatives=("neg1", "neg2"),
+                           fallback=False, query_text="zebra plain")
+    lane = _lane(_qrec("q", "zebra plain", gold={"found", "pos"}), [mined])
+    trained = term_weight(retriever, [lane])
     w = trained.encoder.query_weights
     assert w["zebra"] > 1.0  # in the positive, absent from negatives
     assert w["plain"] < 1.0  # in every negative, absent from the positive
     assert all(0.25 <= v <= 4.0 for v in w.values())
     # no signal -> retriever returned unchanged
-    empty = TrainingBatch(queries={}, positives={}, negatives={})
-    assert TermWeightTrainer().train(retriever, empty) is retriever
+    assert term_weight(retriever, []) is retriever
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@
 #   eval-*.json       eval --out of each condensed, rerank and hybrid run
 #   lho-*.jsonl       lho with --truth and --triples-out, with the
 #                     term_weight trainer, with --k-hat 2,all,all, with a
-#                     k_retrieve whose hops screen, and with
-#                     --shuffled-expansion, term_weight and --triples-out
+#                     k_retrieve whose hops screen, with
+#                     --shuffled-expansion, term_weight and --triples-out,
+#                     and with --k-hat 1,1,1, --shuffled-expansion and
+#                     term_weight, whose hops mostly fall back
 #   heuristic-order.jsonl  heuristic-order --out
 #   stdout.txt        what every command printed, in order: among it,
 #                     retrieve's ranking on each index (the first query
@@ -65,5 +67,8 @@ hoplite lho $data --index flat.idx --out lho-flat-screened.jsonl
 unset HOPLITE_SUPERVISION_K_RETRIEVE
 hoplite lho $data --index ivf.idx --shuffled-expansion --trainer term_weight \
     --out lho-ivf-shuffled.jsonl --triples-out lho-ivf-shuffled-triples.jsonl
+# depth-1 heads miss most golds: the fallback path promotes them
+hoplite lho $data --index ivf.idx --k-hat 1,1,1 --shuffled-expansion --trainer term_weight \
+    --out lho-ivf-fallback.jsonl
 hoplite heuristic-order $data
 hoplite heuristic-order $data --out heuristic-order.jsonl
