@@ -350,13 +350,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except ConfigError as exc:
         parser.error(str(exc))
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary, map to exit 1
         log.debug("traceback", exc_info=True)
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

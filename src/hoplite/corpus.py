@@ -84,22 +84,21 @@ class Corpus:
     """Immutable pid-keyed passage collection preserving file order."""
 
     def __init__(self, passages: list[Passage]):
-        self._passages = list(passages)
-        self._by_pid: dict[str, Passage] = {}
-        for p in self._passages:
+        self._by_pid: dict[str, Passage] = {}  # insertion order is file order
+        for p in passages:
             if p.pid in self._by_pid:
                 raise CorpusFormatError(f"duplicate pid {p.pid!r}")
             self._by_pid[p.pid] = p
         self._pids = tuple(self._by_pid)
 
     def __len__(self) -> int:
-        return len(self._passages)
+        return len(self._by_pid)
 
     def __contains__(self, pid: str) -> bool:
         return pid in self._by_pid
 
     def __iter__(self) -> Iterator[Passage]:
-        return iter(self._passages)
+        return iter(self._by_pid.values())
 
     @property
     def pids(self) -> tuple[str, ...]:

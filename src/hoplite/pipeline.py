@@ -11,7 +11,8 @@ per-hop ranked lists of one trace are pairwise disjoint and their
 concatenation (the trace union) has no duplicates. A trace keeps each hop's
 `Ranking` as the arrays `retrieve` returned. It is its query's one record:
 the next hop's query (`HopTrace.query`) and exclusion set are read off it,
-as are the union, final query and each hop's exclusion set it writes.
+as is the union it writes. A written record leaves out what the rest of it
+gives: each ranked score, each hop's exclusion set and the final query.
 
 Every query runs the same hop schedule, so `run_queries` runs
 LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -275,7 +276,7 @@ def merge_hybrid(
 
 def _ranked_records(ranked: Ranking) -> list[dict]:
     scores = zip(ranked.pids, ranked.s_query.tolist(), ranked.s_fact.tolist())
-    return [{"pid": pid, "score": q + f, "s_query": q, "s_fact": f} for pid, q, f in scores]
+    return [{"pid": pid, "s_query": q, "s_fact": f} for pid, q, f in scores]
 
 
 def trace_record(trace: HopTrace | HybridTrace) -> dict:
@@ -287,8 +288,6 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
             "condensed": trace_record(trace.condensed),
             "rerank": trace_record(trace.rerank),
         }
-    union = list(trace.union_pids)
-    starts = accumulate((len(hop.ranked) for hop in trace.hops), initial=0)
     rec = {
         "qid": trace.qid,
         "q0": trace.q0_text,
@@ -300,13 +299,11 @@ def trace_record(trace: HopTrace | HybridTrace) -> dict:
                 "ranked": _ranked_records(hop.ranked),
                 "kept_facts": [vars(f) for f in hop.kept_facts],  # the Facts' own dicts: read-only
                 "context_pid": hop.context_pid,
-                "excluded": sorted(union[:at]),  # the earlier hops' pids
             }
-            for hop, at in zip(trace.hops, starts)
+            for hop in trace.hops
         ],
-        "union": union,
+        "union": list(trace.union_pids),
         "final_facts": [vars(f) for f in trace.final_facts],
-        "final_query": trace.query.text,
     }
     if trace.verdict is not None:
         rec["verdict"] = trace.verdict

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -64,7 +65,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
 
 @contextmanager
 def replacing(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
-    """`path` written via a temporary file beside it: whole, or unchanged if the block raises."""
+    """`path` written via a temporary file beside it: whole, or unchanged if the block raises.
+    A `path` that is a directory is refused before the block runs."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         fh = open(tmp, mode, **kwargs)

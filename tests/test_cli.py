@@ -259,6 +259,51 @@ def test_out_in_a_missing_directory_exits_1_naming_the_out_path(workdir, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_out_naming_a_directory_exits_1_before_any_query_runs(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    data = workdir / "data"
+    windows = []
+    monkeypatch.setattr("hoplite.cli.run_queries", lambda runner, queries: windows.append(1))
+    run = ["run", "--corpus", str(data / "corpus.jsonl"), "--queries",
+           str(data / "queries.jsonl"), "--out", str(tmp_path), "--seed", "7"]
+    assert main(run) == 1
+    assert windows == []
+    assert capsys.readouterr().err.endswith(f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build-index", "lho", "heuristic-order", "eval"])
+def test_out_naming_a_directory_exits_1_naming_it(workdir, tmp_path, command):
+    data = workdir / "data"
+    inputs = {
+        "build-index": [],
+        "lho": ["--queries", data / "queries.jsonl"],
+        "heuristic-order": ["--queries", data / "queries.jsonl"],
+        "eval": ["--queries", data / "queries.jsonl", "--traces", tmp_path / "traces.jsonl"],
+    }[command]
+    if command == "eval":
+        (tmp_path / "traces.jsonl").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    r = run_cli(command, "--corpus", data / "corpus.jsonl", *inputs, "--out", out, "--seed", 7)
+    assert r.returncode == 1
+    assert f"error: [Errno 21] Is a directory: '{out}'" in r.stderr
+    assert ".tmp" not in r.stderr
+    assert list(out.iterdir()) == []
+    left = ["out", "traces.jsonl"] if command == "eval" else ["out"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
+def test_keyboard_interrupt_is_not_mapped_to_exit_1(monkeypatch):
+    def interrupted(args, parser):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("hoplite.cli.cmd_eval", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["eval", "--traces", "t", "--queries", "q", "--corpus", "c"])
+
+
 def test_lho_and_eval_flow(workdir, tmp_path):
     data = workdir / "data"
     sup = tmp_path / "supervision.jsonl"
@@ -599,7 +644,8 @@ def test_index_pid_missing_from_corpus_exits_1_naming_it(workdir, tmp_path, comm
     }[command]
     r = run_cli(command, "--corpus", smaller, "--index", workdir / "flat.hlti", *args, "--seed", 7)
     assert r.returncode == 1
-    assert repr(dropped) in r.stderr and "not in the corpus" in r.stderr
+    # the KeyError's message itself, not its quoted str()
+    assert f"\nerror: index pid {dropped!r} is not in the corpus\n" in r.stderr
     assert r.stdout == "" and not out.exists()
 
 

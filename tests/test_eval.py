@@ -191,6 +191,31 @@ def test_evaluate_run_hand_fixture():
     assert ov.verification_accuracy == pytest.approx(0.5)
 
 
+def _without_derived(rec):
+    """`rec` as the writer now writes it: no ranked `score`, hop `excluded` or
+    `final_query`, each of which the rest of the record determines."""
+    hops = [
+        {**{k: v for k, v in hop.items() if k != "excluded"},
+         "ranked": [{k: v for k, v in sp.items() if k != "score"} for sp in hop["ranked"]]}
+        for hop in rec["hops"]
+    ]
+    return {**{k: v for k, v in rec.items() if k != "final_query"}, "hops": hops}
+
+
+def test_records_with_and_without_derived_fields_report_the_same():
+    old = [
+        _rec("q1", ["A", "B", "X"], [("A", 0), ("B", 0)], verdict=True),
+        _rec("q2", ["X", "C"], [("A", 0), ("C", 0)], verdict=True),
+        _rec("q3", ["X"], []),
+    ]
+    new = [_without_derived(rec) for rec in old]
+    assert all("final_query" not in rec and "excluded" not in rec["hops"][0]
+               and "score" not in rec["hops"][0]["ranked"][0] for rec in new)
+    cfg = EvalConfig(retrieval_k=2, answer_k=2)
+    reports = [report_json(evaluate_run(recs, _queries(), _corpus(), cfg)) for recs in (old, new)]
+    assert reports[0] == reports[1]
+
+
 def test_evaluate_run_strata_weighted_identity():
     queries = _queries()
     corpus = _corpus()

@@ -131,10 +131,10 @@ def test_write_traces_without_meta(tmp_path):
     write_traces(path, [_trace()])
     assert path.read_bytes() == _lines([trace_record(_trace())])
     rec = trace_record(_trace())
-    ranked = [{"pid": "p-é", "score": 1.5, "s_query": 1.0, "s_fact": 0.5}]
+    ranked = [{"pid": "p-é", "s_query": 1.0, "s_fact": 0.5}]
     assert rec["hops"][0]["ranked"] == ranked
-    assert (rec["hops"][0]["excluded"], rec["union"]) == ([], ["p-é"])
-    assert rec["final_query"] == f"{TEXT} {TEXT}"
+    assert rec["union"] == ["p-é"]
+    assert " ".join([rec["q0"]] + [f["text"] for f in rec["final_facts"]]) == f"{TEXT} {TEXT}"
     assert read_traces(path) == (None, [trace_record(_trace())])
 
 

@@ -144,14 +144,15 @@ def test_hops_are_disjoint_and_exclusion_grows(
         trace = PipelineRunner(tiny_corpus, idx, enc, cfg).run(_qrec("q", q0))
     rec = trace_record(trace)
     seen = set()
+    prefixes = []  # the sorted union of the hops before each hop
     for hop, k in zip(rec["hops"], per_hop_k):
         pids = {sp["pid"] for sp in hop["ranked"]}
         assert len(pids) == len(hop["ranked"]) <= k
         assert not pids & seen
-        assert hop["excluded"] == sorted(seen)
+        prefixes.append(sorted(seen))
         seen |= pids
-    # the written exclusion sets are the ones the hops were retrieved under
-    assert [hop["excluded"] for hop in rec["hops"]] == excluded
+    # each hop was retrieved under the sorted union of the hops before it
+    assert prefixes == excluded
     assert rec["union"] == [sp["pid"] for hop in rec["hops"] for sp in hop["ranked"]]
     assert rec["union"] == list(trace.union_pids)
     assert len(set(rec["union"])) == len(rec["union"])
@@ -168,7 +169,8 @@ def test_hops_are_disjoint_and_exclusion_grows(
     for t, text in enumerate(texts):
         before = [s for hop in added[:t] for s in hop] if accumulate_facts else []
         assert text == " ".join([q0] + before)
-    assert rec["final_query"] == " ".join([q0] + [f["text"] for f in rec["final_facts"]])
+    # the final query, q0 plus the written final facts, is the trace's own
+    assert " ".join([rec["q0"]] + [f["text"] for f in rec["final_facts"]]) == trace.query.text
 
 
 def test_accumulate_facts_ablation(enc, tiny_corpus):
@@ -533,8 +535,9 @@ def test_trace_round_trip(tmp_path, enc, tiny_corpus):
     for rec in records:
         assert set(rec) >= {"qid", "q0", "variant", "per_hop_k", "hops", "union", "final_facts"}
         for hop in rec["hops"]:
-            assert set(hop) == {"t", "ranked", "kept_facts", "context_pid", "excluded"}
-            assert hop["excluded"] == sorted(hop["excluded"])
+            assert set(hop) == {"t", "ranked", "kept_facts", "context_pid"}
+            for sp in hop["ranked"]:
+                assert set(sp) == {"pid", "s_query", "s_fact"}
 
 
 def test_hybrid_trace_record_nests_both_traces(enc, tiny_corpus):

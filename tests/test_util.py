@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from hoplite.util import derive_seed, hash64, normalize_answer_text, read_jsonl, write_jsonl
+from hoplite.util import (
+    derive_seed,
+    hash64,
+    normalize_answer_text,
+    read_jsonl,
+    replacing,
+    write_jsonl,
+)
 
 
 def test_hash64_frozen_values():
@@ -83,3 +90,18 @@ def test_write_jsonl_that_fails_leaves_the_file_as_it_was(tmp_path, error):
     with pytest.raises(error):
         write_jsonl(tmp_path / "new.jsonl", records())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
+def test_replacing_a_directory_is_refused_before_the_block_runs(tmp_path):
+    # else the block runs in full, and then the move fails naming the temporary file
+    out = tmp_path / "out"
+    out.mkdir()
+    ran = []
+    with pytest.raises(IsADirectoryError) as info:
+        with replacing(out, encoding="utf-8") as fh:
+            ran.append(fh)
+    assert ran == []
+    assert info.value.filename == str(out)
+    assert str(info.value) == f"[Errno 21] Is a directory: '{out}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(out.iterdir()) == []

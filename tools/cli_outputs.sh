@@ -13,7 +13,8 @@
 #   flat.idx ivf.idx  both index variants
 #   run-*.jsonl       condensed, rerank and hybrid on each index, and a
 #                     condensed run whose hop 2 is scored in one pass
-#   eval-*.json       eval --out of each condensed, rerank and hybrid run
+#   eval-*.json       eval --out of every run above, the one-pass run
+#                     (hop 2 ranks 400 passages: the largest trace) too
 #   lho-*.jsonl       lho with --truth and --triples-out, with the
 #                     term_weight trainer, with --k-hat 2,all,all, with a
 #                     k_retrieve whose hops screen, with
@@ -57,6 +58,7 @@ done
 export HOPLITE_PIPELINE_PER_HOP_K="[5, 400, 5]"
 hoplite run $data --index flat.idx --out run-flat-one-pass.jsonl
 unset HOPLITE_PIPELINE_PER_HOP_K
+hoplite eval $data --traces run-flat-one-pass.jsonl --out eval-flat-one-pass.json
 hoplite lho $data --index ivf.idx --truth synth/truth.jsonl \
     --out lho-ivf.jsonl --triples-out lho-ivf-triples.jsonl
 hoplite lho $data --index ivf.idx --trainer term_weight --out lho-ivf-term-weight.jsonl
