@@ -44,7 +44,7 @@ from .supervision import (
 )
 from .evaluation import check_query_texts, evaluate_run, report_json
 from .synth import PlantSpec, generate, write_synth, read_truth
-from .util import derive_seed, replacing, tokenize, write_jsonl
+from .util import check_writable, derive_seed, replacing, tokenize, write_jsonl
 
 log = logging.getLogger("hoplite")
 
@@ -69,6 +69,13 @@ def _require(parser: argparse.ArgumentParser, path: str | None, what: str) -> Pa
     if not p.exists():
         parser.error(f"{what} not found: {p}")
     return p
+
+
+def _outputs(*paths: str | None) -> None:
+    """Refuse, before any work, each given output path that writing it at the end would."""
+    for path in paths:
+        if path is not None:
+            check_writable(path)
 
 
 def _given(overlay: dict) -> dict:
@@ -126,6 +133,7 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_build_index(args, parser) -> int:
     cfg = _resolve(args, {"index": {"variant": args.variant}})
+    _outputs(args.out)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = build_index(corpus, _encoder(cfg), cfgmod.index_config(cfg))
     save_index(index, args.out)
@@ -155,6 +163,7 @@ def cmd_retrieve(args, parser) -> int:
 
 def cmd_run(args, parser) -> int:
     cfg = _resolve(args, {"pipeline": {"variant": args.variant}})
+    _outputs(args.out)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)
@@ -184,6 +193,7 @@ def cmd_lho(args, parser) -> int:
     if args.triples_cap < 1:
         parser.error(f"argument --triples-cap: {args.triples_cap} is not a positive integer")
     cfg = _resolve(args, {"supervision": {"k_hat": args.k_hat, "trainer": args.trainer}})
+    _outputs(args.out, args.triples_out)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     truth = read_truth(_require(parser, args.truth, "truth file")) if args.truth else None
@@ -221,6 +231,7 @@ def cmd_lho(args, parser) -> int:
 
 def cmd_heuristic_order(args, parser) -> int:
     _resolve(args)
+    _outputs(args.out)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     records = [
@@ -238,6 +249,7 @@ def cmd_heuristic_order(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     cfg = _resolve(args)
+    _outputs(args.out)
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     path = _require(parser, args.traces, "trace file")

@@ -19,8 +19,10 @@ place in storage; k-means samples and assigns the rows in pid order,
 reading storage through `_layout`'s pid-order row map, so no pid-order copy
 of the rows is made.
 A `RowCache` keeps each distinct source row's candidates and screened
-maxima for the calls it serves; its docstring says why that cannot change
-a ranking.
+maxima for the calls of one window, and keeps the screen's buffers (the
+similarity block, the maxima table, the gathered maxima) across windows, so
+a warm screen maps and faults in no large temporary; its docstring says why
+neither can change a ranking.
 
 On-disk layout, format 2 (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -254,22 +256,39 @@ class TokenIndex:
             for at in (pick[i : i + step] for i in range(0, pick.size, step)):
                 yield bucket[at], rows.take(at, axis=0)
 
-    def screen_maxima(self, src: np.ndarray) -> np.ndarray:
-        """Float32 (len(src), n_pids): each passage's best float32 dot product per
-        source row. One GEMM per block of source rows reads storage in place,
-        each block's similarity matrix under SCREEN_BYTES, and each bucket's
-        maxima fold the strided views of its L row offsets; entries of empty
-        passages are unset."""
+    def _screen_step(self) -> int:
+        """Source rows per block of the screen: the most whose float32
+        similarity matrix against storage stays under SCREEN_BYTES."""
+        return max(1, SCREEN_BYTES // (4 * max(1, self.n_vectors)))
+
+    def screen_scratch(self, n_src: int) -> int:
+        """Float32 entries `screen_maxima` of n_src rows works in: one block's
+        similarity matrix and the fold of its largest bucket."""
+        largest = max((rows.shape[0] for _, _, rows in self._length_buckets), default=0)
+        return min(n_src, self._screen_step()) * (self.n_vectors + largest)
+
+    def screen_maxima(self, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """`out`, a C-contiguous float32 (len(src), n_pids) array, filled with each
+        passage's best float32 dot product per source row; entries of empty
+        passages are left as they were. One GEMM per block of source rows
+        reads storage in place into `scratch` (float32, at least
+        `screen_scratch(len(src))` entries), each block's similarity matrix
+        under SCREEN_BYTES, and each bucket's maxima fold the strided views of
+        its L row offsets in the rest of it. The blocks keep their shapes
+        whatever the buffers, so fresh and reused buffers give the same bits."""
         src = np.ascontiguousarray(src, dtype=np.float32)
-        out = np.empty((src.shape[0], len(self.pids)), dtype=np.float32)
-        step = max(1, SCREEN_BYTES // (4 * max(1, self.n_vectors)))
+        n_vectors, step = self.n_vectors, self._screen_step()
         for at in range(0, src.shape[0], step):
-            sims = self.storage @ src[at : at + step].T
+            cols = src[at : at + step].T
+            width = cols.shape[1]
+            sims = scratch[: n_vectors * width].reshape(n_vectors, width)
+            np.matmul(self.storage, cols, out=sims)
             block = out[at : at + step].T
             for positions, first, rows in self._length_buckets:
                 n, length = rows.shape[:2]
-                runs = sims[first : first + n * length].reshape(n, length, -1)
-                best = np.maximum(runs[:, 0], runs[:, -1])
+                runs = sims[first : first + n * length].reshape(n, length, width)
+                best = scratch[sims.size : sims.size + n * width].reshape(n, width)
+                np.maximum(runs[:, 0], runs[:, -1], out=best)
                 for j in range(1, length - 1):
                     np.maximum(best, runs[:, j], out=best)
                 block[positions] = best
@@ -277,47 +296,111 @@ class TokenIndex:
 
 
 class RowCache:
-    """What each distinct source row alone determines, kept for many calls.
+    """What each distinct source row alone determines, kept for the calls of
+    one window at a time.
 
     Each MaxSim term depends on one source row, and a multi-hop query repeats
     its rows: hop t+1 re-encodes hop t's rows before the new facts', and the
     hybrid rerank arm starts from the condensed arm's q0. Keyed by a row's
-    float64 bits, `maxima` holds the row's screened maxima (every passage's
-    best float32 dot product with it) and `candidates`, per
-    results_per_vector, the pid positions `candidates_for` finds for it.
-    `expected` holds the rows of the calls still to come in a hop (set by
-    `pipeline.retrieve_hop`): the next screen takes them along, so a hop
-    screens once if any of its calls prunes and never if none does.
+    float64 bits, `maxima` maps the row to its row of the cache's maxima
+    table (every passage's best float32 dot product with it), and
+    `candidates` holds, per results_per_vector, the pid positions
+    `candidates_for` finds for it. `expected` holds the rows of the calls
+    still to come in a hop (set by `pipeline.retrieve_hop` through
+    `expect`): the next screen takes them along, so a hop screens once if
+    any of its calls prunes and never if none does.
 
-    Why sharing a cache, across hops, queries or a pipeline window, cannot
-    change a ranking: both entries are functions of the index, the row's
-    bits and the depth alone; a row screened in a stack of many rows (one
-    `screen_maxima` call, in blocks under SCREEN_BYTES) gets the maxima it
-    gets alone up to float32 summation order, which the screen's error
-    bound covers; and the band is still rescored by the float64 kernel,
-    whose scores do not depend on pool or stack. It takes distinct screened
-    rows x passages x 4 bytes; `row_cache` refuses it for another index.
+    A cache serves one window at a time. `reset` starts the next: it forgets
+    every row's entries and the expected rows, and keeps the buffers. Those
+    are the maxima table, the screen's similarity block, the gathered
+    maxima handed to `screen_sums`, and the rows being screened; each grows
+    (at least doubling) when a window needs more and is never shrunk or
+    freed, so a warm cache maps no large temporary. `PipelineRunner` keeps
+    one for its life and `latent_hop_ordering` one per call.
+
+    Why sharing a cache, across hops, queries or a pipeline window, or
+    reusing its buffers across windows, cannot change a ranking: both
+    entries are functions of the index, the row's bits and the depth
+    alone, and a buffer only holds them; a row screened in a stack of many
+    rows (one `screen_maxima` call, in blocks under SCREEN_BYTES) gets the
+    maxima it gets alone up to float32 summation order, which the screen's
+    error bound covers; and the band is still rescored by the float64
+    kernel, whose scores do not depend on pool or stack. Its table takes a
+    window's distinct screened rows x passages x 4 bytes; `row_cache`
+    refuses it for another index.
     """
 
     def __init__(self, index: TokenIndex):
         self.index = index
-        self.maxima: dict[bytes, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
+        self._table = np.zeros((0, len(index.pids)), dtype=np.float32)
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a window: no row's entries and no expected rows; the buffers stay."""
+        self.maxima: dict[bytes, int] = {}
         self.candidates: dict[int, dict[bytes, np.ndarray]] = {}
-        self.expected = np.zeros((0, index.dim))
+        self.expected = np.zeros((0, self.index.dim))
+
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float32,
+                keep: int = 0) -> np.ndarray:
+        """A C-contiguous `shape` view of the start of buffer `name`, which grows,
+        at least doubling and keeping its first `keep` entries, when too small."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            grown = np.empty(max(size, 2 * (0 if buf is None else buf.size)), dtype=dtype)
+            if keep:
+                grown[:keep] = buf[:keep]
+            buf = self._buffers[name] = grown
+        return buf[:size].reshape(shape)
+
+    def expect(self, rows: Sequence[np.ndarray]) -> None:
+        """`expected` becomes the float64 `rows` arrays stacked, in the cache's buffer."""
+        self.expected = self._buffer("rows", (sum(map(len, rows)), self.index.dim), np.float64)
+        if rows:
+            np.concatenate(rows, out=self.expected)
+
+    def _screen(self, rows: np.ndarray) -> None:
+        """Give each distinct one of the `expected` rows, then `rows`, that has no
+        table row yet one, filled by one `screen_maxima` call; drop the expected rows."""
+        index, n_expected, used = self.index, len(self.expected), len(self.maxima)
+        both = self._buffer("rows", (n_expected + len(rows), index.dim), np.float64,
+                            keep=self.expected.size)
+        both[n_expected:] = rows
+        fresh: dict[bytes, int] = {}
+        for i, key in enumerate(map(np.ndarray.tobytes, both)):
+            if key not in self.maxima:
+                fresh.setdefault(key, i)
+        # mode="clip": the indices are in range, and under "raise" numpy writes
+        # `out` through a temporary copy
+        picked = self._buffer("picked", (len(fresh), index.dim), np.float64)
+        np.take(both, np.fromiter(fresh.values(), np.intp, len(fresh)), axis=0, out=picked,
+                mode="clip")
+        src = self._buffer("src", picked.shape)
+        np.copyto(src, picked)
+        n_pids = len(index.pids)
+        self._table = self._buffer("table", (used + len(fresh), n_pids), keep=used * n_pids)
+        index.screen_maxima(src, self._table[used:],
+                            self._buffer("screen", (index.screen_scratch(len(fresh)),)))
+        self.maxima.update(zip(fresh, range(used, used + len(fresh))))
+        self.expected = self.expected[:0]
 
     def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
         """Float32 (len(pool), len(rows)): the screened maxima of the passages at
-        `pool` for each float64 source row. Rows not screened yet are screened
-        with the `expected` rows not screened yet, in one `screen_maxima`
-        call, which drops the expected rows."""
+        `pool` for each float64 source row, as a view of the cache's buffer that
+        its next call overwrites. Rows not screened yet are screened with the
+        `expected` rows not screened yet, in one `screen_maxima` call, which
+        drops the expected rows."""
         keys = list(map(np.ndarray.tobytes, rows))
         if any(key not in self.maxima for key in keys):
-            both = np.concatenate([self.expected, rows])
-            new = {key: row for key, row in zip(map(np.ndarray.tobytes, both), both)
-                   if key not in self.maxima}
-            self.maxima.update(zip(new, self.index.screen_maxima(np.array(list(new.values())))))
-            self.expected = self.expected[:0]
-        return np.array([self.maxima[key] for key in keys]).T[pool]
+            self._screen(rows)
+        at = np.fromiter(map(self.maxima.__getitem__, keys), np.intp, len(keys))
+        lanes = self._buffer("lanes", (len(keys), self._table.shape[1]))
+        np.take(self._table, at, axis=0, out=lanes, mode="clip")
+        gathered = self._buffer("gathered", (len(keys), pool.size))
+        np.take(lanes, pool, axis=1, out=gathered, mode="clip")
+        return gathered.T
 
 
 def row_cache(cache: RowCache | None, index: TokenIndex) -> RowCache:
@@ -491,7 +574,8 @@ def rank_pool(
     scores every passage and only the pool passages screened within twice
     the error bound of the k-th best are rescored in float64; the rest
     cannot reach the top k (see `scoring`). The screen runs only for the
-    source rows `cache` (a fresh one per call by default) has not seen.
+    source rows `cache` (a fresh one per call by default) has not seen, and
+    works in the cache's buffers.
     """
     cols = source_columns(eq)
     if 2 * k < pool.size:

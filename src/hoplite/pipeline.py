@@ -18,8 +18,10 @@ Every query runs the same hop schedule, so `run_queries` runs
 LOCKSTEP_QUERIES queries at a time as one window, hop by hop. A window
 holds a trace per query, two per hybrid query (its condensed and rerank
 arms, which share hop 1: it is retrieved once from q0 and given to both).
-Its traces share one `index.RowCache` across all of their hops, which holds
-at most one window's distinct rows x passages x 4 bytes of screened maxima.
+Its traces share the runner's one `index.RowCache` across all of their
+hops. The cache is reset at the start of each window, so it holds at most
+one window's distinct rows x passages x 4 bytes of screened maxima, and it
+keeps its buffers across windows, so a warm screen maps no large temporary.
 Each hop is one `retrieve_hop`, the step latent hop ordering takes too: it
 encodes every trace's query, then `retrieve` finds each one's pool; the
 first that prunes (2k < pool) screens every query's unseen rows in one
@@ -37,8 +39,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .condenser import CondenserConfig, IdfTable, condense
 from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
@@ -53,8 +53,9 @@ VARIANT_HYBRID = "hybrid"
 
 HYBRID_MERGE_TOTAL = 100
 
-# Queries `run_queries` runs hop by hop together at a time, sharing one
-# RowCache (distinct rows x passages x 4 bytes) until the last trace is done.
+# Queries `run_queries` runs hop by hop together at a time, sharing the
+# runner's RowCache (distinct rows x passages x 4 bytes) until the last trace
+# is done.
 LOCKSTEP_QUERIES = 16
 
 
@@ -119,7 +120,9 @@ class HybridTrace:
 
 class PipelineRunner:
     """Runs queries through the configured variant over one index and a corpus
-    holding every pid of it (else KeyError)."""
+    holding every pid of it (else KeyError), one window at a time: its one
+    `RowCache` is reset per window and keeps its buffers for the runner's life,
+    so a runner is not shared across threads."""
 
     def __init__(
         self,
@@ -131,6 +134,7 @@ class PipelineRunner:
         self.cfg = cfg or PipelineConfig()
         self.retriever = Retriever(corpus, index, encoder, self.cfg.retrieval)
         self.idf = IdfTable.from_corpus(corpus)
+        self.cache = RowCache(index)  # reset per window; its buffers outlive windows
 
     def _advance(self, trace: HopTrace, ranked: Ranking) -> HopTrace:
         """`trace` with `ranked` recorded as its next hop and its facts extended by
@@ -154,7 +158,8 @@ class PipelineRunner:
         return replace(trace, hops=trace.hops + (hop,), final_facts=facts)
 
     def _window(self, queries: Sequence[QueryRecord]) -> list[HopTrace | HybridTrace]:
-        """Traces of `queries`, run hop by hop together through one `RowCache`.
+        """Traces of `queries`, run hop by hop together through the runner's
+        `RowCache`, reset first.
 
         A trace per query, two per hybrid query (its condensed arm, then its
         rerank arm). Each hop is one `retrieve_hop` over the traces' queries
@@ -166,7 +171,8 @@ class PipelineRunner:
                 else (cfg.variant,))
         traces = [HopTrace(q.qid, q.text, arm, cfg.per_hop_k, hops=(), final_facts=())
                   for q in queries for arm in arms]
-        cache = RowCache(self.retriever.index)
+        cache = self.cache
+        cache.reset()
         for t, k in enumerate(cfg.per_hop_k, start=1):
             # hybrid's arms share hop 1: both retrieve it from q0 alone, nothing excluded
             shared = len(arms) if t == 1 else 1
@@ -186,8 +192,8 @@ class PipelineRunner:
         ]
 
     def run(self, query: QueryRecord) -> HopTrace | HybridTrace:
-        """One query through the configured variant: a window of one, with one
-        `RowCache` for every hop of it (both arms of hybrid)."""
+        """One query through the configured variant: a window of one, the
+        runner's `RowCache` serving every hop of it (both arms of hybrid)."""
         return self._window([query])[0]
 
 
@@ -203,8 +209,7 @@ def retrieve_hop(
     covers every state's source rows (see `RowCache`)."""
     step = replace(retriever.cfg, k=k)
     eqs = [retriever.encoder.encode_query(state) for state in states]
-    rows = [source_columns(eq).T for eq in eqs]
-    cache.expected = np.concatenate(rows) if rows else cache.expected[:0]
+    cache.expect([source_columns(eq).T for eq in eqs])
     return [retrieve(eq, retriever.index, step, exclude=exclude, cache=cache)
             for eq, exclude in zip(eqs, excludes)]
 
@@ -214,9 +219,9 @@ def run_queries(
 ) -> list[HopTrace | HybridTrace]:
     """Traces of `queries` in input order, LOCKSTEP_QUERIES queries at a time,
     each window run hop by hop on the calling thread (`threads` must be 1).
-    A window's traces share one `RowCache`, so each hop's new source rows, of
-    every trace, are screened by at most one `screen_maxima` call; traces do
-    not depend on the window (see `RowCache`).
+    A window's traces share the runner's `RowCache`, reset per window, so each
+    hop's new source rows, of every trace, are screened by at most one
+    `screen_maxima` call; traces do not depend on the window (see `RowCache`).
     """
     if threads != 1:
         raise ValueError(f"run_queries runs on one thread; threads must be 1, got {threads!r}")

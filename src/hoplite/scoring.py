@@ -93,12 +93,14 @@ def _top_sums(maxima: np.ndarray, k: int) -> np.ndarray:
 
 
 def _partition_sums(maxima: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the float64 sum of its k largest values, in no set order."""
+    """Per row, the float64 sum of its k largest values, in no set order; the
+    partition reorders each row of `maxima` in place."""
     n = maxima.shape[1]
     if k <= 0:
         return np.zeros(maxima.shape[0])
     if k < n:
-        maxima = np.partition(maxima, n - k, axis=1)[:, n - k :]
+        maxima.partition(n - k, axis=1)
+        maxima = maxima[:, n - k :]
     return maxima.sum(axis=1, dtype=np.float64)
 
 
@@ -151,7 +153,8 @@ def focused_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> tu
 def screen_sums(eq: EncodedQuery, maxima: np.ndarray, focus: FocusParams) -> np.ndarray:
     """Screened scores s_query + s_fact from float32 maxima, one column per
     source row: each part's top k picked by partition and summed in float64 in
-    no set order, which `screen_error` covers."""
+    no set order, which `screen_error` covers. The partition runs in place, so
+    it reorders each row's entries within each part of `maxima`."""
     nq = eq.query_part.shape[0]
     return _partition_sums(maxima[:, :nq], focus.n_hat) + _partition_sums(
         maxima[:, nq:], focus.l_hat

@@ -245,7 +245,7 @@ def latent_hop_ordering(
     produced from the lanes after the hop before (unchanged for the identity
     trainer). A hop takes its lanes LOCKSTEP_QUERIES at a time. A window ranks
     the states of those with gold left through `pipeline.retrieve_hop` and the
-    window's own `RowCache`, mines them in one `discover_positives` call, and
+    call's one `RowCache`, reset per window, mines them in one `discover_positives` call, and
     at once appends each lane's hop and extends its state with the hop's
     facts. Records hold per-hop positives, negatives, the query text used,
     and fallback flags.
@@ -269,12 +269,14 @@ def latent_hop_ordering(
 
     trainer = TRAINERS[cfg.trainer]
     current = retriever
+    cache = RowCache(retriever.index)
     for t, k_hat in enumerate(cfg.k_hat, start=1):
         for at in range(0, len(lanes), LOCKSTEP_QUERIES):
             window = lanes[at : at + LOCKSTEP_QUERIES]
+            cache.reset()
             ranked = retrieve_hop(current, cfg.k_retrieve,
                                   [lane.state for lane in window if lane.remaining],
-                                  repeat(frozenset()), RowCache(current.index))
+                                  repeat(frozenset()), cache)
             mined = discover_positives(window, ranked, t, k_hat)
             for lane in window:
                 hop = mined[lane.query.qid]

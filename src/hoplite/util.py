@@ -63,12 +63,22 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
 
 
+def check_writable(path: str | Path) -> None:
+    """Raise, naming `path`, the OSError that writing it would raise when it is a
+    directory (EISDIR) or lies in no directory (ENOENT, or ENOTDIR under a file)."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
+
+
 @contextmanager
 def replacing(path: str | Path, mode: str = "w", **kwargs) -> Iterator:
     """`path` written via a temporary file beside it: whole, or unchanged if the block raises.
-    A `path` that is a directory is refused before the block runs."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    A `path` that `check_writable` refuses is refused before the block runs."""
+    check_writable(path)
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         fh = open(tmp, mode, **kwargs)

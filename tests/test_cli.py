@@ -776,8 +776,54 @@ def _cmd(workdir, tmp_path, command):
         "retrieve": [command, *corpus, *index, "--query", "rome"],
         "run": [command, *corpus, *queries, *index, *out],
         "lho": [command, *corpus, *queries, *index, *out],
+        "heuristic-order": [command, *corpus, *queries, *out],
         "eval": [command, *corpus, *queries, "--traces", tmp_path / "t.jsonl", *out],
     }[command]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("command, work", [
+    ("build-index", "build_index"),
+    ("run", "run_queries"),
+    ("lho", "latent_hop_ordering"),
+    ("heuristic-order", "heuristic_order"),
+    ("eval", "evaluate_run"),
+])
+def test_a_bad_out_exits_1_before_the_work(
+    workdir, tmp_path, monkeypatch, capsys, command, work, where
+):
+    """An `--out` that is a directory, or lies in a missing directory, exits 1
+    with the message writing it would give, before the command's work runs."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"hoplite.cli.{work}", never)
+    out = tmp_path / "out"
+    if where == "directory":
+        out.mkdir()
+        message = f"[Errno 21] Is a directory: '{out}'"
+    else:
+        out = out / "x.jsonl"
+        message = f"[Errno 2] No such file or directory: '{out}'"
+    args = [str(a) for a in _cmd(workdir, tmp_path, command)]
+    args[args.index("--out") + 1] = str(out)
+    assert main(args + ["--seed", "7"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_lho_triples_out_in_a_missing_directory_exits_1_before_the_run(
+    workdir, tmp_path, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("latent_hop_ordering ran")
+
+    monkeypatch.setattr("hoplite.cli.latent_hop_ordering", never)
+    triples = tmp_path / "missing" / "triples.jsonl"
+    args = [str(a) for a in _cmd(workdir, tmp_path, "lho")] + ["--triples-out", str(triples)]
+    assert main(args + ["--seed", "7"]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: [Errno 2] No such file or directory: '{triples}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -248,6 +249,36 @@ def test_cached_candidates_are_the_brute_force_hits(seed, dim, n_calls):
         got = candidates_for(eq, idx, rpv, cache)
         assert np.array_equal(got, candidates_for(eq, idx, rpv))  # a fresh cache per call
         assert _hits(idx, got) == _brute_force_hits(eq, idx, rpv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), screen_bytes=st.sampled_from([1, 300, 4096]))
+def test_screen_maxima_in_reused_buffers_are_the_bits_of_each_blocks_gemm(seed, screen_bytes):
+    """Screened into an `out` and a `scratch` that hold an earlier screen's
+    values, the scratch larger than it needs to be, each passage's maxima
+    are the bits of the float32 GEMM of each block of source rows under
+    SCREEN_BYTES, maxed over the passage's rows; empty passages exist too."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 40))
+    counts = rng.integers(0, 6, int(rng.integers(1, 25)))
+    counts[0] = max(int(counts[0]), 1)
+    pids = [f"p{i}" for i in range(counts.size)]
+    idx = from_passages(pids, [rng.standard_normal((int(c), dim)).astype(np.float32)
+                               for c in counts])
+    src = rng.standard_normal((int(rng.integers(1, 12)), dim)).astype(np.float32)
+    out = np.empty((len(src), len(pids)), dtype=np.float32)
+    scratch = np.empty(2 * idx.screen_scratch(len(src)) + 5, dtype=np.float32)
+    with patch.object(index_mod, "SCREEN_BYTES", screen_bytes):
+        idx.screen_maxima(rng.standard_normal(src.shape), out, scratch)  # leaves its values
+        got = idx.screen_maxima(src, out, scratch)
+    step = max(1, screen_bytes // (4 * idx.n_vectors))
+    sims = np.concatenate([idx.storage @ src[at : at + step].T
+                           for at in range(0, len(src), step)], axis=1)
+    for i, pid in enumerate(pids):
+        if counts[i]:
+            lo, hi = rows_for(idx, pid)
+            want = sims[lo:hi].max(axis=0)
+            assert np.array_equal(got[:, i].view(np.uint32), want.view(np.uint32))
 
 
 def test_ivf_default_centroids_and_nprobe():

@@ -1,8 +1,9 @@
 import gc
 import json
-import weakref
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from itertools import repeat
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hoplite.condenser import CondenserConfig, IdfTable, condense
-from hoplite.corpus import MultiHopQuery, QueryRecord
+from hoplite.corpus import Fact, MultiHopQuery, QueryRecord
 from hoplite.encoder import EncoderConfig, LexicalEncoder
 from hoplite.index import SCREEN_BYTES, IndexConfig, RowCache, build_index
 from hoplite.pipeline import (
@@ -28,9 +29,11 @@ from hoplite.pipeline import (
     trace_record,
     write_traces,
 )
-from hoplite.retriever import retrieve
-from hoplite.scoring import Ranking, ScoredPassage
+from hoplite.retriever import RetrievalConfig, Retriever, retrieve
+from hoplite.scoring import Ranking, ScoredPassage, source_columns
 from hoplite.synth import PlantSpec, generate
+
+from oracle import from_passages
 
 
 def _qrec(qid, text):
@@ -347,43 +350,39 @@ def test_lockstep_batches_write_the_traces_of_queries_run_alone(
 ):
     """`run_queries` over a batch (up to past one window, repeats and a query
     that encodes to no rows included) writes the traces each query gets run
-    alone with a fresh cache per retrieval; each window's one cache serves
-    the queries of that window, and at most one cache is alive at a time."""
+    alone with a fresh cache per retrieval; the runner's one cache serves
+    every window, reset at the start of each, and serves each window the
+    queries of that window alone."""
     enc, planted, idx = _planted(index_variant)
     cfg = PipelineConfig(per_hop_k=tuple(per_hop_k), variant=variant,
                          accumulate_facts=accumulate_facts, verify=verify)
     runner = PipelineRunner(planted.corpus, idx, enc, cfg)
     queries = [(planted.queries + [_qrec("blank", "--")])[i] for i in picks]
-    q0_rows = {}  # serial number of a cache -> the q0 rows of its calls
-    alive = weakref.WeakSet()  # caches not yet freed
-    most_alive = []
+    q0_rows = []  # per reset of the runner's cache, the q0 rows of the calls after it
+    reset = runner.cache.reset
 
-    class Tracked(RowCache):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.serial = len(q0_rows)
-            q0_rows[self.serial] = set()
-            alive.add(self)
+    def resetting():
+        q0_rows.append(set())
+        reset()
 
     def recording(eq, *args, cache, **kwargs):
-        q0_rows[cache.serial].add(eq.query_part.tobytes())
-        most_alive.append(len(alive))
+        assert cache is runner.cache
+        q0_rows[-1].add(eq.query_part.tobytes())
         return retrieve(eq, *args, cache=cache, **kwargs)
 
     def fresh(*args, cache, **kwargs):
         return retrieve(*args, **kwargs)
 
     with patch("hoplite.index.SCREEN_BYTES", screen_bytes), \
-            patch("hoplite.pipeline.RowCache", Tracked), \
+            patch.object(runner.cache, "reset", resetting), \
             patch("hoplite.pipeline.retrieve", recording):
         batch = [trace_record(t) for t in run_queries(runner, queries)]
     with patch("hoplite.pipeline.retrieve", fresh):
         alone = [trace_record(runner.run(q)) for q in queries]
     assert batch == alone
     q0 = [enc.encode_query(MultiHopQuery(q.qid, q.text)).query_part.tobytes() for q in queries]
-    assert list(q0_rows.values()) == [set(q0[at : at + LOCKSTEP_QUERIES])
-                                      for at in range(0, len(q0), LOCKSTEP_QUERIES)]
-    assert max(most_alive) == 1
+    assert q0_rows == [set(q0[at : at + LOCKSTEP_QUERIES])
+                       for at in range(0, len(q0), LOCKSTEP_QUERIES)]
 
 
 # k = 70 on 120 passages is scored in one pass (2k >= pool), and its hop screens nothing
@@ -398,7 +397,8 @@ def test_a_batch_screens_each_hop_in_one_call(per_hop_k, screened_hops):
     assert len(queries) == 10
     sizes = []
     screen = idx.screen_maxima
-    with patch.object(idx, "screen_maxima", lambda src: sizes.append(len(src)) or screen(src)):
+    with patch.object(idx, "screen_maxima",
+                      lambda src, *bufs: sizes.append(len(src)) or screen(src, *bufs)):
         batch = [trace_record(t) for t in run_queries(runner, queries)]
         stacked = sizes[:]
         sizes.clear()
@@ -422,7 +422,8 @@ def test_a_hop_screens_once_per_window_if_its_lanes_prune(per_hop_k, pruning_hop
     assert LOCKSTEP_QUERIES < len(queries) <= 2 * LOCKSTEP_QUERIES
     calls = []
     screen = idx.screen_maxima
-    with patch.object(idx, "screen_maxima", lambda src: calls.append(len(src)) or screen(src)):
+    with patch.object(idx, "screen_maxima",
+                      lambda src, *bufs: calls.append(len(src)) or screen(src, *bufs)):
         run_queries(runner, queries)
     assert len(calls) == 2 * pruning_hops
 
@@ -435,7 +436,8 @@ def test_a_batch_screens_a_repeated_query_once():
     query = planted.queries[0]
     sizes = []
     screen = idx.screen_maxima
-    with patch.object(idx, "screen_maxima", lambda src: sizes.append(len(src)) or screen(src)):
+    with patch.object(idx, "screen_maxima",
+                      lambda src, *bufs: sizes.append(len(src)) or screen(src, *bufs)):
         batch = [trace_record(t) for t in run_queries(runner, [query, query])]
         stacked = sizes[:]
         sizes.clear()
@@ -443,6 +445,50 @@ def test_a_batch_screens_a_repeated_query_once():
     assert batch == [alone, alone]
     assert len(sizes) == 3
     assert stacked == sizes
+
+
+# Traced bytes a warm window of 16 queries may add at its peak: its own
+# arrays (each query's encoded rows and their float64 columns, about 200 KiB
+# in the test below) and the kernel's stacks, each under STACK_BYTES.
+WARM_WINDOW_PEAK = 512 * 1024
+
+
+def test_a_warm_cache_maps_no_large_temporary():
+    """A second window of `retrieve_hop` through a cache the first window grew
+    ranks as the first did and raises the traced peak by less than
+    WARM_WINDOW_PEAK: the similarity block, the maxima table, the gathered
+    maxima, the rows screened and the expected rows all sit in the cache's
+    buffers, while the same rows' similarity block alone is over 1.5 MiB."""
+    enc = LexicalEncoder(EncoderConfig(dim=64, seed=3))
+    planted = generate(PlantSpec(hops=3, queries=LOCKSTEP_QUERIES, corpus_size=300,
+                                 distractors_per_query=3, seed=5))
+    corpus = planted.corpus
+    idx = from_passages(corpus.pids, [enc.encode_passage(p) for p in corpus])
+    retriever = Retriever(corpus, idx, enc, RetrievalConfig())
+    passages = list(corpus)
+    states = [MultiHopQuery(q.qid, q.text, (Fact(passages[i].pid, 0, passages[i].sentences[0]),))
+              for i, q in enumerate(planted.queries)]
+    n_rows = sum(source_columns(enc.encode_query(state)).shape[1] for state in states)
+    block_cols = min(n_rows, SCREEN_BYTES // (4 * idx.n_vectors))
+    assert 4 * idx.n_vectors * block_cols > 3 * WARM_WINDOW_PEAK  # one fresh similarity block
+    cache = RowCache(idx)
+
+    def window():
+        cache.reset()
+        # k 5 against 300 passages: every call prunes, so the window screens
+        return [list(r) for r in retrieve_hop(retriever, 5, states, repeat(frozenset()), cache)]
+
+    first = window()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        second = window()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < WARM_WINDOW_PEAK
 
 
 # ---------------------------------------------------------------------------

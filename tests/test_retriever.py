@@ -19,7 +19,7 @@ from hoplite.index import (
 )
 from hoplite.pipeline import PipelineRunner
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
-from hoplite.scoring import FocusParams, flipr_score, screen_error
+from hoplite.scoring import FocusParams, flipr_score, screen_error, source_columns
 from hoplite.supervision import TERM_WEIGHT_MAX_RATIO
 
 from conftest import unit_rows
@@ -250,9 +250,9 @@ def test_scores_do_not_depend_on_the_pool(case, stack_bytes):
 
 
 @st.composite
-def cached_call_sequences(draw):
-    """A flat or IVF index over random float32 passages, and 2 to 5 retrieve
-    calls whose rows come from one small set: rows repeat within a call and
+def cached_call_sequences(draw, calls=(2, 5)):
+    """A flat or IVF index over random float32 passages, and `calls` (by
+    default 2 to 5) retrieve calls whose rows come from one small set: rows repeat within a call and
     recur across calls, some differ from another in their last entry only,
     float64 rows that round to the same float32 as another row sit beside
     it, and each call may bring rows not seen before, so a shared cache
@@ -291,8 +291,8 @@ def cached_call_sequences(draw):
                                    fresh])
         return rows[rng.permutation(len(rows))].astype(dtype)
 
-    calls = []
-    for _ in range(draw(st.integers(2, 5))):
+    sequence = []
+    for _ in range(draw(st.integers(*calls))):
         dtype = draw(st.sampled_from([np.float32, np.float64]))
         eq = EncodedQuery(part(draw(st.integers(1, 10)), dtype),
                           part(draw(st.integers(0, 6)), dtype))
@@ -301,8 +301,8 @@ def cached_call_sequences(draw):
             results_per_vector=rpv,
             focus=FocusParams(n_hat=draw(st.integers(1, 8)), l_hat=draw(st.integers(0, 4))),
         )
-        calls.append((eq, cfg, {pid for pid in pids if rng.random() < 0.15}))
-    return index, calls
+        sequence.append((eq, cfg, {pid for pid in pids if rng.random() < 0.15}))
+    return index, sequence
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,13 +319,56 @@ def test_a_shared_row_cache_changes_no_ranking(case):
         event("the shared cache grew past its first screen")
 
 
+@settings(max_examples=150, deadline=None)
+@given(cached_call_sequences(calls=(2, 10)), st.data())
+def test_a_row_cache_reset_between_windows_changes_no_ranking(case, data):
+    """One `RowCache`, reset before each of 2 to 4 windows of calls (each
+    window maybe handed its rows through `expect` first, as `retrieve_hop`
+    does), ranks every call as a fresh cache does. The last window holds
+    every call, so it screens more rows than any window before it and the
+    kept buffers grow."""
+    index, calls = case
+    cuts = data.draw(st.lists(st.integers(1, len(calls) - 1), max_size=2, unique=True))
+    bounds = [0, *sorted(cuts), len(calls)]
+    windows = [calls[a:b] for a, b in zip(bounds, bounds[1:])] + [calls]
+    cache = RowCache(index)
+    for at, window in enumerate(windows):
+        cache.reset()
+        sizes = {name: buf.size for name, buf in cache._buffers.items()}
+        if data.draw(st.booleans()):
+            cache.expect([source_columns(eq).T for eq, _, _ in window])
+        for eq, cfg, exclude in window:
+            got = list(retrieve(eq, index, cfg, exclude, cache=cache))
+            assert got == list(retrieve(eq, index, cfg, exclude))  # a fresh cache per call
+        if at and any(buf.size > sizes.get(name, 0) for name, buf in cache._buffers.items()):
+            event("a later window grew a buffer")
+
+
+def test_a_reset_row_cache_grows_its_buffers_for_a_larger_window(enc, tiny_corpus):
+    """A window that screens more rows, of longer queries, than the one
+    before grows the table, the gathered maxima and the similarity block,
+    and ranks as a fresh cache does; a smaller window after it reuses them."""
+    idx = build_index(tiny_corpus, enc)
+    cfg = RetrievalConfig(k=1)  # 2k < 6 passages: every call screens
+    cache = RowCache(idx)
+    sizes = []
+    for text in ("rome", "carthage fought three wars against rome on the tiber river", "sea"):
+        cache.reset()
+        eq = enc.encode_query(_query(text))
+        assert list(retrieve(eq, idx, cfg, cache=cache)) == list(retrieve(eq, idx, cfg))
+        sizes.append({name: buf.size for name, buf in cache._buffers.items()})
+    for name in ("table", "gathered", "screen", "src"):
+        assert sizes[1][name] > sizes[0][name]
+    assert sizes[2] == sizes[1]
+
+
 def test_row_cache_screens_each_distinct_row_once(enc, tiny_corpus):
     idx = build_index(tiny_corpus, enc)
     cache = RowCache(idx)
     screened = []
     screen = idx.screen_maxima
     with patch.object(idx, "screen_maxima",
-                      lambda src: screened.append(len(src)) or screen(src)):
+                      lambda src, *bufs: screened.append(len(src)) or screen(src, *bufs)):
         for text in ("carthage rome carthage", "rome carthage tiber", "carthage tiber sea"):
             eq = enc.encode_query(_query(text))
             cfg = RetrievalConfig(k=1)  # 2k < 6 passages: every call screens

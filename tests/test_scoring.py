@@ -311,8 +311,10 @@ def test_partitioned_screen_sums_stay_within_the_screen_bound(
                       rng.standard_normal((n_fact, dim)).astype(dtype))
     focus = FocusParams(n_hat=n_hat, l_hat=l_hat)
     cols = source_columns(eq)
-    screened = idx.screen_maxima(cols.T).T
-    approx = screen_sums(eq, screened, focus)
+    out = np.empty((cols.shape[1], counts.size), dtype=np.float32)
+    screened = idx.screen_maxima(cols.T, out, np.empty(idx.screen_scratch(cols.shape[1]),
+                                                       dtype=np.float32)).T
+    approx = screen_sums(eq, screened.copy(), focus)  # it reorders its maxima in place
 
     exact = np.concatenate([row_maxima(stack, cols) for _, stack in idx.stacks(
         np.arange(counts.size), max_rows=1)])

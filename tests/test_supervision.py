@@ -1,7 +1,6 @@
 import json
 import logging
 import time
-import weakref
 from functools import lru_cache
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -232,7 +231,8 @@ def test_weak_queries_are_those_with_a_fallback_hop(monkeypatch):
     ]
     rankings = {"weak": ["x", "A", "B"], "strong": ["A", "x"], "late": ["A", "x", "y"]}
     # a fixed ranking per qid in place of each hop's retrieval
-    monkeypatch.setattr("hoplite.supervision.RowCache", lambda index: None)
+    monkeypatch.setattr("hoplite.supervision.RowCache",
+                        lambda index: SimpleNamespace(reset=lambda: None))
     monkeypatch.setattr("hoplite.supervision.retrieve_hop",
                         lambda retriever, k, states, excludes, cache:
                         [_ranking(rankings[state.qid]) for state in states])
@@ -286,7 +286,8 @@ def test_lho_in_windows_mines_what_each_query_mines_alone(
     cfg = LhoConfig(k_retrieve=k_retrieve, k_hat=(2, None, None), trainer=trainer)
     calls = []
     screen = idx.screen_maxima
-    with patch.object(idx, "screen_maxima", lambda src: calls.append(len(src)) or screen(src)):
+    with patch.object(idx, "screen_maxima",
+                      lambda src, *bufs: calls.append(len(src)) or screen(src, *bufs)):
         windows = latent_hop_ordering(retriever, result.queries, cfg, expansion)
     with patch("hoplite.supervision.retrieve_hop", lambda retriever, k, states, excludes, cache:
                [retriever.retrieve(state, k=k) for state in states]):
@@ -298,34 +299,37 @@ def test_lho_in_windows_mines_what_each_query_mines_alone(
     assert len(calls) == sum(n > 0 for hop in active for n in hop) * pruning
 
 
-def test_lho_holds_one_window_cache_at_a_time(monkeypatch):
-    """Each hop's window of LOCKSTEP_QUERIES queries gets a fresh `RowCache`
-    for its queries with gold left, and at most one is alive at a time: one
-    cache per call would grow with the queryset."""
+def test_lho_resets_one_cache_per_window(monkeypatch):
+    """A call makes one `RowCache` and resets it before each hop's window of
+    LOCKSTEP_QUERIES queries, whose queries with gold left it then serves:
+    the cache's entries never outlive a window, since entries kept for a
+    whole call would grow with the queryset."""
     result, enc, idx = _two_windows("ivf")
     retriever = Retriever(result.corpus, idx, enc, RetrievalConfig(k=20))
-    served = []  # retrieve calls per cache, in the order the caches were made
-    alive = weakref.WeakSet()  # caches not yet freed
-    most_alive = []
+    made = []
+    served = []  # retrieve calls after each reset
 
     class Tracked(RowCache):
         def __init__(self, *args):
+            made.append(self)
             super().__init__(*args)
-            self.serial = len(served)
+
+        def reset(self):
             served.append(0)
-            alive.add(self)
+            super().reset()
 
     def recording(eq, *args, cache, **kwargs):
-        served[cache.serial] += 1
-        most_alive.append(len(alive))
+        assert cache is made[0]
+        served[-1] += 1
         return retrieve(eq, *args, cache=cache, **kwargs)
 
     monkeypatch.setattr("hoplite.supervision.RowCache", Tracked)
     monkeypatch.setattr("hoplite.pipeline.retrieve", recording)
     cfg = LhoConfig(k_retrieve=20, k_hat=(5, None, None))
     sets = latent_hop_ordering(retriever, result.queries, cfg)
-    assert served == [n for hop in _active(sets, cfg.hops) for n in hop]
-    assert max(most_alive) == 1
+    assert len(made) == 1
+    # __init__ resets once before the first window's reset
+    assert served == [0] + [n for hop in _active(sets, cfg.hops) for n in hop]
 
 
 def test_oversize_gold_warning(caplog):
