@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -71,11 +72,17 @@ def _require(parser: argparse.ArgumentParser, path: str | None, what: str) -> Pa
     return p
 
 
-def _outputs(*paths: str | None) -> None:
-    """Refuse, before any work, each given output path that writing it at the end would."""
-    for path in paths:
-        if path is not None:
+def _outputs(args: argparse.Namespace, *outs: str) -> None:
+    """Refuse, before any work, each output (of the flags `outs`) that writing it at
+    the end would, or whose path is that of an input or of another output."""
+    named: dict[str, str] = {}
+    for name in ("corpus", "queries", "index", "truth", "traces", *outs):
+        path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+        other = path and named.setdefault(os.path.realpath(path), flag)
+        if path and name in outs:
             check_writable(path)
+            if other != flag:
+                raise ValueError(f"{other} and {flag} both name {path}")
 
 
 def _given(overlay: dict) -> dict:
@@ -133,7 +140,7 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_build_index(args, parser) -> int:
     cfg = _resolve(args, {"index": {"variant": args.variant}})
-    _outputs(args.out)
+    _outputs(args, "out")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     index = build_index(corpus, _encoder(cfg), cfgmod.index_config(cfg))
     save_index(index, args.out)
@@ -163,7 +170,7 @@ def cmd_retrieve(args, parser) -> int:
 
 def cmd_run(args, parser) -> int:
     cfg = _resolve(args, {"pipeline": {"variant": args.variant}})
-    _outputs(args.out)
+    _outputs(args, "out")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     index = _load_or_build_index(args, parser, cfg, corpus)
@@ -193,7 +200,7 @@ def cmd_lho(args, parser) -> int:
     if args.triples_cap < 1:
         parser.error(f"argument --triples-cap: {args.triples_cap} is not a positive integer")
     cfg = _resolve(args, {"supervision": {"k_hat": args.k_hat, "trainer": args.trainer}})
-    _outputs(args.out, args.triples_out)
+    _outputs(args, "out", "triples_out")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     truth = read_truth(_require(parser, args.truth, "truth file")) if args.truth else None
@@ -231,7 +238,7 @@ def cmd_lho(args, parser) -> int:
 
 def cmd_heuristic_order(args, parser) -> int:
     _resolve(args)
-    _outputs(args.out)
+    _outputs(args, "out")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     records = [
@@ -249,7 +256,7 @@ def cmd_heuristic_order(args, parser) -> int:
 
 def cmd_eval(args, parser) -> int:
     cfg = _resolve(args)
-    _outputs(args.out)
+    _outputs(args, "out")
     corpus = load_corpus(_require(parser, args.corpus, "corpus"))
     queries = load_queryset(_require(parser, args.queries, "queryset"), corpus)
     path = _require(parser, args.traces, "trace file")

@@ -19,10 +19,10 @@ place in storage; k-means samples and assigns the rows in pid order,
 reading storage through `_layout`'s pid-order row map, so no pid-order copy
 of the rows is made.
 A `RowCache` keeps each distinct source row's candidates and screened
-maxima for the calls of one window, and keeps the screen's buffers (the
-similarity block, the maxima table, the gathered maxima) across windows, so
-a warm screen maps and faults in no large temporary; its docstring says why
-neither can change a ranking.
+maxima for the calls of one window, and keeps the screen's float32 buffers
+(the rows screened, the similarity block, the maxima table, the gathered
+maxima) across windows, so a warm screen maps and faults in no large
+temporary; its docstring says why neither can change a ranking.
 
 On-disk layout, format 2 (all little-endian):
   magic "HLTI" | u8 version | u8 variant | u32 dim | u64 n_vectors | u64 n_pids
@@ -301,33 +301,35 @@ class RowCache:
 
     Each MaxSim term depends on one source row, and a multi-hop query repeats
     its rows: hop t+1 re-encodes hop t's rows before the new facts', and the
-    hybrid rerank arm starts from the condensed arm's q0. Keyed by a row's
-    float64 bits, `maxima` maps the row to its row of the cache's maxima
-    table (every passage's best float32 dot product with it), and
-    `candidates` holds, per results_per_vector, the pid positions
-    `candidates_for` finds for it. `expected` holds the rows of the calls
-    still to come in a hop (set by `pipeline.retrieve_hop` through
-    `expect`): the next screen takes them along, so a hop screens once if
-    any of its calls prunes and never if none does.
+    hybrid rerank arm starts from the condensed arm's q0. Each entry is keyed
+    by the bits its computation reads. `maxima`, keyed by a row's float32
+    cast, maps it to its row of the cache's maxima table (every passage's
+    best float32 dot product with it); `candidates`, keyed by a row's float64
+    bits, holds per results_per_vector the pid positions `candidates_for`
+    finds for it. `expected` holds the encoded queries of the hop's calls
+    (`pipeline.retrieve_hop` sets it): the next screen takes their rows
+    along, so a hop screens once if any of its calls prunes and never, nor
+    copies a row, if none does.
 
     A cache serves one window at a time. `reset` starts the next: it forgets
-    every row's entries and the expected rows, and keeps the buffers. Those
-    are the maxima table, the screen's similarity block, the gathered
-    maxima handed to `screen_sums`, and the rows being screened; each grows
-    (at least doubling) when a window needs more and is never shrunk or
-    freed, so a warm cache maps no large temporary. `PipelineRunner` keeps
-    one for its life and `latent_hop_ordering` one per call.
+    every row's entries and the expected queries, and keeps the float32
+    buffers: the rows screened (`rows`, then the new ones in `src`), the
+    maxima `table`, the similarity block and fold (`screen`), and the pool's
+    maxima (`lanes`, then `gathered`). Each grows, at least doubling, when a
+    window needs more and is never freed, so a warm cache maps no large
+    temporary. `PipelineRunner` keeps one for its life and
+    `latent_hop_ordering` one per call.
 
     Why sharing a cache, across hops, queries or a pipeline window, or
     reusing its buffers across windows, cannot change a ranking: both
-    entries are functions of the index, the row's bits and the depth
-    alone, and a buffer only holds them; a row screened in a stack of many
-    rows (one `screen_maxima` call, in blocks under SCREEN_BYTES) gets the
-    maxima it gets alone up to float32 summation order, which the screen's
-    error bound covers; and the band is still rescored by the float64
-    kernel, whose scores do not depend on pool or stack. Its table takes a
-    window's distinct screened rows x passages x 4 bytes; `row_cache`
-    refuses it for another index.
+    entries are functions of the index, the bits they are keyed by and the
+    depth alone, and a buffer only holds them; a row screened in a stack of
+    many rows (one `screen_maxima` call, in blocks under SCREEN_BYTES) gets
+    the maxima it gets alone up to float32 summation order, which the
+    screen's error bound covers; and the band is still rescored by the
+    float64 kernel, whose scores do not depend on pool or stack. Its table
+    takes a window's distinct screened rows x passages x 4 bytes;
+    `row_cache` refuses it for another index.
     """
 
     def __init__(self, index: TokenIndex):
@@ -337,64 +339,53 @@ class RowCache:
         self.reset()
 
     def reset(self) -> None:
-        """Start a window: no row's entries and no expected rows; the buffers stay."""
+        """Start a window: no row's entries and no expected queries; the buffers stay."""
         self.maxima: dict[bytes, int] = {}
         self.candidates: dict[int, dict[bytes, np.ndarray]] = {}
-        self.expected = np.zeros((0, self.index.dim))
+        self.expected: Sequence[EncodedQuery] = ()
 
-    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float32,
-                keep: int = 0) -> np.ndarray:
-        """A C-contiguous `shape` view of the start of buffer `name`, which grows,
-        at least doubling and keeping its first `keep` entries, when too small."""
+    def _buffer(self, name: str, shape: tuple[int, ...], keep: int = 0) -> np.ndarray:
+        """A C-contiguous float32 `shape` view of the start of buffer `name`, which
+        grows, at least doubling and keeping its first `keep` entries, when too small."""
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            grown = np.empty(max(size, 2 * (0 if buf is None else buf.size)), dtype=dtype)
+            grown = np.empty(max(size, 2 * (0 if buf is None else buf.size)), dtype=np.float32)
             if keep:
                 grown[:keep] = buf[:keep]
             buf = self._buffers[name] = grown
         return buf[:size].reshape(shape)
 
-    def expect(self, rows: Sequence[np.ndarray]) -> None:
-        """`expected` becomes the float64 `rows` arrays stacked, in the cache's buffer."""
-        self.expected = self._buffer("rows", (sum(map(len, rows)), self.index.dim), np.float64)
-        if rows:
-            np.concatenate(rows, out=self.expected)
+    def _rows(self, eqs: Sequence[EncodedQuery]) -> np.ndarray:
+        """The float32 casts of each of `eqs`' query rows, then fact rows, in `rows`."""
+        parts = [part for eq in eqs for part in (eq.query_part, eq.fact_part)]
+        rows = self._buffer("rows", (sum(map(len, parts)), self.index.dim))
+        return np.concatenate(parts, out=rows, casting="same_kind")
 
-    def _screen(self, rows: np.ndarray) -> None:
-        """Give each distinct one of the `expected` rows, then `rows`, that has no
-        table row yet one, filled by one `screen_maxima` call; drop the expected rows."""
-        index, n_expected, used = self.index, len(self.expected), len(self.maxima)
-        both = self._buffer("rows", (n_expected + len(rows), index.dim), np.float64,
-                            keep=self.expected.size)
-        both[n_expected:] = rows
-        fresh: dict[bytes, int] = {}
-        for i, key in enumerate(map(np.ndarray.tobytes, both)):
-            if key not in self.maxima:
-                fresh.setdefault(key, i)
-        # mode="clip": the indices are in range, and under "raise" numpy writes
-        # `out` through a temporary copy
-        picked = self._buffer("picked", (len(fresh), index.dim), np.float64)
-        np.take(both, np.fromiter(fresh.values(), np.intp, len(fresh)), axis=0, out=picked,
-                mode="clip")
-        src = self._buffer("src", picked.shape)
-        np.copyto(src, picked)
-        n_pids = len(index.pids)
-        self._table = self._buffer("table", (used + len(fresh), n_pids), keep=used * n_pids)
-        index.screen_maxima(src, self._table[used:],
-                            self._buffer("screen", (index.screen_scratch(len(fresh)),)))
-        self.maxima.update(zip(fresh, range(used, used + len(fresh))))
-        self.expected = self.expected[:0]
-
-    def screened(self, rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """Float32 (len(pool), len(rows)): the screened maxima of the passages at
-        `pool` for each float64 source row, as a view of the cache's buffer that
-        its next call overwrites. Rows not screened yet are screened with the
-        `expected` rows not screened yet, in one `screen_maxima` call, which
-        drops the expected rows."""
-        keys = list(map(np.ndarray.tobytes, rows))
+    def screened(self, eq: EncodedQuery, pool: np.ndarray) -> np.ndarray:
+        """Float32 (len(pool), n_src): the screened maxima of the passages at `pool`
+        for each of `eq`'s source rows, as a view of the cache's buffer that its
+        next call overwrites. If `eq` has a row not screened yet, every distinct
+        row of the `expected` queries, then of `eq`, that has no table row gets
+        one, filled by one `screen_maxima` call, and the expected queries go."""
+        index, used = self.index, len(self.maxima)
+        keys = list(map(np.ndarray.tobytes, self._rows([eq])))
         if any(key not in self.maxima for key in keys):
-            self._screen(rows)
+            rows, fresh = self._rows([*self.expected, eq]), {}
+            for i, key in enumerate(map(np.ndarray.tobytes, rows)):
+                if key not in self.maxima:
+                    fresh.setdefault(key, i)
+            # mode="clip": the indices are in range, and under "raise" numpy writes
+            # `out` through a temporary copy
+            src = self._buffer("src", (len(fresh), index.dim))
+            np.take(rows, np.fromiter(fresh.values(), np.intp, len(fresh)), axis=0, out=src,
+                    mode="clip")
+            n_pids = len(index.pids)
+            self._table = self._buffer("table", (used + len(fresh), n_pids), keep=used * n_pids)
+            index.screen_maxima(src, self._table[used:],
+                                self._buffer("screen", (index.screen_scratch(len(fresh)),)))
+            self.maxima.update(zip(fresh, range(used, used + len(fresh))))
+            self.expected = ()
         at = np.fromiter(map(self.maxima.__getitem__, keys), np.intp, len(keys))
         lanes = self._buffer("lanes", (len(keys), self._table.shape[1]))
         np.take(self._table, at, axis=0, out=lanes, mode="clip")
@@ -573,13 +564,13 @@ def rank_pool(
     Unless the band could not prune (2k >= pool size), a float32 screen
     scores every passage and only the pool passages screened within twice
     the error bound of the k-th best are rescored in float64; the rest
-    cannot reach the top k (see `scoring`). The screen runs only for the
-    source rows `cache` (a fresh one per call by default) has not seen, and
-    works in the cache's buffers.
+    cannot reach the top k (see `scoring`). `cache` (a fresh one per call by
+    default) screens only the rows of `eq` it has not seen, along with those
+    of its expected queries, and works in its own buffers.
     """
     cols = source_columns(eq)
     if 2 * k < pool.size:
-        maxima = row_cache(cache, index).screened(cols.T, pool)
+        maxima = row_cache(cache, index).screened(eq, pool)
         approx = screen_sums(eq, maxima, focus)
         kth = np.partition(approx, -k)[-k]
         pool = pool[approx >= kth - 2 * screen_error(eq, focus, index.max_row_norm)]

@@ -23,10 +23,10 @@ hops. The cache is reset at the start of each window, so it holds at most
 one window's distinct rows x passages x 4 bytes of screened maxima, and it
 keeps its buffers across windows, so a warm screen maps no large temporary.
 Each hop is one `retrieve_hop`, the step latent hop ordering takes too: it
-encodes every trace's query, then `retrieve` finds each one's pool; the
-first that prunes (2k < pool) screens every query's unseen rows in one
-`TokenIndex.screen_maxima` call, and a hop where none prunes screens
-nothing. Traces are the bytes a fresh cache per retrieval writes;
+encodes every trace's query and hands the encoded queries to the cache,
+then `retrieve` finds each one's pool; the first that prunes (2k < pool)
+screens every query's unseen rows in one `TokenIndex.screen_maxima` call,
+and a hop where none prunes screens nothing and copies no row. Traces are the bytes a fresh cache per retrieval writes;
 `index.RowCache` says why.
 """
 
@@ -44,7 +44,7 @@ from .corpus import Corpus, Fact, MultiHopQuery, QueryRecord
 from .encoder import LexicalEncoder
 from .index import RowCache, TokenIndex
 from .retriever import RetrievalConfig, Retriever, retrieve
-from .scoring import Ranking, source_columns
+from .scoring import Ranking
 from .util import read_jsonl, write_jsonl
 
 VARIANT_CONDENSED = "condensed"
@@ -205,11 +205,11 @@ def retrieve_hop(
     cache: RowCache,
 ) -> list[Ranking]:
     """The top k of each state less its excluded pids, in order, as `retrieve`
-    ranks them: one hop of many query states through `cache`, whose next screen
-    covers every state's source rows (see `RowCache`)."""
+    ranks them: one hop of many query states through `cache`, handed their
+    encoded queries so that its next screen covers all of them (see `RowCache`)."""
     step = replace(retriever.cfg, k=k)
     eqs = [retriever.encoder.encode_query(state) for state in states]
-    cache.expect([source_columns(eq).T for eq in eqs])
+    cache.expected = eqs
     return [retrieve(eq, retriever.index, step, exclude=exclude, cache=cache)
             for eq, exclude in zip(eqs, excludes)]
 

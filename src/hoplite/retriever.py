@@ -10,9 +10,9 @@ whole pool. The corpus and the encoder are checked once, when a `Retriever`
 is built, not per call.
 
 A source row's IVF candidates and its screened maxima depend on that row
-alone, so an `index.RowCache` keeps them, keyed by the row's float64 bits,
-for the calls it serves: `pipeline.retrieve_hop` passes one cache to every
-`retrieve` call of a hop's window, and `RowCache` says why sharing it
+alone, so an `index.RowCache` keeps them, keyed by the row's bits that each
+reads, for the calls it serves: `pipeline.retrieve_hop` passes one cache to
+every `retrieve` call of a hop's window, and `RowCache` says why sharing it
 cannot change a ranking.
 """
 

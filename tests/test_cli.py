@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -781,34 +782,56 @@ def _cmd(workdir, tmp_path, command):
     }[command]
 
 
-@pytest.mark.parametrize("where", ["directory", "missing directory"])
-@pytest.mark.parametrize("command, work", [
+_WORK = [
     ("build-index", "build_index"),
     ("run", "run_queries"),
     ("lho", "latent_hop_ordering"),
     ("heuristic-order", "heuristic_order"),
     ("eval", "evaluate_run"),
+]
+
+
+@pytest.mark.parametrize("command, work, where", [
+    *((command, work, where) for where in ("directory", "missing directory", "an input")
+      for command, work in _WORK),
+    ("lho", "latent_hop_ordering", "another output"),
 ])
 def test_a_bad_out_exits_1_before_the_work(
     workdir, tmp_path, monkeypatch, capsys, command, work, where
 ):
     """An `--out` that is a directory, or lies in a missing directory, exits 1
-    with the message writing it would give, before the command's work runs."""
+    with the message writing it would give, and one that names an input's
+    path (spelled another way) or another output's exits 1 naming both flags,
+    before the command's work runs and with every file as it was."""
     def never(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
     monkeypatch.setattr(f"hoplite.cli.{work}", never)
+    args = [str(a) for a in _cmd(workdir, tmp_path, command)]
     out = tmp_path / "out"
     if where == "directory":
         out.mkdir()
         message = f"[Errno 21] Is a directory: '{out}'"
-    else:
+    elif where == "missing directory":
         out = out / "x.jsonl"
         message = f"[Errno 2] No such file or directory: '{out}'"
-    args = [str(a) for a in _cmd(workdir, tmp_path, command)]
+    elif where == "an input":
+        corpus = tmp_path / "corpus.jsonl"
+        shutil.copyfile(args[args.index("--corpus") + 1], corpus)
+        args[args.index("--corpus") + 1] = str(corpus)
+        out = f"{tmp_path}/./corpus.jsonl"
+        message = f"--corpus and --out both name {out}"
+    else:
+        args += ["--triples-out", str(out)]
+        message = f"--out and --triples-out both name {out}"
     args[args.index("--out") + 1] = str(out)
+    before = files()
     assert main(args + ["--seed", "7"]) == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert files() == before
 
 
 def test_lho_triples_out_in_a_missing_directory_exits_1_before_the_run(

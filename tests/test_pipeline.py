@@ -448,17 +448,18 @@ def test_a_batch_screens_a_repeated_query_once():
 
 
 # Traced bytes a warm window of 16 queries may add at its peak: its own
-# arrays (each query's encoded rows and their float64 columns, about 200 KiB
-# in the test below) and the kernel's stacks, each under STACK_BYTES.
+# arrays (each query's encoded rows and the float64 columns the kernel reads)
+# and the kernel's stacks, each under STACK_BYTES. The test below reads about
+# 200 KiB; the screen's float32 rows are cast straight into the cache's buffer.
 WARM_WINDOW_PEAK = 512 * 1024
 
 
 def test_a_warm_cache_maps_no_large_temporary():
     """A second window of `retrieve_hop` through a cache the first window grew
     ranks as the first did and raises the traced peak by less than
-    WARM_WINDOW_PEAK: the similarity block, the maxima table, the gathered
-    maxima, the rows screened and the expected rows all sit in the cache's
-    buffers, while the same rows' similarity block alone is over 1.5 MiB."""
+    WARM_WINDOW_PEAK: the rows screened, the similarity block, the maxima
+    table and the gathered maxima all sit in the cache's buffers, while the
+    same rows' similarity block alone is over 1.5 MiB."""
     enc = LexicalEncoder(EncoderConfig(dim=64, seed=3))
     planted = generate(PlantSpec(hops=3, queries=LOCKSTEP_QUERIES, corpus_size=300,
                                  distractors_per_query=3, seed=5))
@@ -489,6 +490,23 @@ def test_a_warm_cache_maps_no_large_temporary():
         tracemalloc.stop()
     assert second == first
     assert peak < WARM_WINDOW_PEAK
+
+
+@pytest.mark.parametrize("variant", ["flat", "ivf"])
+def test_a_hop_in_which_no_call_prunes_copies_no_rows(enc, tiny_corpus, variant):
+    """At a k where 2k is at least every pool, no call of a hop screens, so
+    the cache copies none of the hop's rows and holds no maxima."""
+    idx = build_index(tiny_corpus, enc, IndexConfig(variant=variant))
+    retriever = Retriever(tiny_corpus, idx, enc, RetrievalConfig())
+    states = [MultiHopQuery(f"q{i}", text, ()) for i, text in
+              enumerate(["carthage fought rome", "tiber river", "silver dye looms"])]
+    k = len(tiny_corpus)
+    cache = RowCache(idx)
+    got = retrieve_hop(retriever, k, states, repeat(frozenset()), cache)
+    assert "rows" not in cache._buffers and not cache.maxima
+    step = RetrievalConfig(k=k)
+    assert [list(r) for r in got] == [
+        list(retrieve(enc.encode_query(state), idx, step)) for state in states]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hoplite.index import (
 )
 from hoplite.pipeline import PipelineRunner
 from hoplite.retriever import RetrievalConfig, Retriever, retrieve
-from hoplite.scoring import FocusParams, flipr_score, screen_error, source_columns
+from hoplite.scoring import FocusParams, flipr_score, screen_error
 from hoplite.supervision import TERM_WEIGHT_MAX_RATIO
 
 from conftest import unit_rows
@@ -310,11 +310,14 @@ def cached_call_sequences(draw, calls=(2, 5)):
 def test_a_shared_row_cache_changes_no_ranking(case):
     index, calls = case
     cache = RowCache(index)
-    sizes = []
+    sizes, rows = [], set()
     for eq, cfg, exclude in calls:
         got = list(retrieve(eq, index, cfg, exclude, cache=cache))
         assert got == list(retrieve(eq, index, cfg, exclude))  # a fresh cache per call
         sizes.append(len(cache.maxima))
+        rows.update(map(np.ndarray.tobytes, np.concatenate([eq.query_part, eq.fact_part])
+                        .astype(np.float32)))
+        assert sizes[-1] <= len(rows)  # float64 twins share their float32 row's entry
     if len(set(sizes) - {0}) > 1:
         event("the shared cache grew past its first screen")
 
@@ -323,10 +326,10 @@ def test_a_shared_row_cache_changes_no_ranking(case):
 @given(cached_call_sequences(calls=(2, 10)), st.data())
 def test_a_row_cache_reset_between_windows_changes_no_ranking(case, data):
     """One `RowCache`, reset before each of 2 to 4 windows of calls (each
-    window maybe handed its rows through `expect` first, as `retrieve_hop`
-    does), ranks every call as a fresh cache does. The last window holds
-    every call, so it screens more rows than any window before it and the
-    kept buffers grow."""
+    window maybe handed its queries through `expected` first, as
+    `retrieve_hop` does), ranks every call as a fresh cache does. The last
+    window holds every call, so it screens more rows than any window before
+    it and the kept buffers grow."""
     index, calls = case
     cuts = data.draw(st.lists(st.integers(1, len(calls) - 1), max_size=2, unique=True))
     bounds = [0, *sorted(cuts), len(calls)]
@@ -336,7 +339,7 @@ def test_a_row_cache_reset_between_windows_changes_no_ranking(case, data):
         cache.reset()
         sizes = {name: buf.size for name, buf in cache._buffers.items()}
         if data.draw(st.booleans()):
-            cache.expect([source_columns(eq).T for eq, _, _ in window])
+            cache.expected = [eq for eq, _, _ in window]
         for eq, cfg, exclude in window:
             got = list(retrieve(eq, index, cfg, exclude, cache=cache))
             assert got == list(retrieve(eq, index, cfg, exclude))  # a fresh cache per call
@@ -376,6 +379,23 @@ def test_row_cache_screens_each_distinct_row_once(enc, tiny_corpus):
     # carthage and rome, then tiber, then sea; the repeated carthage is screened once
     assert screened[::2] == [2, 1, 1]
     assert len(cache.maxima) == 4  # one screened row per distinct row
+
+
+def test_rows_equal_in_float32_share_one_table_row(enc, tiny_corpus):
+    """Two query rows one float64 ulp apart have one float32 cast, all the
+    screen reads: through one cache the second is served from the first's
+    table row, and each ranks as a fresh cache ranks it."""
+    idx = build_index(tiny_corpus, enc)
+    row = enc.encode_query(_query("rome")).query_part[:1].astype(np.float64)
+    twin = np.nextafter(row, np.inf)
+    assert not np.array_equal(row, twin)
+    assert np.array_equal(row.astype(np.float32), twin.astype(np.float32))
+    cfg = RetrievalConfig(k=1)  # 2k < 6 passages: every call screens
+    cache = RowCache(idx)
+    for part in (row, twin):
+        eq = EncodedQuery(part, np.zeros((0, idx.dim)))
+        assert list(retrieve(eq, idx, cfg, cache=cache)) == list(retrieve(eq, idx, cfg))
+    assert len(cache.maxima) == 1
 
 
 def test_row_cache_refuses_another_index(enc, tiny_corpus):
