@@ -73,13 +73,13 @@ def _require(parser: argparse.ArgumentParser, path: str | None, what: str) -> Pa
 
 
 def _outputs(args: argparse.Namespace, *outs: str) -> None:
-    """Refuse, before any work, each output (of the flags `outs`) that writing it at
-    the end would, or whose path is that of an input or of another output."""
+    """Refuse, before any work, each given output (of the flags `outs`) that writing
+    it at the end would, or whose path is that of an input or of another output."""
     named: dict[str, str] = {}
-    for name in ("corpus", "queries", "index", "truth", "traces", *outs):
+    for name in ("config", "corpus", "queries", "index", "truth", "traces", *outs):
         path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
-        other = path and named.setdefault(os.path.realpath(path), flag)
-        if path and name in outs:
+        other = path is not None and named.setdefault(os.path.realpath(path), flag)
+        if path is not None and name in outs:
             check_writable(path)
             if other != flag:
                 raise ValueError(f"{other} and {flag} both name {path}")

@@ -13,7 +13,7 @@ provenance must survive serialization exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, Fact, MultiHopQuery, Passage
@@ -71,6 +71,8 @@ class CondenserConfig:
             raise ValueError(
                 f"stage1_top_k_facts must be in [1, 16], got {self.stage1_top_k_facts}"
             )
+        if not math.isfinite(self.tau):  # a NaN tau keeps nothing, and is no JSON
+            raise ValueError(f"tau must be a finite number, got {self.tau}")
 
 
 def stage1_extract(
@@ -94,14 +96,10 @@ def stage1_extract(
 
 
 def stage2_filter(pooled: Sequence[Fact], cfg: CondenserConfig) -> list[Fact]:
-    """Keep the pooled facts whose stage-1 score exceeds tau, best first;
-    stage2_score is the margin stage1_score - tau."""
-    kept = [
-        replace(f, stage2_score=margin)
-        for f in pooled
-        if (margin := f.stage1_score - cfg.tau) > 0.0
-    ]
-    kept.sort(key=lambda f: (-f.stage2_score, f.pid, f.sentence_index))
+    """Keep the pooled facts whose stage-1 score exceeds tau, best first by their
+    margin stage1_score - tau; two scores that round to one margin tie by pid."""
+    kept = [f for f in pooled if f.stage1_score > cfg.tau]
+    kept.sort(key=lambda f: (-(f.stage1_score - cfg.tau), f.pid, f.sentence_index))
     return kept
 
 

@@ -55,7 +55,6 @@ class Fact:
     sentence_index: int
     text: str
     stage1_score: float = 0.0
-    stage2_score: float | None = None
 
 
 @dataclass(frozen=True)

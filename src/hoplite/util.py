@@ -68,7 +68,7 @@ def check_writable(path: str | Path) -> None:
     directory (EISDIR) or lies in no directory (ENOENT, or ENOTDIR under a file)."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    parent = os.path.dirname(path) or "."
+    parent = str(path) and (os.path.dirname(path) or ".")  # "" lies in no directory
     if not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
         raise OSError(code, os.strerror(code), str(path))

@@ -792,17 +792,19 @@ _WORK = [
 
 
 @pytest.mark.parametrize("command, work, where", [
-    *((command, work, where) for where in ("directory", "missing directory", "an input")
+    *((command, work, where)
+      for where in ("directory", "missing directory", "empty", "an input", "the config")
       for command, work in _WORK),
     ("lho", "latent_hop_ordering", "another output"),
 ])
 def test_a_bad_out_exits_1_before_the_work(
     workdir, tmp_path, monkeypatch, capsys, command, work, where
 ):
-    """An `--out` that is a directory, or lies in a missing directory, exits 1
-    with the message writing it would give, and one that names an input's
-    path (spelled another way) or another output's exits 1 naming both flags,
-    before the command's work runs and with every file as it was."""
+    """An `--out` that is a directory, is empty or lies in a missing directory
+    exits 1 with the message writing it would give, and one that names an
+    input's path (spelled another way), the config's or another output's exits
+    1 naming both flags, before the command's work runs and with every file as
+    it was."""
     def never(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
@@ -818,12 +820,20 @@ def test_a_bad_out_exits_1_before_the_work(
     elif where == "missing directory":
         out = out / "x.jsonl"
         message = f"[Errno 2] No such file or directory: '{out}'"
+    elif where == "empty":
+        out = ""
+        message = "[Errno 2] No such file or directory: ''"
     elif where == "an input":
         corpus = tmp_path / "corpus.jsonl"
         shutil.copyfile(args[args.index("--corpus") + 1], corpus)
         args[args.index("--corpus") + 1] = str(corpus)
         out = f"{tmp_path}/./corpus.jsonl"
         message = f"--corpus and --out both name {out}"
+    elif where == "the config":
+        out = tmp_path / "cfg.json"
+        out.write_text('{"seed": 7}', encoding="utf-8")
+        args += ["--config", str(out)]
+        message = f"--config and --out both name {out}"
     else:
         args += ["--triples-out", str(out)]
         message = f"--out and --triples-out both name {out}"
@@ -849,6 +859,30 @@ def test_lho_triples_out_in_a_missing_directory_exits_1_before_the_run(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["empty", "the config"])
+def test_lho_triples_out_empty_or_naming_the_config_exits_1_before_the_run(
+    workdir, tmp_path, monkeypatch, capsys, where
+):
+    def never(*args, **kwargs):
+        raise AssertionError("latent_hop_ordering ran")
+
+    monkeypatch.setattr("hoplite.cli.latent_hop_ordering", never)
+    args = [str(a) for a in _cmd(workdir, tmp_path, "lho")]
+    if where == "empty":
+        triples, message = "", "[Errno 2] No such file or directory: ''"
+    else:
+        triples = tmp_path / "cfg.json"
+        triples.write_text('{"seed": 7}', encoding="utf-8")
+        args += ["--config", str(triples)]
+        message = f"--config and --triples-out both name {triples}"
+    assert main(args + ["--triples-out", str(triples), "--seed", "7"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    left = [] if where == "empty" else ["cfg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+    if where == "the config":
+        assert triples.read_text(encoding="utf-8") == '{"seed": 7}'
+
+
 @pytest.mark.parametrize(
     "command, flags, env, key",
     [
@@ -865,6 +899,8 @@ def test_lho_triples_out_in_a_missing_directory_exits_1_before_the_run(
         ("run", [], {"HOPLITE_PIPELINE_HYBRID_TOTAL": "-1"}, "hybrid_total"),
         ("run", [], {"HOPLITE_PIPELINE_PER_HOP_K": "[2.5]"}, "per_hop_k"),
         ("run", [], {"HOPLITE_THREADS": "2"}, "unknown key HOPLITE_THREADS"),
+        ("run", [], {"HOPLITE_CONDENSER_TAU": "NaN"}, "condenser: tau"),
+        ("run", [], {"HOPLITE_CONDENSER_TAU": "Infinity"}, "condenser: tau"),
     ],
 )
 def test_bad_config_value_exits_2_before_reading_input(

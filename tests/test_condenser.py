@@ -93,7 +93,7 @@ def test_stage2_subtracts_tau_and_keeps_positive():
     ]
     kept = stage2_filter(pooled, CondenserConfig(tau=0.1))
     # 0.25 - 0.1 = 0.15 survives; 0.0 - 0.1 drops
-    assert [(f.pid, f.stage2_score) for f in kept] == [("a", pytest.approx(0.15))]
+    assert [(f.pid, f.stage1_score - 0.1) for f in kept] == [("a", pytest.approx(0.15))]
     assert kept[0].stage1_score == 0.25  # stage-1 provenance preserved
 
 
@@ -106,12 +106,72 @@ def test_stage2_fixture_scores():
     ]
     kept = stage2_filter(pooled, CondenserConfig(tau=0.0))
     assert [f.pid for f in kept] == ["a", "c"]
-    assert [f.stage2_score for f in kept] == [0.4, 0.2]
+    assert [f.stage1_score - 0.0 for f in kept] == [0.4, 0.2]
 
 
 def test_stage2_zero_is_dropped():
     pooled = [Fact(pid="a", sentence_index=0, text="s", stage1_score=0.0)]
     assert stage2_filter(pooled, CondenserConfig(tau=0.0)) == []
+
+
+def _parent_stage2_filter(pooled, cfg):
+    """Stage 2 as it was when each kept Fact stored its margin: the oracle.
+
+    The margin rides beside each fact here, since Fact no longer has a field for it.
+    """
+    kept = [
+        (margin, f) for f in pooled if (margin := f.stage1_score - cfg.tau) > 0.0
+    ]
+    kept.sort(key=lambda mf: (-mf[0], mf[1].pid, mf[1].sentence_index))
+    return [f for _, f in kept]
+
+
+# 0.3500000000000001 and the next double up share one margin over tau 0.1
+_COLLIDING = (0.3500000000000001, 0.35000000000000014)
+
+
+def test_stage2_breaks_a_rounded_margin_tie_by_pid():
+    assert _COLLIDING[0] < _COLLIDING[1]
+    assert _COLLIDING[0] - 0.1 == _COLLIDING[1] - 0.1
+    pooled = [
+        Fact(pid="b", sentence_index=0, text="s", stage1_score=_COLLIDING[1]),
+        Fact(pid="a", sentence_index=0, text="s", stage1_score=_COLLIDING[0]),
+    ]
+    kept = stage2_filter(pooled, CondenserConfig(tau=0.1))
+    assert [f.pid for f in kept] == ["a", "b"]
+    assert kept == _parent_stage2_filter(pooled, CondenserConfig(tau=0.1))
+
+
+def _ulps(x, n):
+    """The double `n` steps from `x` (towards +inf when n > 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@st.composite
+def _pool_and_tau(draw):
+    """A stage-1 pool whose scores sit on tau, on the colliding pair, or on a drawn
+    score, each moved a few doubles either way, so margins round together."""
+    tau = draw(st.sampled_from([0.0, 0.1, 0.25, 1 / 3]) | st.floats(-1.0, 2.0))
+    anchor = st.sampled_from([tau, *_COLLIDING]) | st.floats(-1.0, 2.0)
+    scores = draw(
+        st.lists(st.builds(_ulps, anchor, st.integers(-3, 3)), min_size=0, max_size=12)
+    )
+    pids = draw(st.lists(st.sampled_from("abc"), min_size=len(scores), max_size=len(scores)))
+    pool = [
+        Fact(pid=pid, sentence_index=i, text="s", stage1_score=score)
+        for i, (pid, score) in enumerate(zip(pids, scores))
+    ]
+    return draw(st.permutations(pool)), tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_and_tau())
+def test_stage2_matches_the_stored_margin_filter(pool_and_tau):
+    pooled, tau = pool_and_tau
+    cfg = CondenserConfig(tau=tau)
+    assert stage2_filter(pooled, cfg) == _parent_stage2_filter(pooled, cfg)
 
 
 _VOCAB = ["rome", "carthage", "tiber", "sea", "ships", "silver", "gaul", "looms"]
@@ -138,9 +198,9 @@ def test_condense_thresholds_the_stage1_pool(passages, query, top_k, tau):
     assert sorted((f.pid, f.sentence_index) for f in kept) == sorted(
         (f.pid, f.sentence_index) for f in above
     )
-    for f in kept:
-        assert f.stage2_score == f.stage1_score - tau
-    assert [f.stage2_score for f in kept] == sorted((f.stage2_score for f in kept), reverse=True)
+    margins = [f.stage1_score - tau for f in kept]
+    assert all(margin > 0.0 for margin in margins)
+    assert margins == sorted(margins, reverse=True)
 
 
 def test_condense_returns_subset_of_stage1(tiny_corpus):
@@ -153,8 +213,7 @@ def test_condense_returns_subset_of_stage1(tiny_corpus):
     pooled_keys = {(f.pid, f.sentence_index) for f in pooled}
     assert {(f.pid, f.sentence_index) for f in kept} <= pooled_keys
     for f in kept:
-        assert f.stage2_score is not None
-        assert f.stage2_score > 0.0
+        assert f.stage1_score - cfg.tau > 0.0
 
 
 def test_condense_may_be_empty(tiny_corpus):
@@ -193,5 +252,8 @@ def test_condenser_config_validation():
         CondenserConfig(stage1_top_k_facts=0)
     with pytest.raises(ValueError):
         CondenserConfig(stage1_top_k_facts=17)
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau must be a finite number"):
+            CondenserConfig(tau=tau)
     assert CondenserConfig().stage1_top_k_facts == 9
     assert CondenserConfig().tau == DEFAULT_TAU

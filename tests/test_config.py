@@ -277,6 +277,10 @@ BAD_VALUES = [
     ("HOPLITE_RETRIEVAL_K", "0", "retrieval: k "),
     ("HOPLITE_RETRIEVAL_QUERY_FOCUS", "0", "query_focus"),
     ("HOPLITE_CONDENSER_TAU", "abc", "condenser.tau"),
+    # a NaN tau keeps no fact, and the trace meta would hold a bare NaN
+    ("HOPLITE_CONDENSER_TAU", "NaN", "condenser: tau must be a finite number"),
+    ("HOPLITE_CONDENSER_TAU", "Infinity", "condenser: tau must be a finite number"),
+    ("HOPLITE_CONDENSER_TAU", "-Infinity", "condenser: tau must be a finite number"),
     ("HOPLITE_INDEX_NPROBE", "abc", "nprobe"),
     ("HOPLITE_INDEX_CENTROID_COUNT", "abc", "centroid_count"),
     ("HOPLITE_EVAL_SUPPORTED_ONLY", "yes", "supported_only"),
@@ -289,6 +293,22 @@ BAD_VALUES = [
 def test_resolve_checks_every_section(name, raw, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         resolve_config(environ={name: raw})
+
+
+# (config file text, text the error must name): Python's JSON reader takes these constants
+BAD_FILES = [
+    ('{"condenser": {"tau": NaN}}', "condenser: tau must be a finite number, got nan"),
+    ('{"condenser": {"tau": Infinity}}', "condenser: tau must be a finite number, got inf"),
+    ('{"condenser": {"tau": -Infinity}}', "condenser: tau must be a finite number, got -inf"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_FILES)
+def test_resolve_checks_every_section_of_a_file(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        resolve_config(config_path=path, environ={})
 
 
 def test_defaults_are_the_typed_config_defaults():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from hoplite.corpus import (
@@ -148,4 +150,6 @@ def test_multi_hop_query_extended():
 def test_fact_defaults():
     f = Fact(pid="p", sentence_index=2, text="x")
     assert f.stage1_score == 0.0
-    assert f.stage2_score is None
+    assert [field.name for field in fields(Fact)] == [
+        "pid", "sentence_index", "text", "stage1_score"
+    ]

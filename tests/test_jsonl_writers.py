@@ -67,7 +67,7 @@ def _query():
 
 
 def _trace():
-    fact = Fact(pid="p-é", sentence_index=0, text=TEXT, stage1_score=0.5, stage2_score=0.25)
+    fact = Fact(pid="p-é", sentence_index=0, text=TEXT, stage1_score=0.5)
     hop = HopRecord(
         t=1,
         ranked=Ranking(("p-é",), np.array([1.0]), np.array([0.5])),
@@ -134,6 +134,8 @@ def test_write_traces_without_meta(tmp_path):
     ranked = [{"pid": "p-é", "s_query": 1.0, "s_fact": 0.5}]
     assert rec["hops"][0]["ranked"] == ranked
     assert rec["union"] == ["p-é"]
+    fact = {"pid": "p-é", "sentence_index": 0, "text": TEXT, "stage1_score": 0.5}
+    assert rec["hops"][0]["kept_facts"] == rec["final_facts"] == [fact]
     assert " ".join([rec["q0"]] + [f["text"] for f in rec["final_facts"]]) == f"{TEXT} {TEXT}"
     assert read_traces(path) == (None, [trace_record(_trace())])
 

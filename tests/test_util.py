@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hoplite.util import (
+    check_writable,
     derive_seed,
     hash64,
     normalize_answer_text,
@@ -105,3 +106,18 @@ def test_replacing_a_directory_is_refused_before_the_block_runs(tmp_path):
     assert str(info.value) == f"[Errno 21] Is a directory: '{out}'"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert list(out.iterdir()) == []
+
+
+def test_an_empty_path_is_refused_naming_it(tmp_path, monkeypatch):
+    # else the block runs in full, and then the move fails naming the temporary file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as info:
+        check_writable("")
+    assert info.value.filename == ""
+    assert str(info.value) == "[Errno 2] No such file or directory: ''"
+    ran = []
+    with pytest.raises(FileNotFoundError):
+        with replacing("", encoding="utf-8") as fh:
+            ran.append(fh)
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
